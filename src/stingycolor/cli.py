@@ -8,7 +8,8 @@ Exit codes: 0 clean, 1 a VIOLATION verdict or counterexample was found,
 
 Guard overrides via environment: STINGYCOLOR_OPTIMAL_GUARD and
 STINGYCOLOR_FULL_GUARD (vertex-count ceilings for optimal-coloring work and
-full coloring enumeration).
+full coloring enumeration). A value that is not a nonnegative integer is a
+usage error.
 """
 
 from __future__ import annotations
@@ -31,10 +32,24 @@ EXIT_VIOLATION = 1
 EXIT_ERROR = 2
 
 
+def _guard_from_env(var: str, default: int) -> int:
+    text = os.environ.get(var)
+    if text is None:
+        return default
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"{var} must be a nonnegative integer, got {text!r}")
+    return value
+
+
 def _guards_from_env() -> Guards:
-    opt = int(os.environ.get("STINGYCOLOR_OPTIMAL_GUARD", Guards.optimal))
-    full = int(os.environ.get("STINGYCOLOR_FULL_GUARD", Guards.full))
-    return Guards(optimal=opt, full=full)
+    return Guards(
+        optimal=_guard_from_env("STINGYCOLOR_OPTIMAL_GUARD", Guards.optimal),
+        full=_guard_from_env("STINGYCOLOR_FULL_GUARD", Guards.full),
+    )
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -291,7 +306,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "samples", 0) and args.seed is None:
         parser.error("--samples requires an explicit --seed")
-    guards = _guards_from_env()
+    try:
+        guards = _guards_from_env()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     try:
         return args.func(args, guards)
     except GuardExceededError as exc:

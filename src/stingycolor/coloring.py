@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, ClassVar, Iterator
 
 from .graphs import Graph, bits, clique_number
 
@@ -468,26 +468,87 @@ class ColoringProperty:
         return bool(self.predicate(c))
 
 
-def all_colorings_property() -> ColoringProperty:
-    return ColoringProperty(lambda c: True, "all", True, True)
+@dataclass(frozen=True)
+class FrameProperty:
+    """A predicate on the frame alone, applied to a coloring as
+    ``frame_predicate(c.frame())``. No predicate on the coloring itself can be
+    given, so it is a frame property by construction; singleton-friendliness
+    is still checked, and ``declared_singleton_friendly`` is never trusted."""
+
+    frame_predicate: Callable[[tuple[int, ...]], bool] = field(compare=False)
+    name: str
+    declared_singleton_friendly: bool = False
+
+    declared_frame_property: ClassVar[bool] = True
+
+    def __call__(self, c: Coloring) -> bool:
+        return bool(self.frame_predicate(c.frame()))
+
+    def frames(self, n: int) -> list[tuple[int, ...]]:
+        """The satisfying frames of ``n`` vertices."""
+        return [f for f in _frames(n) if self.frame_predicate(f)]
 
 
-def b_r(r: int) -> ColoringProperty:
-    """B_r: all classes of size at most r. Singleton-friendly only for r >= 2
-    (merging two singletons makes a doubleton, which leaves B_1)."""
+def _frames(n: int) -> Iterator[tuple[int, ...]]:
+    """Every frame of ``n`` vertices: the integer partitions of n, each as a
+    nondecreasing tuple."""
+    prefix: list[int] = []
+
+    def rec(rest: int, least: int):
+        if rest == 0:
+            yield tuple(prefix)
+            return
+        for part in range(least, rest + 1):
+            prefix.append(part)
+            yield from rec(rest - part, part)
+            prefix.pop()
+
+    yield from rec(n, 1)
+
+
+def b_r(r: int) -> FrameProperty:
+    """B_r: all classes of size at most r, i.e. the largest frame entry is at
+    most r. Singleton-friendly only for r >= 2 (merging two singletons makes a
+    doubleton, which leaves B_1)."""
     if r < 1:
         raise ValueError("r must be positive")
-    return ColoringProperty(
-        predicate=lambda c: all(len(cls) <= r for cls in c.classes),
+    return FrameProperty(
+        frame_predicate=lambda f: not f or f[-1] <= r,
         name=f"B_{r}",
-        declared_frame_property=True,
         declared_singleton_friendly=r >= 2,
     )
 
 
-def chi_p(g: Graph, p: ColoringProperty,
+def _frame_p_optimal(g: Graph, p: FrameProperty, guards: Guards) -> Iterator[Coloring]:
+    """The P-optimal colorings of a frame property, by bounded search: every
+    satisfying coloring has classes of at most ``cap`` vertices, the largest
+    entry of any satisfying frame, so chi_P is the first class count from
+    chi_cap up that has a satisfying coloring."""
+    if g.n > guards.optimal:
+        raise GuardExceededError(
+            f"chi_P guarded at n <= {guards.optimal} (graph has {g.n})"
+        )
+    cap = max((f[-1] for f in p.frames(g.n) if f), default=1)
+    for k in range(chromatic_number(g, cap), g.n + 1):
+        found = False
+        for masks in _enum_partitions(g.adj, g.n, k, cap):
+            c = Coloring.of([list(bits(m)) for m in masks])
+            if p(c):
+                found = True
+                yield c
+        if found:
+            return
+    raise PropertyUnsatisfiableError(f"property {p.name!r} unsatisfiable on this graph")
+
+
+def chi_p(g: Graph, p: ColoringProperty | FrameProperty,
           guards: Guards = DEFAULT_GUARDS) -> tuple[int, Coloring]:
-    """Minimum class count among colorings satisfying ``p``, with witness."""
+    """Minimum class count among colorings satisfying ``p``, with witness.
+    A FrameProperty is optimal-coloring work; any other property scans every
+    partition under the full guard."""
+    if isinstance(p, FrameProperty):
+        c = next(_frame_p_optimal(g, p, guards))
+        return len(c), c
     if g.n > guards.full:
         raise GuardExceededError(
             f"chi_P guarded at n <= {guards.full} (graph has {g.n})"
@@ -505,9 +566,14 @@ def chi_p(g: Graph, p: ColoringProperty,
     raise PropertyUnsatisfiableError(f"property {p.name!r} unsatisfiable on this graph")
 
 
-def enumerate_p_optimal(g: Graph, p: ColoringProperty,
+def enumerate_p_optimal(g: Graph, p: ColoringProperty | FrameProperty,
                         guards: Guards = DEFAULT_GUARDS) -> Iterator[Coloring]:
-    """Every coloring satisfying ``p`` with exactly chi_P classes."""
+    """Every coloring satisfying ``p`` with exactly chi_P classes. For a
+    FrameProperty P = B_r this is enumerate_optimal_colorings(g, cap=r), in
+    the same order."""
+    if isinstance(p, FrameProperty):
+        yield from _frame_p_optimal(g, p, guards)
+        return
     k, _ = chi_p(g, p, guards)
     for masks in _enum_partitions(g.adj, g.n, k, None):
         c = Coloring.of([list(bits(m)) for m in masks])
@@ -522,9 +588,12 @@ def _grouped_memberships(g: Graph, p: ColoringProperty, key, guards: Guards):
     return groups
 
 
-def is_frame_property(g: Graph, p: ColoringProperty,
+def is_frame_property(g: Graph, p: ColoringProperty | FrameProperty,
                       guards: Guards = DEFAULT_GUARDS) -> bool:
-    """True iff p's satisfying set is a union of frame-equivalence classes."""
+    """True iff p's satisfying set is a union of frame-equivalence classes.
+    A FrameProperty is one by construction."""
+    if isinstance(p, FrameProperty):
+        return True
     groups = _grouped_memberships(g, p, lambda c: c.frame(), guards)
     return all(len(vals) == 1 for vals in groups.values())
 
@@ -555,10 +624,26 @@ def merge_singletons(c: Coloring, a: int, b: int) -> Coloring:
     return Coloring.of(rest + [(a, b)])
 
 
-def is_singleton_friendly(g: Graph, p: ColoringProperty,
+def _frames_merge_closed(p: FrameProperty, n: int) -> bool:
+    """True iff merging two 1s of any satisfying frame of ``n`` vertices into a
+    2 gives a satisfying frame. Merging two singleton classes changes the
+    frame exactly so, hence this proves p singleton-friendly on every graph of
+    order n. Frames are nondecreasing, so the 1s lead."""
+    return all(
+        p.frame_predicate(tuple(sorted(f[2:] + (2,))))
+        for f in p.frames(n)
+        if f[:2] == (1, 1)
+    )
+
+
+def is_singleton_friendly(g: Graph, p: ColoringProperty | FrameProperty,
                           guards: Guards = DEFAULT_GUARDS) -> bool:
     """True iff every merge of two nonadjacent singleton classes of a
-    satisfying coloring again satisfies ``p``."""
+    satisfying coloring again satisfies ``p``. A FrameProperty whose frames
+    are closed under that merge passes without enumeration; otherwise the
+    colorings of ``g`` decide it exactly."""
+    if isinstance(p, FrameProperty) and _frames_merge_closed(p, g.n):
+        return True
     for c in enumerate_colorings(g, guards):
         if not p(c):
             continue

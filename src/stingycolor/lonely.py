@@ -19,6 +19,7 @@ from .graphs import Graph, bits, clique_number, invariants
 from .coloring import (
     Coloring,
     ColoringProperty,
+    FrameProperty,
     Guards,
     DEFAULT_GUARDS,
     bounded_stats,
@@ -207,10 +208,13 @@ class LemmaReport:
         }
 
 
-def check_lonely_paths(g: Graph, c: Coloring, max_len: int = 3) -> list[dict]:
-    """Join failures among the lonely path pairs of one coloring."""
+def join_failures(g: Graph, c: Coloring, max_len: int = 3) -> tuple[int, list[dict]]:
+    """Join-check the lonely path pairs of one coloring in a single pass:
+    (pairs checked, join failures)."""
+    checks = 0
     bad = []
     for pair in enumerate_lonely_path_pairs(g, c, max_len):
+        checks += 1
         missing = _join_violations(g, pair)
         if missing:
             bad.append({
@@ -219,11 +223,11 @@ def check_lonely_paths(g: Graph, c: Coloring, max_len: int = 3) -> list[dict]:
                 "pb": list(pair.pb),
                 "missing_edges": missing,
             })
-    return bad
+    return checks, bad
 
 
 def verify_lonely_path_lemma(g: Graph, mode: str = "classic",
-                             prop: ColoringProperty | None = None,
+                             prop: ColoringProperty | FrameProperty | None = None,
                              max_len: int = 3,
                              guards: Guards = DEFAULT_GUARDS) -> LemmaReport:
     """Joined-paths check over every optimal (classic) or P-optimal coloring.
@@ -253,17 +257,9 @@ def verify_lonely_path_lemma(g: Graph, mode: str = "classic",
     report = LemmaReport(name, hypothesis_holds=True)
     for c in colorings:
         report.colorings_checked += 1
-        pairs = list(enumerate_lonely_path_pairs(g, c, max_len))
-        report.checks += len(pairs)
-        for pair in pairs:
-            missing = _join_violations(g, pair)
-            if missing:
-                report.violations.append({
-                    "coloring": c.as_lists(),
-                    "pa": list(pair.pa),
-                    "pb": list(pair.pb),
-                    "missing_edges": missing,
-                })
+        checks, bad = join_failures(g, c, max_len)
+        report.checks += checks
+        report.violations.extend(bad)
     return report
 
 

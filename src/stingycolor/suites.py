@@ -138,9 +138,9 @@ def suite_lonely_path(max_n: int, max_len: int = 3, samples: int = 0,
         g6 = emit_graph6(g)
         for c in enumerate_optimal_colorings(g, guards=guards):
             colorings += 1
-            pairs = list(lonely.enumerate_lonely_path_pairs(g, c, max_len))
-            result.checked += len(pairs)
-            for bad in lonely.check_lonely_paths(g, c, max_len):
+            checks, failures = lonely.join_failures(g, c, max_len)
+            result.checked += checks
+            for bad in failures:
                 bad["g6"] = g6
                 result.violations.append(bad)
     if samples:
@@ -150,9 +150,9 @@ def suite_lonely_path(max_n: int, max_len: int = 3, samples: int = 0,
                 g = er_random(n, p, seed=rng.getrandbits(32))
                 c = one_optimal_coloring(g, rng=rng)
                 colorings += 1
-                pairs = list(lonely.enumerate_lonely_path_pairs(g, c, max_len))
-                result.checked += len(pairs)
-                for bad in lonely.check_lonely_paths(g, c, max_len):
+                checks, failures = lonely.join_failures(g, c, max_len)
+                result.checked += checks
+                for bad in failures:
                     bad["g6"] = emit_graph6(g)
                     result.violations.append(bad)
     result.details["colorings"] = colorings

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import oracles
+
 from stingycolor import (
     BoundsReport,
     GeneralizedReport,
@@ -178,3 +180,13 @@ def test_params_validation():
         VerificationParams(r_list=(0,))
     with pytest.raises(ValueError):
         VerificationParams(t2_list=(-1,))
+
+
+@pytest.mark.parametrize("g", [petersen(), cycle(9)], ids=["petersen", "C9"])
+def test_b_r_path_join_evaluated_up_to_optimal_guard(g):
+    claims = {c["name"]: c for c in full_report(g, PARAMS)["claims"]}
+    for r in (2, 3):
+        claim = claims[f"lonely-path-join[B_{r}]"]
+        assert claim["verdict"] == VERDICT_CHECKED
+        assert (claim["witness"]["colorings_checked"]
+                == len(oracles.optimal_colorings_oracle(g, cap=r)))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from stingycolor.cli import main
 
 
@@ -172,3 +174,13 @@ def test_guard_env_override(capsys, monkeypatch):
     report = json.loads(out)
     assert report["inv"]["chi"] is None
     assert any(c["verdict"] == "not-evaluated" for c in report["claims"])
+
+
+@pytest.mark.parametrize("var", ["STINGYCOLOR_OPTIMAL_GUARD", "STINGYCOLOR_FULL_GUARD"])
+@pytest.mark.parametrize("value", ["ten", "-1"])
+def test_bad_guard_env_is_usage_error(capsys, monkeypatch, var, value):
+    monkeypatch.setenv(var, value)
+    code, out, err = run(capsys, "analyze", "--gen", "cycle:5")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and var in err

@@ -7,6 +7,7 @@ import oracles
 from stingycolor import (
     Coloring,
     ColoringProperty,
+    FrameProperty,
     GuardExceededError,
     Guards,
     PartitionError,
@@ -33,7 +34,8 @@ from stingycolor import (
     petersen,
     stats,
 )
-from stingycolor.coloring import merge_singletons
+from stingycolor.coloring import enumerate_p_optimal, merge_singletons
+from stingycolor.suites import exhaustive_graphs
 
 
 def canon_set(colorings):
@@ -444,5 +446,77 @@ def test_stats_guard():
         stats(er_random(11, 0.5, seed=3))
     with pytest.raises(GuardExceededError):
         bounded_stats(er_random(11, 0.5, seed=3), 2)
+    # B_r is a frame property, so chi_P runs under the optimal guard; any
+    # other property scans every partition under the full guard.
     with pytest.raises(GuardExceededError):
-        chi_p(er_random(9, 0.5, seed=3), b_r(2))
+        chi_p(er_random(11, 0.5, seed=3), b_r(2))
+    with pytest.raises(GuardExceededError):
+        chi_p(er_random(9, 0.5, seed=3), ColoringProperty(b_r(2), "B_2 as coloring predicate"))
+
+
+# --- frame properties against the generic enumeration route -----------------
+
+
+ALL_FRAMES = FrameProperty(lambda f: True, "all")
+
+
+def _merge_closure(frames):
+    """Close a frame set under merging two 1s into a 2."""
+    closed = set(frames)
+    todo = list(closed)
+    while todo:
+        f = todo.pop()
+        if f[:2] == (1, 1):
+            merged = tuple(sorted(f[2:] + (2,)))
+            if merged not in closed:
+                closed.add(merged)
+                todo.append(merged)
+    return closed
+
+
+def _seeded_frame_predicates():
+    frames = [f for n in range(7) for f in ALL_FRAMES.frames(n)]
+    preds = []
+    for seed in range(3):
+        rng = random.Random(seed)
+        chosen = frozenset(f for f in frames if rng.random() < 0.5)
+        preds.append((f"rand-{seed}", lambda f, s=chosen: f in s))
+        closed = frozenset(_merge_closure(f for f in frames if rng.random() < 0.3))
+        preds.append((f"merge-closed-{seed}", lambda f, s=closed: f in s))
+    preds.append(("two-classes", lambda f: len(f) == 2))
+    return preds
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except PropertyUnsatisfiableError as exc:
+        return ("unsatisfiable", str(exc))
+
+
+def test_frame_property_agrees_with_generic_route():
+    preds = [(f"B_{r}", lambda f, r=r: not f or f[-1] <= r) for r in range(1, 5)]
+    preds += _seeded_frame_predicates()
+    for g in exhaustive_graphs(0, 6):
+        for name, pred in preds:
+            fp = FrameProperty(pred, name)
+            cp = ColoringProperty(lambda c, pred=pred: pred(c.frame()), name)
+            assert is_frame_property(g, fp) == is_frame_property(g, cp)
+            assert is_singleton_friendly(g, fp) == is_singleton_friendly(g, cp)
+            assert (_outcome(lambda: list(enumerate_p_optimal(g, fp)))
+                    == _outcome(lambda: list(enumerate_p_optimal(g, cp))))
+
+
+def test_b_r_p_optimal_is_optimal_bounded_stream():
+    for g in exhaustive_graphs(0, 6):
+        for r in range(1, 5):
+            assert (list(enumerate_p_optimal(g, b_r(r)))
+                    == list(enumerate_optimal_colorings(g, cap=r)))
+
+
+def test_b1_friendly_on_complete_graphs_only_by_enumeration():
+    # The frame check fails for B_1 (two 1s merge into a 2), so the colorings
+    # decide: on K_n no two singletons can merge.
+    for n in range(2, 7):
+        assert is_singleton_friendly(complete(n), b_r(1))
+    assert not is_singleton_friendly(path(3), b_r(1))
