@@ -58,6 +58,8 @@ class VerificationParams:
             raise ValueError("r values must be positive")
         if any(t2 < 0 for t2 in self.t2_list):
             raise ValueError("slacks must be nonnegative")
+        if self.max_path_len < 1:
+            raise ValueError("max_path_len must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Subcommands: ``analyze`` one graph, ``sweep`` a corpus or exhaustive range,
 ``search`` for counterexamples to one claim, ``verify`` a named suite.
 
 Exit codes: 0 clean, 1 a VIOLATION verdict or counterexample was found,
-2 usage or structural error (bad graph6 input, unknown claim or suite).
+2 usage or structural error (bad graph6 input, unreadable corpus, unknown
+claim or suite, out-of-range option), reported as one ``error:`` line.
 
 Guard overrides via environment: STINGYCOLOR_OPTIMAL_GUARD and
 STINGYCOLOR_FULL_GUARD (vertex-count ceilings for optimal-coloring work and
@@ -32,6 +33,10 @@ EXIT_VIOLATION = 1
 EXIT_ERROR = 2
 
 
+class UsageError(Exception):
+    """Bad options or unreadable input; ``main`` reports it and exits 2."""
+
+
 def _guard_from_env(var: str, default: int) -> int:
     text = os.environ.get(var)
     if text is None:
@@ -43,13 +48,6 @@ def _guard_from_env(var: str, default: int) -> int:
     if value < 0:
         raise ValueError(f"{var} must be a nonnegative integer, got {text!r}")
     return value
-
-
-def _guards_from_env() -> Guards:
-    return Guards(
-        optimal=_guard_from_env("STINGYCOLOR_OPTIMAL_GUARD", Guards.optimal),
-        full=_guard_from_env("STINGYCOLOR_FULL_GUARD", Guards.full),
-    )
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -112,30 +110,35 @@ def _write_output(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _params(args, guards: Guards) -> VerificationParams:
-    return VerificationParams(
-        r_list=args.r,
-        t2_list=args.t,
-        guards=guards,
-        seed=getattr(args, "seed", 0) or 0,
-        max_path_len=getattr(args, "max_path_len", 3),
-    )
+def _params(args) -> VerificationParams:
+    try:
+        return VerificationParams(
+            r_list=args.r,
+            t2_list=args.t,
+            guards=Guards(
+                optimal=_guard_from_env("STINGYCOLOR_OPTIMAL_GUARD", Guards.optimal),
+                full=_guard_from_env("STINGYCOLOR_FULL_GUARD", Guards.full),
+            ),
+            seed=getattr(args, "seed", 0) or 0,
+            max_path_len=args.max_path_len,
+        )
+    except ValueError as exc:
+        raise UsageError(exc) from exc
 
 
-def cmd_analyze(args, guards: Guards) -> int:
-    if args.g6:
-        try:
-            g = parse_graph6(args.g6)
-        except GraphFormatError as exc:
-            print(f"error: bad graph6 input: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-    else:
-        try:
-            g = _parse_gen_spec(args.gen)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-    report = full_report(g, _params(args, guards))
+def _check_exhaustive_range(command: str, min_n: int, max_n: int):
+    if min(min_n, max_n) < 0 or max_n > EXHAUSTIVE_MAX_N:
+        raise UsageError(f"exhaustive {command} supports 0 <= n <= {EXHAUSTIVE_MAX_N}")
+
+
+def cmd_analyze(args, params: VerificationParams) -> int:
+    try:
+        g = parse_graph6(args.g6) if args.g6 else _parse_gen_spec(args.gen)
+    except GraphFormatError as exc:
+        raise UsageError(f"bad graph6 input: {exc}") from exc
+    except ValueError as exc:
+        raise UsageError(exc) from exc
+    report = full_report(g, params)
     if args.format == "csv":
         _write_output(_reports_to_csv([report]), args.out)
     else:
@@ -143,23 +146,21 @@ def cmd_analyze(args, guards: Guards) -> int:
     return EXIT_VIOLATION if report_violations(report) else EXIT_OK
 
 
-def cmd_sweep(args, guards: Guards) -> int:
-    params = _params(args, guards)
+def cmd_sweep(args, params: VerificationParams) -> int:
     structural = False
     if args.exhaustive:
         max_n = args.max_n
         if max_n is None:
-            print("error: --exhaustive needs --max-n", file=sys.stderr)
-            return EXIT_ERROR
-        if max_n > EXHAUSTIVE_MAX_N:
-            print(f"error: exhaustive sweep supports n <= {EXHAUSTIVE_MAX_N}",
-                  file=sys.stderr)
-            return EXIT_ERROR
+            raise UsageError("--exhaustive needs --max-n")
         # Without --min-n the sweep covers exactly the graphs on max_n vertices.
         min_n = args.min_n if args.min_n is not None else max_n
+        _check_exhaustive_range("sweep", min_n, max_n)
         graphs = list(suites_mod.exhaustive_graphs(min_n, max_n))
     else:
-        entries, errors = suites_mod.load_graph6_lines(args.input)
+        try:
+            entries, errors = suites_mod.load_graph6_lines(args.input)
+        except OSError as exc:
+            raise UsageError(f"cannot read {args.input}: {exc.strerror}") from exc
         for lineno, message in errors:
             print(f"{args.input}:{lineno}: {message}", file=sys.stderr)
             structural = True
@@ -169,29 +170,29 @@ def cmd_sweep(args, guards: Guards) -> int:
         _write_output(_reports_to_csv(reports), args.out)
     else:
         _write_output("".join(_dump_json(rep) + "\n" for rep in reports), args.out)
-    violated = any(report_violations(rep) for rep in reports)
-    print(f"swept {len(reports)} graphs, "
-          f"{sum(len(report_violations(rep)) for rep in reports)} violations",
-          file=sys.stderr)
+    violations = sum(len(report_violations(rep)) for rep in reports)
+    print(f"swept {len(reports)} graphs, {violations} violations", file=sys.stderr)
     if structural:
         return EXIT_ERROR
-    return EXIT_VIOLATION if violated else EXIT_OK
+    return EXIT_VIOLATION if violations else EXIT_OK
 
 
-def cmd_search(args, guards: Guards) -> int:
-    params = _params(args, guards)
+def cmd_search(args, params: VerificationParams) -> int:
+    min_n = args.min_n if args.min_n is not None else 1
+    _check_exhaustive_range("search", min_n, args.max_n)
+    if args.samples and not args.sample_ns:
+        raise UsageError("--samples needs --sample-ns, e.g. --sample-ns 7,8")
     try:
         result = suites_mod.search_claim(
             args.claim, params,
-            min_n=args.min_n if args.min_n is not None else 1,
+            min_n=min_n,
             max_n=args.max_n,
             samples=args.samples,
-            sample_ns=tuple(args.sample_ns) if args.sample_ns else (),
-            seed=args.seed or 0,
+            sample_ns=tuple(args.sample_ns),
+            seed=params.seed,
         )
     except suites_mod.UnknownClaimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        raise UsageError(exc) from exc
     lines = "".join(_dump_json(a) + "\n" for a in result["counterexamples"])
     _write_output(lines, args.out)
     print(f"searched {result['graphs']} graphs ({result['records']} claim records), "
@@ -199,37 +200,33 @@ def cmd_search(args, guards: Guards) -> int:
     return EXIT_VIOLATION if result["counterexamples"] else EXIT_OK
 
 
-def cmd_verify(args, guards: Guards) -> int:
+def cmd_verify(args, params: VerificationParams) -> int:
     suite = args.suite
     if suite not in suites_mod.SUITES:
-        print(f"error: unknown suite {suite!r}; valid suites: "
-              f"{', '.join(sorted(suites_mod.SUITES))}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        if suite == "lonely-path":
-            result = suites_mod.suite_lonely_path(
-                args.max_n, max_len=args.max_path_len, samples=args.samples,
-                sample_ns=tuple(args.sample_ns) if args.sample_ns else (7, 8),
-                seed=args.seed or 0, guards=guards)
-        elif suite == "generalized-lonely-path":
-            result = suites_mod.suite_gen_lonely_path(
-                args.max_n, rs=tuple(r for r in args.r if r >= 2),
-                max_len=args.max_path_len, guards=guards)
-        elif suite == "replete":
-            result = suites_mod.suite_replete(
-                args.max_n, t2s=args.t, rs=tuple(r for r in args.r if r >= 1),
-                guards=guards)
-        elif suite == "swap":
-            result = suites_mod.suite_swap(args.max_n, guards=guards)
-        elif suite == "properties":
-            result = suites_mod.suite_properties(
-                seed=args.seed or 0, predicates=args.predicates,
-                max_n_br=min(args.max_n, 5), guards=guards)
-        else:
-            result = suites_mod.suite_identities(args.max_n, guards=guards)
-    except GuardExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        raise UsageError(f"unknown suite {suite!r}; valid suites: "
+                         f"{', '.join(sorted(suites_mod.SUITES))}")
+    _check_exhaustive_range("verify", 0, args.max_n)
+    guards = params.guards
+    if suite == "lonely-path":
+        result = suites_mod.suite_lonely_path(
+            args.max_n, max_len=params.max_path_len, samples=args.samples,
+            sample_ns=tuple(args.sample_ns) if args.sample_ns else (7, 8),
+            seed=params.seed, guards=guards)
+    elif suite == "generalized-lonely-path":
+        result = suites_mod.suite_gen_lonely_path(
+            args.max_n, rs=tuple(r for r in params.r_list if r >= 2),
+            max_len=params.max_path_len, guards=guards)
+    elif suite == "replete":
+        result = suites_mod.suite_replete(
+            args.max_n, t2s=params.t2_list, rs=params.r_list, guards=guards)
+    elif suite == "swap":
+        result = suites_mod.suite_swap(args.max_n, guards=guards)
+    elif suite == "properties":
+        result = suites_mod.suite_properties(
+            seed=params.seed, predicates=args.predicates,
+            max_n_br=min(args.max_n, 5), guards=guards)
+    else:
+        result = suites_mod.suite_identities(args.max_n, guards=guards)
     _write_output(_dump_json(result.to_dict()) + "\n", args.out)
     print(f"suite {suite}: {result.checked} checked, {result.vacuous} vacuous, "
           f"{len(result.violations)} violations", file=sys.stderr)
@@ -307,13 +304,8 @@ def main(argv=None) -> int:
     if getattr(args, "samples", 0) and args.seed is None:
         parser.error("--samples requires an explicit --seed")
     try:
-        guards = _guards_from_env()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        return args.func(args, guards)
-    except GuardExceededError as exc:
+        return args.func(args, _params(args))
+    except (UsageError, GuardExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -12,7 +12,6 @@ column major, six bits per printable character offset by 63.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -20,7 +19,7 @@ from typing import Iterator
 G6_MAX_SHORT = 62
 G6_MAX = 258047
 
-# Brute-force isomorphism dedup over adjacency bitmasks is only sane up to here.
+# all_graphs sweeps all 2^(n(n-1)/2) adjacency bitmasks; cheap up to here.
 EXHAUSTIVE_MAX_N = 6
 
 
@@ -439,44 +438,55 @@ def invariants(g: Graph) -> GraphInvariants:
 
 
 @functools.lru_cache(maxsize=None)
-def _perm_bit_tables(n: int) -> tuple[tuple[int, ...], ...]:
+def _generator_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Mask images under the transposition (0 1) and the cycle (0 1 ... n-1),
+    which generate S_n: per generator, one 32-entry table per 5-bit chunk of
+    the mask. The image of a mask is the OR of its chunks' entries."""
     pairs = _pair_order(n)
     index = {pair: t for t, pair in enumerate(pairs)}
-    tables = []
-    for perm in itertools.permutations(range(n)):
-        table = []
-        for i, j in pairs:
-            a, b = perm[i], perm[j]
-            table.append(index[(a, b) if a < b else (b, a)])
-        tables.append(tuple(table))
-    return tuple(tables)
+    gens = []
+    for perm in ((1, 0, *range(2, n)), (*range(1, n), 0)):
+        image = [1 << index[tuple(sorted((perm[i], perm[j])))] for i, j in pairs]
+        gens.append(tuple(
+            tuple(sum(bit for b, bit in enumerate(image[base:base + 5]) if v >> b & 1)
+                  for v in range(32))
+            for base in range(0, len(pairs), 5)
+        ))
+    return tuple(gens)
 
 
-def _permuted_mask(mask: int, table: tuple[int, ...]) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << table[low.bit_length() - 1]
-        mask ^= low
-    return out
+def _orbit(n: int, mask: int) -> set[int]:
+    """The S_n orbit of ``mask``, by a depth-first walk under the two
+    generators; each member is reached once."""
+    gens = _generator_tables(n)
+    orbit = {mask}
+    stack = [mask]
+    while stack:
+        x = stack.pop()
+        for chunks in gens:
+            y, rest = 0, x
+            for table in chunks:
+                y |= table[rest & 31]
+                rest >>= 5
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
+    return orbit
 
 
 def canonical_mask(n: int, mask: int) -> int:
-    """Minimum adjacency bitmask over all vertex permutations."""
-    best = mask
-    for table in _perm_bit_tables(n)[1:]:
-        pm = _permuted_mask(mask, table)
-        if pm < best:
-            best = pm
-    return best
+    """Minimum adjacency bitmask over all vertex permutations of ``mask``."""
+    return min(_orbit(n, mask))
 
 
 @functools.lru_cache(maxsize=None)
 def all_graphs(n: int) -> tuple[Graph, ...]:
     """All isomorphism classes on exactly ``n`` vertices, canonical reps in mask order.
 
-    Iterates every adjacency bitmask and keeps those that are minimal in their
-    permutation orbit; practical only up to EXHAUSTIVE_MAX_N.
+    Sweeps the masks upward, marking each orbit as it is met. The first
+    unmarked mask is the minimum of a new orbit, hence its canonical
+    representative; the sweep visits every mask once. Capped at
+    EXHAUSTIVE_MAX_N.
     """
     if n < 0:
         raise ValueError("negative size")
@@ -484,12 +494,12 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
         raise ValueError(
             f"exhaustive enumeration supports n <= {EXHAUSTIVE_MAX_N} (asked for {n})"
         )
-    tables = _perm_bit_tables(n)[1:]
+    seen = bytearray(1 << (n * (n - 1) // 2))
     reps = []
-    for mask in range(1 << (n * (n - 1) // 2)):
-        for table in tables:
-            if _permuted_mask(mask, table) < mask:
-                break
-        else:
-            reps.append(graph_from_mask(n, mask))
+    mask = seen.find(0)
+    while mask >= 0:
+        reps.append(graph_from_mask(n, mask))
+        for member in _orbit(n, mask):
+            seen[member] = 1
+        mask = seen.find(0, mask + 1)
     return tuple(reps)

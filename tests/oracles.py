@@ -8,7 +8,8 @@ enumeration. Slow and obviously correct.
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
 
 from stingycolor import Graph
 
@@ -128,3 +129,42 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
         if all(h.has_edge(perm[u], perm[v]) for u, v in g.edges()):
             return True
     return g.edge_count() == 0
+
+
+def _edge_pairs(n: int) -> list[tuple[int, int]]:
+    """Bit t of an adjacency mask is the pair (i, j), i < j, in graph6 order:
+    columns j = 1..n-1, rows i = 0..j-1."""
+    return [(i, j) for j in range(1, n) for i in range(j)]
+
+
+@lru_cache(maxsize=None)
+def _perm_bit_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """For every permutation of 0..n-1: the bit each mask bit is sent to."""
+    pairs = _edge_pairs(n)
+    index = {pair: t for t, pair in enumerate(pairs)}
+    return tuple(
+        tuple(index[(min(p[i], p[j]), max(p[i], p[j]))] for i, j in pairs)
+        for p in permutations(range(n))
+    )
+
+
+def _permuted_mask(mask: int, table: tuple[int, ...]) -> int:
+    return sum(1 << table[t] for t in range(len(table)) if mask >> t & 1)
+
+
+def canonical_mask_oracle(n: int, mask: int) -> int:
+    """Minimum of ``mask`` over all n! vertex permutations."""
+    return min(_permuted_mask(mask, table) for table in _perm_bit_tables(n))
+
+
+def all_graphs_oracle(n: int) -> tuple[Graph, ...]:
+    """One graph per isomorphism class on n vertices: every mask that no
+    permutation makes smaller, in increasing mask order."""
+    pairs = _edge_pairs(n)
+    tables = _perm_bit_tables(n)[1:]
+    reps = []
+    for mask in range(1 << len(pairs)):
+        if all(_permuted_mask(mask, table) >= mask for table in tables):
+            edges = [pair for t, pair in enumerate(pairs) if mask >> t & 1]
+            reps.append(Graph.from_edges(n, edges))
+    return tuple(reps)

@@ -180,6 +180,8 @@ def test_params_validation():
         VerificationParams(r_list=(0,))
     with pytest.raises(ValueError):
         VerificationParams(t2_list=(-1,))
+    with pytest.raises(ValueError):
+        VerificationParams(max_path_len=0)
 
 
 @pytest.mark.parametrize("g", [petersen(), cycle(9)], ids=["petersen", "C9"])

@@ -184,3 +184,29 @@ def test_bad_guard_env_is_usage_error(capsys, monkeypatch, var, value):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and var in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "lonely-path", "--max-n", "7"),
+    ("verify", "--suite", "identities", "--max-n", "-1"),
+    ("search", "--claim", "simple-bound", "--max-n", "7"),
+    ("search", "--claim", "simple-bound", "--min-n", "-1", "--max-n", "2"),
+    ("search", "--claim", "simple-bound", "--samples", "5", "--seed", "1"),
+    ("sweep", "--exhaustive", "--max-n", "3", "--min-n", "-1"),
+    ("analyze", "--r", "0", "--gen", "cycle:5"),
+    ("analyze", "--gen", "cycle:5", "--max-path-len", "0"),
+    ("verify", "--suite", "lonely-path", "--max-n", "3", "--max-path-len", "0"),
+], ids=" ".join)
+def test_bad_option_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_sweep_missing_input_is_usage_error(capsys, tmp_path):
+    missing = tmp_path / "missing.g6"
+    code, out, err = run(capsys, "sweep", "--input", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(missing) in err

@@ -20,7 +20,12 @@ from stingycolor import (
     path,
     petersen,
 )
-from stingycolor.graphs import canonical_mask, graph_from_mask, graph_to_mask
+from stingycolor.graphs import (
+    EXHAUSTIVE_MAX_N,
+    canonical_mask,
+    graph_from_mask,
+    graph_to_mask,
+)
 
 
 # --- graph6 ---------------------------------------------------------------
@@ -253,6 +258,25 @@ def test_all_graphs_canonical_and_distinct():
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
                 assert not oracles.are_isomorphic(reps[i], reps[j])
+
+
+def test_all_graphs_matches_oracle():
+    for n in range(EXHAUSTIVE_MAX_N + 1):
+        assert all_graphs(n) == oracles.all_graphs_oracle(n)
+
+
+def test_canonical_mask_matches_oracle():
+    rng = random.Random(2024)
+    for n in range(8):
+        width = n * (n - 1) // 2
+        masks = {0, (1 << width) - 1}
+        for _ in range(6):
+            masks.add(rng.getrandbits(width))
+            masks.add(rng.getrandbits(width) & rng.getrandbits(width))  # sparser
+        if n >= 3:
+            masks.add(graph_to_mask(cycle(n)))
+        for mask in sorted(masks):
+            assert canonical_mask(n, mask) == oracles.canonical_mask_oracle(n, mask)
 
 
 def test_all_graphs_guard():
