@@ -131,9 +131,16 @@ def _check_exhaustive_range(command: str, min_n: int, max_n: int):
         raise UsageError(f"exhaustive {command} supports 0 <= n <= {EXHAUSTIVE_MAX_N}")
 
 
+def _check_samples(args):
+    if args.samples < 0:
+        raise UsageError(f"--samples must be nonnegative, got {args.samples}")
+    if any(n < 0 for n in args.sample_ns):
+        raise UsageError("--sample-ns takes nonnegative vertex counts")
+
+
 def cmd_analyze(args, params: VerificationParams) -> int:
     try:
-        g = parse_graph6(args.g6) if args.g6 else _parse_gen_spec(args.gen)
+        g = parse_graph6(args.g6) if args.g6 is not None else _parse_gen_spec(args.gen)
     except GraphFormatError as exc:
         raise UsageError(f"bad graph6 input: {exc}") from exc
     except ValueError as exc:
@@ -155,6 +162,8 @@ def cmd_sweep(args, params: VerificationParams) -> int:
         # Without --min-n the sweep covers exactly the graphs on max_n vertices.
         min_n = args.min_n if args.min_n is not None else max_n
         _check_exhaustive_range("sweep", min_n, max_n)
+        if min_n > max_n:
+            raise UsageError(f"--min-n {min_n} > --max-n {max_n}: nothing to sweep")
         graphs = list(suites_mod.exhaustive_graphs(min_n, max_n))
     else:
         try:
@@ -180,8 +189,13 @@ def cmd_sweep(args, params: VerificationParams) -> int:
 def cmd_search(args, params: VerificationParams) -> int:
     min_n = args.min_n if args.min_n is not None else 1
     _check_exhaustive_range("search", min_n, args.max_n)
+    _check_samples(args)
     if args.samples and not args.sample_ns:
         raise UsageError("--samples needs --sample-ns, e.g. --sample-ns 7,8")
+    # An empty range is the samples-only mode; with no samples it checks nothing.
+    if min_n > args.max_n and not args.samples:
+        raise UsageError(f"--min-n {min_n} > --max-n {args.max_n} and no --samples: "
+                         f"nothing to search")
     try:
         result = suites_mod.search_claim(
             args.claim, params,
@@ -193,6 +207,9 @@ def cmd_search(args, params: VerificationParams) -> int:
         )
     except suites_mod.UnknownClaimError as exc:
         raise UsageError(exc) from exc
+    if not result["records"]:
+        raise UsageError(f"claim {args.claim!r} has no record on the {result['graphs']} "
+                         f"graphs searched; check its parameters against --r and --t")
     lines = "".join(_dump_json(a) + "\n" for a in result["counterexamples"])
     _write_output(lines, args.out)
     print(f"searched {result['graphs']} graphs ({result['records']} claim records), "
@@ -206,6 +223,9 @@ def cmd_verify(args, params: VerificationParams) -> int:
         raise UsageError(f"unknown suite {suite!r}; valid suites: "
                          f"{', '.join(sorted(suites_mod.SUITES))}")
     _check_exhaustive_range("verify", 0, args.max_n)
+    _check_samples(args)
+    if args.predicates < 0:
+        raise UsageError(f"--predicates must be nonnegative, got {args.predicates}")
     guards = params.guards
     if suite == "lonely-path":
         result = suites_mod.suite_lonely_path(

@@ -329,60 +329,95 @@ def enumerate_optimal_colorings(g: Graph, cap: int | None = None,
 # ---------------------------------------------------------------------------
 
 
+def _score_ceiling(n: int, k: int, cap: int | None, target: int) -> int:
+    """Counting ceiling on the number of classes of size ``target`` in any
+    partition of n vertices into exactly k nonempty classes of size <= cap."""
+    if target == 1:
+        # s singletons; the other k - s classes hold at most c vertices each.
+        c = n - k + 1 if cap is None else min(cap, n - k + 1)
+        return k if c < 2 else (c * k - n) // (c - 1)
+    # the other k - M classes are nonempty: n >= target * M + (k - M)
+    return min(k, n // target, (n - k) // (target - 1))
+
+
 def _best_partition_score(adj: tuple[int, ...], n: int, k: int, cap: int | None,
                           score: str, r: int = 0) -> tuple[int, list[int]]:
     """Maximize a per-class score over proper partitions into exactly ``k``
     classes (sizes <= cap). score: 'singletons' counts size-1 classes,
-    'exact' counts classes of size exactly ``r``. Returns (best, witness)."""
+    'exact' counts classes of size exactly ``r``. Returns (best, witness).
+
+    The witness is the first partition in ``_enum_partitions`` order that
+    attains the maximum: the bound only prunes subtrees that cannot beat the
+    incumbent, and only a strictly better leaf replaces it. The search stops
+    once the incumbent reaches a ceiling from counting alone (it does not
+    rely on k being optimal):
+    - singletons: with c = min(cap, n - k + 1), the largest size a class of
+      a k-partition can have, n - s <= c * (k - s), so
+      s <= (c*k - n) // (c - 1) for c >= 2, and s <= k for c = 1. For
+      iota_2 this is 2k - n, always attained, so the first partition ends it.
+    - exact, r >= 2: the other k - M classes are nonempty, so
+      M <= min(k, n // r, (n - k) // (r - 1)).
+    Returns (-1, []) when n > 0 and no such partition exists."""
     if n == 0:
         return 0, []
+    target = 1 if score == "singletons" else r
+    ceiling = _score_ceiling(n, k, cap, target)
+    size_cap = n if cap is None else cap
     masks: list[int] = []
     sizes: list[int] = []
+    opens_hit = 1 if target == 1 else 0  # a new class has size 1
     best = -1
     best_masks: list[int] = []
 
-    def bound(placed: int) -> int:
-        m = len(masks)
-        if score == "singletons":
-            return sum(1 for s in sizes if s == 1) + (k - m)
-        full = sum(1 for s in sizes if s == r)
-        pool = sum(s for s in sizes if s < r) + (n - placed)
-        return full + min(pool // r, k - full)
-
-    def rec(v: int):
+    # hit: classes of size exactly target; short: vertices in classes below it.
+    def rec(v: int, hit: int, short: int) -> bool:
+        """Extend by vertex v; True once the incumbent reaches the ceiling."""
         nonlocal best, best_masks
+        m = len(masks)
         if v == n:
-            if len(masks) == k:
-                got = (sum(1 for s in sizes if s == 1) if score == "singletons"
-                       else sum(1 for s in sizes if s == r))
-                if got > best:
-                    best = got
-                    best_masks = list(masks)
-            return
-        if len(masks) + (n - v) < k:
-            return
-        if bound(v) <= best:
-            return
+            if m == k and hit > best:
+                best = hit
+                best_masks = list(masks)
+                return best >= ceiling
+            return False
+        if m + (n - v) < k:
+            return False
+        if target == 1:
+            bound = hit + (k - m)
+        else:
+            bound = hit + min((short + n - v) // target, k - hit)
+        if bound <= best:
+            return False
         bit = 1 << v
         av = adj[v]
-        for j in range(len(masks)):
-            if masks[j] & av:
+        for j in range(m):
+            s = sizes[j]
+            if masks[j] & av or s >= size_cap:
                 continue
-            if cap is not None and sizes[j] >= cap:
-                continue
+            if s + 1 < target:
+                h, sh = hit, short + 1
+            elif s + 1 == target:
+                h, sh = hit + 1, short - s
+            elif s == target:
+                h, sh = hit - 1, short
+            else:
+                h, sh = hit, short
             masks[j] |= bit
-            sizes[j] += 1
-            rec(v + 1)
+            sizes[j] = s + 1
+            if rec(v + 1, h, sh):
+                return True
             masks[j] ^= bit
-            sizes[j] -= 1
-        if len(masks) < k:
+            sizes[j] = s
+        if m < k:
             masks.append(bit)
             sizes.append(1)
-            rec(v + 1)
+            if rec(v + 1, hit + opens_hit, short + 1 - opens_hit):
+                return True
             masks.pop()
             sizes.pop()
+        return False
 
-    rec(0)
+    rec(0, 0, 0)
     return best, best_masks
 
 

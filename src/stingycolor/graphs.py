@@ -388,7 +388,8 @@ def independence_number(g: Graph) -> int:
 
 @functools.lru_cache(maxsize=65536)
 def matching_number(g: Graph) -> int:
-    """Exact maximum matching size by memoized branching on the lowest vertex."""
+    """Exact maximum matching size by memoized branching on the partner of the
+    lowest non-isolated vertex."""
     adj = g.adj
     memo: dict[int, int] = {}
 
@@ -407,11 +408,17 @@ def matching_number(g: Graph) -> int:
         low = avail & -avail
         v = low.bit_length() - 1
         rest = avail ^ low
-        best = rec(rest)  # v stays unmatched
+        # v has a neighbour, so some maximum matching covers v: if one misses
+        # v, its edge at a neighbour u can be traded for uv. Only the matched
+        # branches are searched, and they stop at the counting ceiling.
+        ceiling = avail.bit_count() // 2
+        best = 0
         for u in bits(adj[v] & rest):
             got = 1 + rec(rest ^ (1 << u))
             if got > best:
                 best = got
+                if best == ceiling:
+                    break
         memo[avail] = best
         return best
 

@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
 from stingycolor.cli import main
+from stingycolor.suites import SUITES
 
 
 def run(capsys, *argv):
@@ -196,6 +198,17 @@ def test_bad_guard_env_is_usage_error(capsys, monkeypatch, var, value):
     ("analyze", "--r", "0", "--gen", "cycle:5"),
     ("analyze", "--gen", "cycle:5", "--max-path-len", "0"),
     ("verify", "--suite", "lonely-path", "--max-n", "3", "--max-path-len", "0"),
+    ("analyze", "--g6", ""),
+    ("search", "--claim", "simple-bound", "--min-n", "5", "--max-n", "3"),
+    ("search", "--claim", "simple-bound", "--max-n", "0"),
+    ("search", "--claim", "gen-reed-conjecture[r=5]", "--max-n", "3"),
+    ("sweep", "--exhaustive", "--min-n", "5", "--max-n", "3"),
+    ("verify", "--suite", "lonely-path", "--max-n", "2", "--samples", "-5", "--seed", "1"),
+    ("search", "--claim", "simple-bound", "--max-n", "2", "--samples", "-5",
+     "--sample-ns", "7", "--seed", "1"),
+    ("search", "--claim", "simple-bound", "--max-n", "0", "--samples", "2",
+     "--sample-ns", "-1", "--seed", "1"),
+    ("verify", "--suite", "properties", "--max-n", "2", "--predicates", "-2"),
 ], ids=" ".join)
 def test_bad_option_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -210,3 +223,98 @@ def test_sweep_missing_input_is_usage_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and str(missing) in err
+
+
+def test_search_samples_only_mode(capsys):
+    # an empty exhaustive range is fine when samples are the run
+    code, _, err = run(capsys, "search", "--claim", "simple-bound", "--max-n", "0",
+                       "--samples", "3", "--sample-ns", "7", "--seed", "1")
+    assert code == 0
+    assert err.startswith("searched 3 graphs")
+
+
+def _fuzz_argv(rng):
+    def pick(good, bad=()):
+        """Mostly a value the option accepts, sometimes one it must reject."""
+        return rng.choice(bad if bad and rng.random() < 0.12 else good)
+
+    small_n = (("0", "1", "2", "3", "4"), ("-1", "7", "x", ""))
+    command = rng.choice(("analyze", "sweep", "search", "verify"))
+    argv = [command]
+    if command == "analyze":
+        if rng.random() < 0.5:
+            length = rng.randrange(0, 7)
+            argv += ["--g6", "".join(chr(rng.randrange(33, 256)) for _ in range(length))]
+        else:
+            argv += ["--gen", pick(("cycle:5", "path:4", "empty:3", "petersen", "er:8,0.5,3"),
+                                   ("cycle:-1", "complete:x", "er:6,1.5,2", "er:7,0.3",
+                                    "star:4", "cycle:", ""))]
+        if rng.random() < 0.3:
+            argv += ["--format", pick(("jsonl", "csv"), ("xml",))]
+    elif command == "sweep":
+        argv += ["--exhaustive"]
+        if rng.random() < 0.9:
+            argv += ["--max-n", pick(*small_n)]
+        if rng.random() < 0.5:
+            argv += ["--min-n", pick(*small_n)]
+        if rng.random() < 0.3:
+            argv += ["--format", pick(("jsonl", "csv"), ("xml",))]
+    elif command == "search":
+        argv += ["--claim", pick(("simple-bound", "gen-reed-conjecture[r=2]",
+                                  "lonely-path-join", "iota2-bound", "matching-bound"),
+                                 ("gen-reed-conjecture[r=9]", "nope", ""))]
+        argv += ["--max-n", pick(*small_n)]
+        if rng.random() < 0.4:
+            argv += ["--min-n", pick(*small_n)]
+    else:
+        argv += ["--suite", pick(sorted(SUITES), ("nope",)),
+                 "--max-n", pick(*small_n), "--predicates", pick(("0", "2", "100"), ("-2",))]
+    if command in ("search", "verify") and rng.random() < 0.5:
+        argv += ["--samples", pick(("0", "1", "3"), ("-5", "x")),
+                 "--sample-ns", pick(("7", "8,7", "0"), ("-1", "", "x"))]
+    if command in ("search", "verify") and rng.random() < 0.8:
+        argv += ["--seed", pick(("1", "-3", "12345"), ("x",))]
+    if rng.random() < 0.3:
+        argv += ["--r", pick(("1,2,3", "2", "1,,3"), ("0", "-1", "x"))]
+    if rng.random() < 0.3:
+        argv += ["--t", pick(("0,1/2", "1"), ("1/3", "-1", "x"))]
+    if rng.random() < 0.2:
+        argv += ["--max-path-len", pick(("1", "3"), ("-1", "0", "x"))]
+    return argv
+
+
+def _violation_payload(command, out):
+    if command == "search":
+        return any(json.loads(line)["claim"] for line in out.splitlines())
+    if command == "verify":
+        return bool(json.loads(out)["violations"])
+    if command == "analyze" and out.startswith("g6,"):
+        return "VIOLATION" in out
+    return any(c["verdict"] == "VIOLATION"
+               for line in out.splitlines() for c in json.loads(line)["claims"])
+
+
+def test_cli_argv_fuzz(capsys, monkeypatch):
+    # Exit codes keep their meaning on arbitrary argv: 0, 1 only with a
+    # violation in the output, 2 for usage errors; nothing escapes as an
+    # exception (in a process, a traceback).
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(200):
+        argv = _fuzz_argv(rng)
+        for var in ("STINGYCOLOR_OPTIMAL_GUARD", "STINGYCOLOR_FULL_GUARD"):
+            if rng.random() < 0.05:
+                monkeypatch.setenv(var, rng.choice(("3", "0", "ten", "-1")))
+            else:
+                monkeypatch.delenv(var, raising=False)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        if code == 1:
+            assert _violation_payload(argv[0], out), argv
+        seen.add(code)
+    assert {0, 2} <= seen  # the argv mix reaches both clean runs and rejections

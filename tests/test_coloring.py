@@ -34,7 +34,13 @@ from stingycolor import (
     petersen,
     stats,
 )
-from stingycolor.coloring import enumerate_p_optimal, merge_singletons
+from stingycolor.coloring import (
+    _best_partition_score,
+    _enum_partitions,
+    enumerate_p_optimal,
+    merge_singletons,
+)
+from stingycolor.graphs import graph_from_mask
 from stingycolor.suites import exhaustive_graphs
 
 
@@ -164,6 +170,43 @@ def test_stats_matches_enumeration_oracle():
                 default=0,
             )
             assert st.iota == via_enum
+
+
+def _gnm(n, m, rng):
+    """Seeded G(n, M): exactly m of the n(n-1)/2 pairs are edges."""
+    pairs = n * (n - 1) // 2
+    return graph_from_mask(n, sum(1 << i for i in rng.sample(range(pairs), m)))
+
+
+def _score_oracle_graphs():
+    graphs = list(exhaustive_graphs(0, 6))
+    rng = random.Random(5150)
+    for n in (7, 8, 9):
+        pairs = n * (n - 1) // 2
+        for frac in (0.2, 0.5, 0.75, 0.9):
+            graphs += [_gnm(n, round(frac * pairs), rng) for _ in range(3)]
+    return graphs
+
+
+def test_best_partition_score_pins_first_maximum():
+    # The search must return the maximum over the same partition stream and
+    # the first partition in that stream attaining it, for k = chi_cap and
+    # for a k that is not optimal (its early exit must not rely on k = chi).
+    for g in _score_oracle_graphs():
+        for cap in (None, 1, 2, 3, 4):
+            chi_cap = chromatic_number(g, cap)
+            for k in range(chi_cap, min(g.n, chi_cap + 1) + 1):
+                stream = list(_enum_partitions(g.adj, g.n, k, cap))
+                for score, r in (("singletons", 0), ("exact", 1), ("exact", 2),
+                                 ("exact", 3), ("exact", 4)):
+                    target = r or 1
+                    best, witness = -1, []
+                    for masks in stream:
+                        got = sum(1 for m in masks if m.bit_count() == target)
+                        if got > best:
+                            best, witness = got, masks
+                    assert _best_partition_score(g.adj, g.n, k, cap, score, r) == (
+                        best, witness), (g.n, g.adj, cap, k, score, r)
 
 
 def test_iota_at_most_chi_and_singletons_adjacent():

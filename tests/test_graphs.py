@@ -242,6 +242,16 @@ def test_clique_and_matching_oracle_at_seven():
         assert matching_number(g) == oracles.matching_number_oracle(g)
 
 
+def test_matching_oracle_on_dense_graphs():
+    # dense graphs are where the search stops at floor(n / 2)
+    rng = random.Random(8080)
+    for n in (8, 9, 10):
+        for p in (0.5, 0.7, 0.9):
+            for _ in range(8):
+                g = er_random(n, p, seed=rng.getrandbits(32))
+                assert matching_number(g) == oracles.matching_number_oracle(g)
+
+
 # --- exhaustive enumeration -------------------------------------------------
 
 
