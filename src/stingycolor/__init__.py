@@ -55,11 +55,8 @@ from .lonely import (
     SwapError,
     doubly_critical_edges,
     enumerate_lonely_path_pairs,
-    frame,
-    frame_m,
     is_lonely,
     lonely_digraph,
-    small,
     swap,
     verify_lonely_path_lemma,
     verify_replete_lemma,

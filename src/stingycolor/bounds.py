@@ -31,7 +31,6 @@ from .coloring import (
     bounded_stats,
     chromatic_number,
     enumerate_optimal_colorings,
-    is_proper,
     stats,
 )
 from . import lonely
@@ -104,9 +103,7 @@ def _from_report(rep: lonely.LemmaReport, extra: dict | None = None) -> ClaimRec
         witness.update(extra)
     if rep.violations:
         witness["violations"] = rep.violations
-    if not rep.hypothesis_holds:
-        return ClaimRecord(rep.name, False, None, VERDICT_VACUOUS, witness)
-    return ClaimRecord(rep.name, True, not rep.violations, rep.verdict, witness)
+    return _claim(rep.name, rep.hypothesis_holds, not rep.violations, witness)
 
 
 @dataclass(frozen=True)
@@ -393,17 +390,40 @@ def recheck_counterexample(artifact: dict,
 
 
 def _lonely_claims(g: Graph, params: VerificationParams) -> list[ClaimRecord]:
+    """The lonely-edge lemma records. Each optimal-coloring stream (uncapped,
+    then capped at each r) is enumerated once and feeds every claim on it;
+    each distinct coloring gets one view and one join check, shared by the
+    streams it appears in."""
     guards = params.guards
+    views: dict[tuple, lonely.ColoredGraph] = {}
+    joins: dict[tuple, tuple[int, list[dict]]] = {}
+
+    def stream(cap: int | None) -> list[lonely.ColoredGraph]:
+        # A list: several claims read it, and building it checks the guard
+        # before any claim computes its hypothesis.
+        out = []
+        for c in enumerate_optimal_colorings(g, cap=cap, guards=guards):
+            cg = views.get(c.classes)
+            if cg is None:
+                cg = views[c.classes] = lonely.ColoredGraph(g, c)
+            out.append(cg)
+        return out
+
+    def join(cg: lonely.ColoredGraph) -> tuple[int, list[dict]]:
+        found = joins.get(cg.c.classes)
+        if found is None:
+            found = joins[cg.c.classes] = lonely.join_failures(cg, params.max_path_len)
+        return found
+
     out: list[ClaimRecord] = []
     scope = {"scope": "all optimal colorings"}
     try:
-        out.append(_from_report(
-            lonely.verify_lonely_path_lemma(g, max_len=params.max_path_len, guards=guards),
-            scope))
-        out.append(_from_report(lonely.verify_touches_lemma(g, guards=guards), scope))
+        optimal = stream(None)
+        out.append(_from_report(lonely.path_join_report(optimal, join), scope))
+        out.append(_from_report(lonely.touches_report(optimal), scope))
         for t2 in params.t2_list:
-            out.append(_from_report(lonely.verify_replete_lemma(g, t2=t2, guards=guards)))
-        out.append(_swap_claim(g, guards))
+            out.append(_from_report(lonely.replete_report(g, optimal, t2=t2, guards=guards)))
+        out.append(_from_report(lonely.swap_report(optimal)))
         dc = lonely.doubly_critical_edges(g, guards)
         out.append(_claim(
             "doubly-critical-iff-two-singletons", True, dc.consistent,
@@ -413,45 +433,22 @@ def _lonely_claims(g: Graph, params: VerificationParams) -> list[ClaimRecord]:
         return out
     for r in params.r_list:
         try:
-            out.append(_from_report(
-                lonely.verify_touches_lemma(g, r=r, guards=guards)))
+            bounded = stream(r)
+            out.append(_from_report(lonely.touches_report(bounded, r)))
             for t2 in params.t2_list:
                 out.append(_from_report(
-                    lonely.verify_replete_lemma(g, r=r, t2=t2, guards=guards)))
+                    lonely.replete_report(g, bounded, r, t2, guards)))
         except GuardExceededError as exc:
             out.append(_not_evaluated(f"gen-lonely-claims[r={r}]", str(exc)))
             continue
         if r >= 2:
-            name = f"lonely-path-join[B_{r}]"
-            try:
-                out.append(_from_report(lonely.verify_lonely_path_lemma(
-                    g, mode="property", prop=b_r(r),
-                    max_len=params.max_path_len, guards=guards)))
-            except GuardExceededError as exc:
-                out.append(_not_evaluated(name, str(exc)))
+            # The optimal r-bounded colorings are the B_r-optimal ones, in the
+            # same order, so B_r's path claim reads the same stream. B_r
+            # passes both property checks without enumerating for r >= 2.
+            prop = b_r(r)
+            lonely.check_path_join_property(g, prop, guards)
+            out.append(_from_report(lonely.path_join_report(bounded, join, prop)))
     return out
-
-
-def _swap_claim(g: Graph, guards: Guards) -> ClaimRecord:
-    """Every mutually-lonely swap in every optimal coloring stays proper on
-    the same frame. (The suites re-run this over all proper colorings.)"""
-    checks = 0
-    violations = []
-    colorings = 0
-    for c in enumerate_optimal_colorings(g, guards=guards):
-        colorings += 1
-        for v in range(g.n):
-            for w in range(v + 1, g.n):
-                if not (lonely.is_lonely(g, c, v, w) and lonely.is_lonely(g, c, w, v)):
-                    continue
-                checks += 1
-                swapped = lonely.swap(g, c, v, w)
-                if not is_proper(g, swapped) or swapped.frame() != c.frame():
-                    violations.append({"coloring": c.as_lists(), "pair": [v, w]})
-    witness = {"colorings_checked": colorings, "checks": checks}
-    if violations:
-        witness["violations"] = violations
-    return _claim("swap-preserves-frame", True, not violations, witness)
 
 
 def full_report(g: Graph, params: VerificationParams = VerificationParams()) -> dict:

@@ -247,6 +247,9 @@ def cmd_verify(args, params: VerificationParams) -> int:
             max_n_br=min(args.max_n, 5), guards=guards)
     else:
         result = suites_mod.suite_identities(args.max_n, guards=guards)
+    if not (result.checked or result.vacuous):
+        raise UsageError(f"suite {suite} found nothing to check (0 checked, 0 vacuous) "
+                         f"with --max-n {args.max_n}")
     _write_output(_dump_json(result.to_dict()) + "\n", args.out)
     print(f"suite {suite}: {result.checked} checked, {result.vacuous} vacuous, "
           f"{len(result.violations)} violations", file=sys.stderr)

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
-from .graphs import Graph, bits, clique_number, invariants
+from .graphs import Graph, bits, invariants
 from .coloring import (
     Coloring,
     ColoringProperty,
@@ -39,18 +39,6 @@ class SwapError(ValueError):
 
 class PropertyNotApplicableError(ValueError):
     """The property failed the singleton-friendly frame-property check."""
-
-
-def frame(c: Coloring) -> tuple[int, ...]:
-    return c.frame()
-
-
-def frame_m(c: Coloring, m: int) -> tuple[int, ...]:
-    return c.frame_m(m)
-
-
-def small(c: Coloring) -> int:
-    return c.small()
 
 
 def is_lonely(g: Graph, c: Coloring, v: int, w: int) -> bool:
@@ -84,23 +72,36 @@ class LonelyDigraph:
                 yield (v, w)
 
 
+class ColoredGraph:
+    """One proper coloring of a graph with what the per-coloring lemma checks
+    read from it, each built once: the class masks, the class of each vertex
+    and the lonely digraph."""
+
+    __slots__ = ("g", "c", "masks", "by_vertex", "ld")
+
+    def __init__(self, g: Graph, c: Coloring):
+        if not is_proper(g, c):
+            raise ValueError("coloring is not proper")
+        self.g = g
+        self.c = c
+        self.masks = masks = c.class_masks()
+        self.by_vertex = by_vertex = c.class_index_of()
+        out = []
+        for v in range(g.n):
+            row = 0
+            home = by_vertex[v]
+            for j, mask in enumerate(masks):
+                if j == home:
+                    continue
+                hit = g.adj[v] & mask
+                if hit and hit & (hit - 1) == 0:
+                    row |= hit
+            out.append(row)
+        self.ld = LonelyDigraph(g.n, tuple(out))
+
+
 def lonely_digraph(g: Graph, c: Coloring) -> LonelyDigraph:
-    if not is_proper(g, c):
-        raise ValueError("coloring is not proper")
-    masks = c.class_masks()
-    by_vertex = c.class_index_of()
-    out = []
-    for v in range(g.n):
-        row = 0
-        home = by_vertex[v]
-        for j, mask in enumerate(masks):
-            if j == home:
-                continue
-            hit = g.adj[v] & mask
-            if hit and hit & (hit - 1) == 0:
-                row |= hit
-        out.append(row)
-    return LonelyDigraph(g.n, tuple(out))
+    return ColoredGraph(g, c).ld
 
 
 def swap(g: Graph, c: Coloring, v: int, w: int) -> Coloring:
@@ -154,12 +155,13 @@ def _paths_from(ld: LonelyDigraph, by_vertex: dict[int, int], start: int,
         yield from extend([start], 1 << start, 1 << by_vertex[start])
 
 
-def enumerate_lonely_path_pairs(g: Graph, c: Coloring,
-                                max_len: int = 3) -> Iterator[LonelyPathPair]:
+def enumerate_lonely_path_pairs(g: Graph, c: Coloring, max_len: int = 3,
+                                view: ColoredGraph | None = None) -> Iterator[LonelyPathPair]:
     """All valid path pairs, deterministically ordered; pa starts at the
-    lexicographically smaller of the two singleton roots."""
-    ld = lonely_digraph(g, c)
-    by_vertex = c.class_index_of()
+    lexicographically smaller of the two singleton roots. ``view``, if given,
+    is ``ColoredGraph(g, c)`` already built, and its digraph is used."""
+    cg = view or ColoredGraph(g, c)
+    ld, by_vertex = cg.ld, cg.by_vertex
     singles = sorted(c.singleton_vertices())
     for ia in range(len(singles)):
         for ib in range(ia + 1, len(singles)):
@@ -181,6 +183,10 @@ def _join_violations(g: Graph, pair: LonelyPathPair) -> list[tuple[int, int]]:
     ]
 
 
+# A per-coloring check returns (checks made, violation payloads).
+Check = Callable[[ColoredGraph], tuple[int, list[dict]]]
+
+
 @dataclass
 class LemmaReport:
     """Outcome of one verifier run on one graph."""
@@ -191,29 +197,32 @@ class LemmaReport:
     checks: int = 0
     violations: list[dict] = field(default_factory=list)
 
+    @staticmethod
+    def over(name: str, views: Iterable[ColoredGraph], check: Check,
+             hypothesis_holds: bool = True) -> "LemmaReport":
+        """Run a per-coloring check on every coloring of a stream."""
+        report = LemmaReport(name, hypothesis_holds)
+        for cg in views:
+            checks, bad = check(cg)
+            report.colorings_checked += 1
+            report.checks += checks
+            report.violations.extend(bad)
+        return report
+
     @property
     def verdict(self) -> str:
         if not self.hypothesis_holds:
             return "vacuous-pass"
         return "VIOLATION" if self.violations else "checked-pass"
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "hypothesis_holds": self.hypothesis_holds,
-            "colorings_checked": self.colorings_checked,
-            "checks": self.checks,
-            "verdict": self.verdict,
-            "violations": self.violations,
-        }
 
-
-def join_failures(g: Graph, c: Coloring, max_len: int = 3) -> tuple[int, list[dict]]:
-    """Join-check the lonely path pairs of one coloring in a single pass:
-    (pairs checked, join failures)."""
+def join_failures(cg: ColoredGraph, max_len: int = 3) -> tuple[int, list[dict]]:
+    """Every pair of lonely paths out of two singleton classes is completely
+    joined: (pairs checked, join failures)."""
+    g, c = cg.g, cg.c
     checks = 0
     bad = []
-    for pair in enumerate_lonely_path_pairs(g, c, max_len):
+    for pair in enumerate_lonely_path_pairs(g, c, max_len, view=cg):
         checks += 1
         missing = _join_violations(g, pair)
         if missing:
@@ -226,6 +235,129 @@ def join_failures(g: Graph, c: Coloring, max_len: int = 3) -> tuple[int, list[di
     return checks, bad
 
 
+def touches_failures(cg: ColoredGraph, r: int | None = None) -> tuple[int, list[dict]]:
+    """classic: every class holds a vertex meeting all other classes. With
+    ``r``: every singleton meets all other classes of size below r."""
+    g, c = cg.g, cg.c
+    checks = 0
+    bad = []
+    for j, cls in enumerate(c.classes):
+        if r is not None and len(cls) != 1:
+            continue
+        others = [m for i, m in enumerate(cg.masks)
+                  if i != j and (r is None or m.bit_count() < r)]
+        checks += 1
+        if r is None:
+            ok = any(all(g.adj[v] & m for m in others) for v in cls)
+        else:
+            ok = all(g.adj[cls[0]] & m for m in others)
+        if not ok:
+            bad.append({"coloring": c.as_lists(), "class": list(cls)})
+    return checks, bad
+
+
+def replete_failures(cg: ColoredGraph, r: int | None, need: int) -> tuple[int, list[dict]]:
+    """Every class (with ``r``: every singleton class) holds a vertex with at
+    least ``need`` lonely out-edges."""
+    checks = 0
+    bad = []
+    for cls in cg.c.classes:
+        if r is not None and len(cls) != 1:
+            continue
+        checks += 1
+        if max(cg.ld.out_degree(v) for v in cls) < need:
+            bad.append({
+                "coloring": cg.c.as_lists(),
+                "class": list(cls),
+                "lonely_degrees": [cg.ld.out_degree(v) for v in cls],
+                "needed": need,
+            })
+    return checks, bad
+
+
+def swap_failures(cg: ColoredGraph) -> tuple[int, list[dict]]:
+    """Every mutually lonely pair v < w swaps to a proper coloring on the same
+    frame. The pairs are the mutual arcs of the lonely digraph."""
+    g, c, out = cg.g, cg.c, cg.ld.out
+    frame = c.frame()
+    checks = 0
+    bad = []
+    for v in range(g.n):
+        for w in bits(out[v] >> (v + 1) << (v + 1)):
+            if not out[w] >> v & 1:
+                continue
+            checks += 1
+            swapped = swap(g, c, v, w)
+            if not is_proper(g, swapped) or swapped.frame() != frame:
+                bad.append({"coloring": c.as_lists(), "pair": [v, w]})
+    return checks, bad
+
+
+def check_path_join_property(g: Graph, prop: ColoringProperty | FrameProperty,
+                             guards: Guards = DEFAULT_GUARDS) -> None:
+    """The P-optimal path statement assumes a singleton-friendly frame
+    property; refuse any other."""
+    if not is_frame_property(g, prop, guards):
+        raise PropertyNotApplicableError(
+            f"{prop.name!r} is not a frame property on this graph"
+        )
+    if not is_singleton_friendly(g, prop, guards):
+        raise PropertyNotApplicableError(
+            f"{prop.name!r} is not singleton-friendly on this graph"
+        )
+
+
+def path_join_report(views: Iterable[ColoredGraph], join: Check,
+                     prop: ColoringProperty | FrameProperty | None = None) -> LemmaReport:
+    """Joined-paths check over optimal (or, with ``prop``, P-optimal)
+    colorings; ``join`` is ``join_failures`` at the chosen path length."""
+    name = "lonely-path-join" if prop is None else f"lonely-path-join[{prop.name}]"
+    return LemmaReport.over(name, views, join)
+
+
+def touches_report(views: Iterable[ColoredGraph], r: int | None = None) -> LemmaReport:
+    """classic: every class of every optimal coloring holds a vertex meeting
+    all other classes. With ``r``: every singleton of every optimal r-bounded
+    coloring meets all other classes of size below r."""
+    name = "class-meets-all-classes" if r is None else f"singleton-meets-small-classes[r={r}]"
+    return LemmaReport.over(name, views, lambda cg: touches_failures(cg, r))
+
+
+def format_t(t2: int) -> str:
+    """Half-integer slack rendered exactly, e.g. 0, 1/2, 1."""
+    return str(Fraction(t2, 2))
+
+
+def replete_report(g: Graph, views: Iterable[ColoredGraph], r: int | None = None,
+                   t2: int = 0, guards: Guards = DEFAULT_GUARDS) -> LemmaReport:
+    """Lonely-out-degree lower bounds, slack t = t2/2 (doubled arithmetic).
+
+    classic (r None): under 2*chi > omega + max_deg + 1 + t2, every class of
+    every optimal coloring holds a vertex v with |L_C(v)| >= omega + t2.
+    With ``r``: under 2*(chi_r - M_r) > omega + max_deg + 1 + t2, every
+    singleton {v} of every optimal r-bounded coloring has
+    |L_C(v)| >= omega + t2. ``views`` is read only when the hypothesis holds.
+    """
+    if t2 < 0:
+        raise ValueError("slack must be nonnegative")
+    inv = invariants(g)
+    if r is None:
+        name = f"lonely-degree-bound[t={format_t(t2)}]"
+        hyp = 2 * chromatic_number(g) > inv.omega + inv.max_deg + 1 + t2
+    else:
+        name = f"gen-lonely-degree-bound[r={r},t={format_t(t2)}]"
+        bs = bounded_stats(g, r, guards)
+        hyp = 2 * (bs.chi_r - bs.m_r) > inv.omega + inv.max_deg + 1 + t2
+    need = inv.omega + t2
+    return LemmaReport.over(name, views if hyp else (),
+                            lambda cg: replete_failures(cg, r, need), hyp)
+
+
+def swap_report(views: Iterable[ColoredGraph]) -> LemmaReport:
+    """Swap safety over a coloring stream."""
+    return LemmaReport.over("swap-preserves-frame", views, swap_failures)
+
+
 def verify_lonely_path_lemma(g: Graph, mode: str = "classic",
                              prop: ColoringProperty | FrameProperty | None = None,
                              max_len: int = 3,
@@ -236,107 +368,33 @@ def verify_lonely_path_lemma(g: Graph, mode: str = "classic",
     singleton-friendliness checks, since the statement assumes both.
     """
     if mode == "classic":
-        name = "lonely-path-join"
+        prop = None
         colorings = enumerate_optimal_colorings(g, guards=guards)
     elif mode == "property":
         if prop is None:
             raise ValueError("property mode needs a ColoringProperty")
-        if not is_frame_property(g, prop, guards):
-            raise PropertyNotApplicableError(
-                f"{prop.name!r} is not a frame property on this graph"
-            )
-        if not is_singleton_friendly(g, prop, guards):
-            raise PropertyNotApplicableError(
-                f"{prop.name!r} is not singleton-friendly on this graph"
-            )
-        name = f"lonely-path-join[{prop.name}]"
+        check_path_join_property(g, prop, guards)
         colorings = enumerate_p_optimal(g, prop, guards)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-
-    report = LemmaReport(name, hypothesis_holds=True)
-    for c in colorings:
-        report.colorings_checked += 1
-        checks, bad = join_failures(g, c, max_len)
-        report.checks += checks
-        report.violations.extend(bad)
-    return report
+    return path_join_report((ColoredGraph(g, c) for c in colorings),
+                            lambda cg: join_failures(cg, max_len), prop)
 
 
 def verify_touches_lemma(g: Graph, r: int | None = None,
                          guards: Guards = DEFAULT_GUARDS) -> LemmaReport:
-    """classic: every class of every optimal coloring holds a vertex meeting
-    all other classes. With ``r``: every singleton of every optimal r-bounded
-    coloring meets all other classes of size below r."""
-    if r is None:
-        name = "class-meets-all-classes"
-        colorings = enumerate_optimal_colorings(g, guards=guards)
-    else:
-        name = f"singleton-meets-small-classes[r={r}]"
-        colorings = enumerate_optimal_colorings(g, cap=r, guards=guards)
-    report = LemmaReport(name, hypothesis_holds=True)
-    for c in colorings:
-        report.colorings_checked += 1
-        masks = c.class_masks()
-        for j, cls in enumerate(c.classes):
-            if r is not None and len(cls) != 1:
-                continue
-            others = [m for i, m in enumerate(masks)
-                      if i != j and (r is None or m.bit_count() < r)]
-            report.checks += 1
-            if r is None:
-                ok = any(all(g.adj[v] & m for m in others) for v in cls)
-            else:
-                ok = all(g.adj[cls[0]] & m for m in others)
-            if not ok:
-                report.violations.append({"coloring": c.as_lists(), "class": list(cls)})
-    return report
-
-
-def format_t(t2: int) -> str:
-    """Half-integer slack rendered exactly, e.g. 0, 1/2, 1."""
-    return str(Fraction(t2, 2))
+    """``touches_report`` over the optimal (with ``r``: optimal r-bounded)
+    colorings."""
+    colorings = enumerate_optimal_colorings(g, cap=r, guards=guards)
+    return touches_report((ColoredGraph(g, c) for c in colorings), r)
 
 
 def verify_replete_lemma(g: Graph, r: int | None = None, t2: int = 0,
                          guards: Guards = DEFAULT_GUARDS) -> LemmaReport:
-    """Lonely-out-degree lower bounds, slack t = t2/2 (doubled arithmetic).
-
-    classic (r None): under 2*chi > omega + max_deg + 1 + t2, every class of
-    every optimal coloring holds a vertex v with |L_C(v)| >= omega + t2.
-    With ``r``: under 2*(chi_r - M_r) > omega + max_deg + 1 + t2, every
-    singleton {v} of every optimal r-bounded coloring has
-    |L_C(v)| >= omega + t2.
-    """
-    if t2 < 0:
-        raise ValueError("slack must be nonnegative")
-    inv = invariants(g)
-    if r is None:
-        name = f"lonely-degree-bound[t={format_t(t2)}]"
-        hyp = 2 * chromatic_number(g) > inv.omega + inv.max_deg + 1 + t2
-        colorings = enumerate_optimal_colorings(g, guards=guards) if hyp else ()
-    else:
-        name = f"gen-lonely-degree-bound[r={r},t={format_t(t2)}]"
-        bs = bounded_stats(g, r, guards)
-        hyp = 2 * (bs.chi_r - bs.m_r) > inv.omega + inv.max_deg + 1 + t2
-        colorings = enumerate_optimal_colorings(g, cap=r, guards=guards) if hyp else ()
-    need = inv.omega + t2
-    report = LemmaReport(name, hypothesis_holds=hyp)
-    for c in colorings:
-        report.colorings_checked += 1
-        ld = lonely_digraph(g, c)
-        for cls in c.classes:
-            if r is not None and len(cls) != 1:
-                continue
-            report.checks += 1
-            if max(ld.out_degree(v) for v in cls) < need:
-                report.violations.append({
-                    "coloring": c.as_lists(),
-                    "class": list(cls),
-                    "lonely_degrees": [ld.out_degree(v) for v in cls],
-                    "needed": need,
-                })
-    return report
+    """``replete_report`` over the optimal (with ``r``: optimal r-bounded)
+    colorings, enumerated only when the hypothesis holds."""
+    colorings = enumerate_optimal_colorings(g, cap=r, guards=guards)
+    return replete_report(g, (ColoredGraph(g, c) for c in colorings), r, t2, guards)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .coloring import (
     enumerate_colorings,
     enumerate_optimal_colorings,
     is_frame_property,
-    is_proper,
     is_singleton_friendly,
     one_optimal_coloring,
 )
@@ -104,21 +103,13 @@ def suite_swap(max_n: int, guards: Guards = DEFAULT_GUARDS) -> SuiteResult:
     result = SuiteResult("swap", {"max_n": max_n})
     colorings = 0
     for g in exhaustive_graphs(0, max_n):
-        for c in enumerate_colorings(g, guards):
-            colorings += 1
-            for v in range(g.n):
-                for w in range(v + 1, g.n):
-                    if not (lonely.is_lonely(g, c, v, w)
-                            and lonely.is_lonely(g, c, w, v)):
-                        continue
-                    result.checked += 1
-                    swapped = lonely.swap(g, c, v, w)
-                    if not is_proper(g, swapped) or swapped.frame() != c.frame():
-                        result.violations.append({
-                            "g6": emit_graph6(g),
-                            "coloring": c.as_lists(),
-                            "pair": [v, w],
-                        })
+        rep = lonely.swap_report(
+            lonely.ColoredGraph(g, c) for c in enumerate_colorings(g, guards))
+        colorings += rep.colorings_checked
+        result.checked += rep.checks
+        for bad in rep.violations:
+            bad["g6"] = emit_graph6(g)
+            result.violations.append(bad)
     result.details["colorings"] = colorings
     return result
 
@@ -138,7 +129,7 @@ def suite_lonely_path(max_n: int, max_len: int = 3, samples: int = 0,
         g6 = emit_graph6(g)
         for c in enumerate_optimal_colorings(g, guards=guards):
             colorings += 1
-            checks, failures = lonely.join_failures(g, c, max_len)
+            checks, failures = lonely.join_failures(lonely.ColoredGraph(g, c), max_len)
             result.checked += checks
             for bad in failures:
                 bad["g6"] = g6
@@ -150,7 +141,7 @@ def suite_lonely_path(max_n: int, max_len: int = 3, samples: int = 0,
                 g = er_random(n, p, seed=rng.getrandbits(32))
                 c = one_optimal_coloring(g, rng=rng)
                 colorings += 1
-                checks, failures = lonely.join_failures(g, c, max_len)
+                checks, failures = lonely.join_failures(lonely.ColoredGraph(g, c), max_len)
                 result.checked += checks
                 for bad in failures:
                     bad["g6"] = emit_graph6(g)

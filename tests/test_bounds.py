@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,26 +8,39 @@ import oracles
 from stingycolor import (
     BoundsReport,
     GeneralizedReport,
+    GuardExceededError,
     Guards,
     VerificationParams,
     all_graphs,
+    b_r,
     complete,
     cycle,
+    doubly_critical_edges,
+    emit_graph6,
     empty,
+    enumerate_optimal_colorings,
     evaluate_bounds,
     evaluate_generalized,
     full_report,
+    is_lonely,
+    is_proper,
     petersen,
     recheck_counterexample,
+    swap,
+    verify_lonely_path_lemma,
     verify_matching_corollary,
+    verify_replete_lemma,
+    verify_touches_lemma,
 )
 from stingycolor.bounds import (
     VERDICT_CHECKED,
     VERDICT_NOT_EVALUATED,
     VERDICT_VACUOUS,
     VERDICT_VIOLATION,
+    _lonely_claims,
     report_violations,
 )
+from stingycolor.graphs import graph_from_mask
 
 PARAMS = VerificationParams()
 ALL_VERDICTS = {VERDICT_CHECKED, VERDICT_VACUOUS, VERDICT_VIOLATION, VERDICT_NOT_EVALUATED}
@@ -192,3 +206,103 @@ def test_b_r_path_join_evaluated_up_to_optimal_guard(g):
         assert claim["verdict"] == VERDICT_CHECKED
         assert (claim["witness"]["colorings_checked"]
                 == len(oracles.optimal_colorings_oracle(g, cap=r)))
+
+
+# --- one pass per coloring stream ----------------------------------------------
+
+
+def _lemma_record(rep, extra=None):
+    witness = {"colorings_checked": rep.colorings_checked, "checks": rep.checks}
+    witness.update(extra or {})
+    if rep.violations:
+        witness["violations"] = rep.violations
+    hyp = rep.hypothesis_holds
+    return {"name": rep.name, "hyp": hyp, "concl": not rep.violations if hyp else None,
+            "verdict": rep.verdict, "witness": witness}
+
+
+def _swap_record_by_vertex_pairs(g, guards):
+    """The swap claim by testing every vertex pair with is_lonely."""
+    colorings = checks = 0
+    violations = []
+    for c in enumerate_optimal_colorings(g, guards=guards):
+        colorings += 1
+        for v in range(g.n):
+            for w in range(v + 1, g.n):
+                if not (is_lonely(g, c, v, w) and is_lonely(g, c, w, v)):
+                    continue
+                checks += 1
+                swapped = swap(g, c, v, w)
+                if not is_proper(g, swapped) or swapped.frame() != c.frame():
+                    violations.append({"coloring": c.as_lists(), "pair": [v, w]})
+    witness = {"colorings_checked": colorings, "checks": checks}
+    if violations:
+        witness["violations"] = violations
+    return {"name": "swap-preserves-frame", "hyp": True, "concl": not violations,
+            "verdict": VERDICT_VIOLATION if violations else VERDICT_CHECKED,
+            "witness": witness}
+
+
+def _not_evaluated_record(name, exc):
+    return {"name": name, "hyp": None, "concl": None, "verdict": VERDICT_NOT_EVALUATED,
+            "witness": {"reason": str(exc)}}
+
+
+def _lonely_records_per_lemma(g, params):
+    """The lonely-claim records with each lemma run by its own verifier on its
+    own coloring stream, B_r through enumerate_p_optimal."""
+    guards, max_len = params.guards, params.max_path_len
+    scope = {"scope": "all optimal colorings"}
+    out = []
+    try:
+        out.append(_lemma_record(verify_lonely_path_lemma(g, max_len=max_len, guards=guards),
+                                 scope))
+        out.append(_lemma_record(verify_touches_lemma(g, guards=guards), scope))
+        for t2 in params.t2_list:
+            out.append(_lemma_record(verify_replete_lemma(g, t2=t2, guards=guards)))
+        out.append(_swap_record_by_vertex_pairs(g, guards))
+        dc = doubly_critical_edges(g, guards)
+        out.append({"name": "doubly-critical-iff-two-singletons", "hyp": True,
+                    "concl": dc.consistent,
+                    "verdict": VERDICT_CHECKED if dc.consistent else VERDICT_VIOLATION,
+                    "witness": {"edges": [list(e) for e in dc.edges], "iota": dc.iota}})
+    except GuardExceededError as exc:
+        return out + [_not_evaluated_record("lonely-claims", exc)]
+    for r in params.r_list:
+        try:
+            out.append(_lemma_record(verify_touches_lemma(g, r=r, guards=guards)))
+            for t2 in params.t2_list:
+                out.append(_lemma_record(verify_replete_lemma(g, r=r, t2=t2, guards=guards)))
+        except GuardExceededError as exc:
+            out.append(_not_evaluated_record(f"gen-lonely-claims[r={r}]", exc))
+            continue
+        if r >= 2:
+            try:
+                out.append(_lemma_record(verify_lonely_path_lemma(
+                    g, mode="property", prop=b_r(r), max_len=max_len, guards=guards)))
+            except GuardExceededError as exc:
+                out.append(_not_evaluated_record(f"lonely-path-join[B_{r}]", exc))
+    return out
+
+
+def _stream_test_graphs():
+    graphs = [g for n in range(7) for g in all_graphs(n)]
+    rng = random.Random(6060)
+    for n in (7, 8):
+        pairs = n * (n - 1) // 2
+        for frac in (0.2, 0.5, 0.8):
+            for _ in range(3):
+                mask = sum(1 << i for i in rng.sample(range(pairs), round(frac * pairs)))
+                graphs.append(graph_from_mask(n, mask))
+    return graphs
+
+
+@pytest.mark.parametrize("guards", [Guards(), Guards(optimal=5, full=4)],
+                         ids=["default-guards", "guards-5-4"])
+def test_lonely_claims_match_per_lemma_route(guards):
+    # One pass per stream with shared per-coloring results must give exactly
+    # the records of running every lemma on its own stream.
+    params = VerificationParams(guards=guards)
+    for g in _stream_test_graphs():
+        got = [rec.to_dict() for rec in _lonely_claims(g, params)]
+        assert got == _lonely_records_per_lemma(g, params), emit_graph6(g)

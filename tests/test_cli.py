@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -78,6 +79,21 @@ def test_sweep_min_n_widens(capsys, tmp_path):
                      "--min-n", "1", "--out", str(out_path))
     assert code == 0
     assert len(out_path.read_text().splitlines()) == 1 + 2 + 4
+
+
+# sha256 of `sweep --exhaustive --max-n 6 --min-n 0` (JSONL, default options).
+# It pins every report on the 209 classes with n <= 6: a change to any of them
+# must be deliberate and update this digest.
+SWEEP_N6_SHA256 = "fdd161124a726040a0e6088a457877102c41d56868a6668a75842b5fa427bdfb"
+
+
+def test_sweep_n6_golden_digest(capsys, tmp_path):
+    out_path = tmp_path / "sweep.jsonl"
+    code, _, err = run(capsys, "sweep", "--exhaustive", "--max-n", "6", "--min-n", "0",
+                       "--out", str(out_path))
+    assert code == 0
+    assert err == "swept 209 graphs, 0 violations\n"
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SWEEP_N6_SHA256
 
 
 def test_sweep_corpus_with_bad_line(capsys, tmp_path):
@@ -209,6 +225,8 @@ def test_bad_guard_env_is_usage_error(capsys, monkeypatch, var, value):
     ("search", "--claim", "simple-bound", "--max-n", "0", "--samples", "2",
      "--sample-ns", "-1", "--seed", "1"),
     ("verify", "--suite", "properties", "--max-n", "2", "--predicates", "-2"),
+    ("verify", "--suite", "swap", "--max-n", "1"),
+    ("verify", "--suite", "lonely-path", "--max-n", "1"),
 ], ids=" ".join)
 def test_bad_option_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

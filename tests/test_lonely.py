@@ -14,13 +14,10 @@ from stingycolor import (
     enumerate_colorings,
     enumerate_lonely_path_pairs,
     enumerate_optimal_colorings,
-    frame,
-    frame_m,
     is_lonely,
     is_proper,
     lonely_digraph,
     path,
-    small,
     swap,
     verify_lonely_path_lemma,
     verify_replete_lemma,
@@ -34,19 +31,19 @@ from stingycolor.lonely import PropertyNotApplicableError, format_t
 
 
 def test_frame_examples():
-    assert frame(Coloring.of([[0, 2], [1, 3], [4]])) == (1, 2, 2)
-    assert frame(Coloring.of([[0], [1], [2], [3]])) == (1, 1, 1, 1)
-    assert frame(Coloring.of([])) == ()
+    assert Coloring.of([[0, 2], [1, 3], [4]]).frame() == (1, 2, 2)
+    assert Coloring.of([[0], [1], [2], [3]]).frame() == (1, 1, 1, 1)
+    assert Coloring.of([]).frame() == ()
 
 
 def test_frame_m():
-    assert frame_m(Coloring.of([[0, 2], [1, 3], [4]]), 3) == ()
+    assert Coloring.of([[0, 2], [1, 3], [4]]).frame_m(3) == ()
     c = Coloring.of([[0], [1, 2], [3, 4, 5], [6, 7, 8]])
-    assert frame_m(c, 3) == (3, 3)
-    assert frame_m(c, 2) == (2, 3, 3)
-    assert frame_m(c, 1) == (1, 2, 3, 3)
+    assert c.frame_m(3) == (3, 3)
+    assert c.frame_m(2) == (2, 3, 3)
+    assert c.frame_m(1) == (1, 2, 3, 3)
     with pytest.raises(ValueError):
-        frame_m(c, 0)
+        c.frame_m(0)
 
 
 def test_frame_m_characterizes_b_r():
@@ -54,13 +51,13 @@ def test_frame_m_characterizes_b_r():
         for g in all_graphs(n):
             for c in enumerate_colorings(g):
                 for r in (1, 2, 3):
-                    assert (frame_m(c, r + 1) == ()) == b_r(r)(c)
+                    assert (c.frame_m(r + 1) == ()) == b_r(r)(c)
 
 
 def test_small_examples():
-    assert small(Coloring.of([[0, 2], [1, 3], [4]])) == 5
-    assert small(Coloring.of([[0, 1, 2]])) == 0
-    assert small(Coloring.of([[0], [1], [2], [3]])) == 4
+    assert Coloring.of([[0, 2], [1, 3], [4]]).small() == 5
+    assert Coloring.of([[0, 1, 2]]).small() == 0
+    assert Coloring.of([[0], [1], [2], [3]]).small() == 4
 
 
 # --- lonely edges ------------------------------------------------------------
