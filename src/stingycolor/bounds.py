@@ -30,7 +30,6 @@ from .coloring import (
     b_r,
     bounded_stats,
     chromatic_number,
-    enumerate_optimal_colorings,
     stats,
 )
 from . import lonely
@@ -398,17 +397,6 @@ def _lonely_claims(g: Graph, params: VerificationParams) -> list[ClaimRecord]:
     views: dict[tuple, lonely.ColoredGraph] = {}
     joins: dict[tuple, tuple[int, list[dict]]] = {}
 
-    def stream(cap: int | None) -> list[lonely.ColoredGraph]:
-        # A list: several claims read it, and building it checks the guard
-        # before any claim computes its hypothesis.
-        out = []
-        for c in enumerate_optimal_colorings(g, cap=cap, guards=guards):
-            cg = views.get(c.classes)
-            if cg is None:
-                cg = views[c.classes] = lonely.ColoredGraph(g, c)
-            out.append(cg)
-        return out
-
     def join(cg: lonely.ColoredGraph) -> tuple[int, list[dict]]:
         found = joins.get(cg.c.classes)
         if found is None:
@@ -418,7 +406,7 @@ def _lonely_claims(g: Graph, params: VerificationParams) -> list[ClaimRecord]:
     out: list[ClaimRecord] = []
     scope = {"scope": "all optimal colorings"}
     try:
-        optimal = stream(None)
+        optimal = lonely.optimal_views(g, None, guards, views)
         out.append(_from_report(lonely.path_join_report(optimal, join), scope))
         out.append(_from_report(lonely.touches_report(optimal), scope))
         for t2 in params.t2_list:
@@ -433,7 +421,7 @@ def _lonely_claims(g: Graph, params: VerificationParams) -> list[ClaimRecord]:
         return out
     for r in params.r_list:
         try:
-            bounded = stream(r)
+            bounded = lonely.optimal_views(g, r, guards, views)
             out.append(_from_report(lonely.touches_report(bounded, r)))
             for t2 in params.t2_list:
                 out.append(_from_report(

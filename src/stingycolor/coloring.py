@@ -68,6 +68,20 @@ class Coloring:
         canon.sort(key=lambda c: (len(c), c[0]))
         return Coloring(tuple(canon))
 
+    @staticmethod
+    def from_masks(masks) -> "Coloring":
+        """``of`` on classes given as vertex bitmasks, with the same errors;
+        the order key (size, least vertex) is (popcount, lowest bit)."""
+        seen = 0
+        for mask in masks:
+            if not mask:
+                raise ValueError("empty color class")
+            if seen & mask:
+                raise ValueError("color classes overlap")
+            seen |= mask
+        ordered = sorted(masks, key=lambda m: (m.bit_count(), m & -m))
+        return Coloring(tuple(tuple(bits(m)) for m in ordered))
+
     def __len__(self) -> int:
         return len(self.classes)
 
@@ -160,7 +174,7 @@ def _color_bb(adj: tuple[int, ...], n: int, cap: int | None) -> tuple[int, list[
     """Exact minimum class count (size cap optional) with one witness."""
     if n == 0:
         return 0, []
-    lower = clique_number(Graph(n, adj))
+    lower = clique_number(Graph._unchecked(n, adj))
     if cap is not None:
         lower = max(lower, -(-n // cap))
     best_masks = _greedy_dsatur(adj, n, cap)
@@ -243,15 +257,16 @@ def one_optimal_coloring(g: Graph, cap: int | None = None,
     """
     if rng is None:
         _, masks = _color_bb(g.adj, g.n, cap)
-        return Coloring.of([list(bits(m)) for m in masks])
+        return Coloring.from_masks(masks)
     perm = list(range(g.n))
     rng.shuffle(perm)
     inv = [0] * g.n
     for new, old in enumerate(perm):
         inv[old] = new
-    shuffled = Graph.from_edges(g.n, [(inv[u], inv[v]) for u, v in g.edges()])
-    _, masks = _color_bb(shuffled.adj, g.n, cap)
-    return Coloring.of([[perm[v] for v in bits(m)] for m in masks])
+    # row ``new`` of the relabeled graph is old vertex perm[new]'s row, relabeled
+    shuffled = tuple(sum(1 << inv[u] for u in bits(g.adj[old])) for old in perm)
+    _, masks = _color_bb(shuffled, g.n, cap)
+    return Coloring.from_masks([sum(1 << perm[v] for v in bits(m)) for m in masks])
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +324,7 @@ def enumerate_colorings(g: Graph, guards: Guards = DEFAULT_GUARDS) -> Iterator[C
             f"full coloring enumeration guarded at n <= {guards.full} (graph has {g.n})"
         )
     for masks in _enum_partitions(g.adj, g.n, None, None):
-        yield Coloring.of([list(bits(m)) for m in masks])
+        yield Coloring.from_masks(masks)
 
 
 def enumerate_optimal_colorings(g: Graph, cap: int | None = None,
@@ -321,7 +336,7 @@ def enumerate_optimal_colorings(g: Graph, cap: int | None = None,
         )
     k = chromatic_number(g, cap)
     for masks in _enum_partitions(g.adj, g.n, k, cap):
-        yield Coloring.of([list(bits(m)) for m in masks])
+        yield Coloring.from_masks(masks)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +453,7 @@ def _stats_cached(g: Graph, optimal_guard: int) -> ColoringStats:
         )
     chi = chromatic_number(g)
     iota, masks = _best_partition_score(g.adj, g.n, chi, None, "singletons")
-    return ColoringStats(chi, iota, Coloring.of([list(bits(m)) for m in masks]))
+    return ColoringStats(chi, iota, Coloring.from_masks(masks))
 
 
 def stats(g: Graph, guards: Guards = DEFAULT_GUARDS) -> ColoringStats:
@@ -470,8 +485,8 @@ def _bounded_cached(g: Graph, r: int, optimal_guard: int) -> BoundedStats:
     iota_r, i_masks = _best_partition_score(g.adj, g.n, chi_r, r, "singletons")
     return BoundedStats(
         r, chi_r, m_r, iota_r,
-        Coloring.of([list(bits(m)) for m in m_masks]),
-        Coloring.of([list(bits(m)) for m in i_masks]),
+        Coloring.from_masks(m_masks),
+        Coloring.from_masks(i_masks),
     )
 
 
@@ -567,7 +582,7 @@ def _frame_p_optimal(g: Graph, p: FrameProperty, guards: Guards) -> Iterator[Col
     for k in range(chromatic_number(g, cap), g.n + 1):
         found = False
         for masks in _enum_partitions(g.adj, g.n, k, cap):
-            c = Coloring.of([list(bits(m)) for m in masks])
+            c = Coloring.from_masks(masks)
             if p(c):
                 found = True
                 yield c
@@ -595,7 +610,7 @@ def chi_p(g: Graph, p: ColoringProperty | FrameProperty,
         raise PropertyUnsatisfiableError(f"property {p.name!r} unsatisfiable on this graph")
     for k in range(1, g.n + 1):
         for masks in _enum_partitions(g.adj, g.n, k, None):
-            c = Coloring.of([list(bits(m)) for m in masks])
+            c = Coloring.from_masks(masks)
             if p(c):
                 return k, c
     raise PropertyUnsatisfiableError(f"property {p.name!r} unsatisfiable on this graph")
@@ -611,7 +626,7 @@ def enumerate_p_optimal(g: Graph, p: ColoringProperty | FrameProperty,
         return
     k, _ = chi_p(g, p, guards)
     for masks in _enum_partitions(g.adj, g.n, k, None):
-        c = Coloring.of([list(bits(m)) for m in masks])
+        c = Coloring.from_masks(masks)
         if p(c):
             yield c
 

@@ -62,6 +62,14 @@ class Graph:
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"asymmetric edge {v}-{u}")
 
+    @classmethod
+    def _unchecked(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """A graph whose rows are derived from a valid graph, so they are
+        valid by construction; skips the checks of ``__post_init__``."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, adj=adj)
+        return g
+
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
         rows = [0] * n
@@ -91,7 +99,7 @@ class Graph:
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
-        return Graph(
+        return Graph._unchecked(
             self.n,
             tuple((full ^ row ^ (1 << v)) for v, row in enumerate(self.adj)),
         )
@@ -107,7 +115,7 @@ class Graph:
                 if u in pos:
                     row |= 1 << pos[u]
             rows.append(row)
-        return Graph(len(old), tuple(rows))
+        return Graph._unchecked(len(old), tuple(rows))
 
     def without(self, drop) -> "Graph":
         dropped = set(drop)
@@ -140,7 +148,7 @@ def graph_from_mask(n: int, mask: int) -> Graph:
         i, j = _pair_order(n)[t]
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return Graph._unchecked(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,12 @@ from .coloring import (
     FrameProperty,
     Guards,
     DEFAULT_GUARDS,
+    _check_partition,
     bounded_stats,
     chromatic_number,
     enumerate_optimal_colorings,
     enumerate_p_optimal,
     is_frame_property,
-    is_proper,
     is_singleton_friendly,
     stats,
 )
@@ -41,16 +41,18 @@ class PropertyNotApplicableError(ValueError):
     """The property failed the singleton-friendly frame-property check."""
 
 
+def _lonely_in(g: Graph, by_vertex, masks, v: int, w: int) -> bool:
+    """``is_lonely`` on a coloring's class index and class masks."""
+    if not (0 <= v < g.n and 0 <= w < g.n):
+        raise ValueError(f"vertex out of range: ({v}, {w}) on {g.n} vertices")
+    home = by_vertex[w]
+    return by_vertex[v] != home and g.adj[v] & masks[home] == 1 << w
+
+
 def is_lonely(g: Graph, c: Coloring, v: int, w: int) -> bool:
     """True iff v and w sit in different classes and w is v's unique neighbor
     in w's class. Assumes ``c`` is proper on ``g``."""
-    if not (0 <= v < g.n and 0 <= w < g.n):
-        raise ValueError(f"vertex out of range: ({v}, {w}) on {g.n} vertices")
-    by_vertex = c.class_index_of()
-    if by_vertex[v] == by_vertex[w]:
-        return False
-    mask = c.class_masks()[by_vertex[w]]
-    return g.adj[v] & mask == 1 << w
+    return _lonely_in(g, c.class_index_of(), c.class_masks(), v, w)
 
 
 @dataclass(frozen=True)
@@ -75,28 +77,38 @@ class LonelyDigraph:
 class ColoredGraph:
     """One proper coloring of a graph with what the per-coloring lemma checks
     read from it, each built once: the class masks, the class of each vertex
-    and the lonely digraph."""
+    and the lonely digraph. The masks are checked to partition the vertex set
+    (else PartitionError) and to be independent as they are built."""
 
     __slots__ = ("g", "c", "masks", "by_vertex", "ld")
 
     def __init__(self, g: Graph, c: Coloring):
-        if not is_proper(g, c):
-            raise ValueError("coloring is not proper")
-        self.g = g
-        self.c = c
-        self.masks = masks = c.class_masks()
-        self.by_vertex = by_vertex = c.class_index_of()
+        masks = []
+        by_vertex = {}
+        covered = 0
+        for j, cls in enumerate(c.classes):
+            mask = 0
+            for v in cls:
+                mask |= 1 << v
+                by_vertex[v] = j
+            masks.append(mask)
+            covered |= mask
+        if covered != (1 << g.n) - 1:
+            _check_partition(g, c)  # raises, naming the missing and extra vertices
         out = []
-        for v in range(g.n):
+        for v, av in enumerate(g.adj):
+            if av & masks[by_vertex[v]]:
+                raise ValueError("coloring is not proper")
             row = 0
-            home = by_vertex[v]
-            for j, mask in enumerate(masks):
-                if j == home:
-                    continue
-                hit = g.adj[v] & mask
+            for mask in masks:
+                hit = av & mask
                 if hit and hit & (hit - 1) == 0:
                     row |= hit
             out.append(row)
+        self.g = g
+        self.c = c
+        self.masks = tuple(masks)
+        self.by_vertex = by_vertex
         self.ld = LonelyDigraph(g.n, tuple(out))
 
 
@@ -104,24 +116,43 @@ def lonely_digraph(g: Graph, c: Coloring) -> LonelyDigraph:
     return ColoredGraph(g, c).ld
 
 
+def optimal_views(g: Graph, cap: int | None, guards: Guards,
+                  seen: dict[tuple, ColoredGraph]) -> list[ColoredGraph]:
+    """The optimal (with ``cap``: optimal cap-bounded) colorings of ``g`` as
+    views, in enumeration order. A coloring already in ``seen``, keyed by its
+    classes, keeps its view. A list, so several claims can read one stream,
+    and building it checks the guard before any claim computes its
+    hypothesis."""
+    out = []
+    for c in enumerate_optimal_colorings(g, cap=cap, guards=guards):
+        cg = seen.get(c.classes)
+        if cg is None:
+            cg = seen[c.classes] = ColoredGraph(g, c)
+        out.append(cg)
+    return out
+
+
+def _swapped_masks(masks, by_vertex, v: int, w: int) -> list[int]:
+    """The class masks with v and w, in two different classes, exchanged."""
+    flip = 1 << v | 1 << w
+    out = list(masks)
+    out[by_vertex[v]] ^= flip
+    out[by_vertex[w]] ^= flip
+    return out
+
+
+def _independent(adj: tuple[int, ...], mask: int) -> bool:
+    return not any(adj[u] & mask for u in bits(mask))
+
+
 def swap(g: Graph, c: Coloring, v: int, w: int) -> Coloring:
     """Exchange v and w between their classes. Requires both (v, w) and
     (w, v) lonely, which keeps the result proper on the same frame."""
-    if not is_lonely(g, c, v, w):
-        raise SwapError(f"({v}, {w}) is not lonely under this coloring")
-    if not is_lonely(g, c, w, v):
-        raise SwapError(f"({w}, {v}) is not lonely under this coloring")
-    new_classes = []
-    for cls in c.classes:
-        members = set(cls)
-        if v in members:
-            members.discard(v)
-            members.add(w)
-        elif w in members:
-            members.discard(w)
-            members.add(v)
-        new_classes.append(members)
-    return Coloring.of(new_classes)
+    by_vertex, masks = c.class_index_of(), c.class_masks()
+    for a, b in ((v, w), (w, v)):
+        if not _lonely_in(g, by_vertex, masks, a, b):
+            raise SwapError(f"({a}, {b}) is not lonely under this coloring")
+    return Coloring.from_masks(_swapped_masks(masks, by_vertex, v, w))
 
 
 @dataclass(frozen=True)
@@ -277,8 +308,10 @@ def replete_failures(cg: ColoredGraph, r: int | None, need: int) -> tuple[int, l
 
 def swap_failures(cg: ColoredGraph) -> tuple[int, list[dict]]:
     """Every mutually lonely pair v < w swaps to a proper coloring on the same
-    frame. The pairs are the mutual arcs of the lonely digraph."""
+    frame: both changed classes stay independent and the sorted class sizes
+    are unchanged. The pairs are the mutual arcs of the lonely digraph."""
     g, c, out = cg.g, cg.c, cg.ld.out
+    adj, masks, by_vertex = g.adj, cg.masks, cg.by_vertex
     frame = c.frame()
     checks = 0
     bad = []
@@ -287,8 +320,10 @@ def swap_failures(cg: ColoredGraph) -> tuple[int, list[dict]]:
             if not out[w] >> v & 1:
                 continue
             checks += 1
-            swapped = swap(g, c, v, w)
-            if not is_proper(g, swapped) or swapped.frame() != frame:
+            swapped = _swapped_masks(masks, by_vertex, v, w)
+            if not (_independent(adj, swapped[by_vertex[v]])
+                    and _independent(adj, swapped[by_vertex[w]])
+                    and tuple(sorted(m.bit_count() for m in swapped)) == frame):
                 bad.append({"coloring": c.as_lists(), "pair": [v, w]})
     return checks, bad
 

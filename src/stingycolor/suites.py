@@ -188,13 +188,12 @@ def suite_replete(max_n: int, t2s: tuple[int, ...] = (0, 1),
 
     for g in exhaustive_graphs(0, max_n):
         g6 = emit_graph6(g)
-        absorb(g6, lonely.verify_touches_lemma(g, guards=guards))
-        for t2 in t2s:
-            absorb(g6, lonely.verify_replete_lemma(g, t2=t2, guards=guards))
-        for r in rs:
-            absorb(g6, lonely.verify_touches_lemma(g, r=r, guards=guards))
+        views: dict[tuple, lonely.ColoredGraph] = {}
+        for r in (None, *rs):
+            stream = lonely.optimal_views(g, r, guards, views)
+            absorb(g6, lonely.touches_report(stream, r))
             for t2 in t2s:
-                absorb(g6, lonely.verify_replete_lemma(g, r=r, t2=t2, guards=guards))
+                absorb(g6, lonely.replete_report(g, stream, r, t2, guards))
     return result
 
 

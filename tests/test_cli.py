@@ -96,6 +96,24 @@ def test_sweep_n6_golden_digest(capsys, tmp_path):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SWEEP_N6_SHA256
 
 
+# sha256 of the stdout of `verify --suite <suite> --max-n 6` (default options),
+# with the number of checks it reports: every swap of every proper coloring,
+# and every touches and lonely-degree record, on the 209 classes with n <= 6.
+VERIFY_N6_SHA256 = {
+    "swap": ("98a98738bfa74be87219bcfb7b84d823344a9689fdaa963739fc46ba805b74b7", 15680),
+    "replete": ("266f9def041b0e330c1af713070843b2a41186e77e817eeb35698717afed098d", 5505),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_N6_SHA256))
+def test_verify_n6_golden_digest(capsys, suite):
+    digest, checked = VERIFY_N6_SHA256[suite]
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--max-n", "6")
+    assert code == 0
+    assert json.loads(out)["checked"] == checked
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_sweep_corpus_with_bad_line(capsys, tmp_path):
     corpus = tmp_path / "corpus.g6"
     corpus.write_text("Dhc\nbad line\nD??\n")

@@ -40,7 +40,7 @@ from stingycolor.coloring import (
     enumerate_p_optimal,
     merge_singletons,
 )
-from stingycolor.graphs import graph_from_mask
+from stingycolor.graphs import bits, graph_from_mask
 from stingycolor.suites import exhaustive_graphs
 
 
@@ -63,6 +63,27 @@ def test_coloring_rejects_overlap_and_empty():
         Coloring.of([[0, 1], [1, 2]])
     with pytest.raises(ValueError, match="empty"):
         Coloring.of([[0], []])
+
+
+def test_from_masks_matches_of_on_partition_stream():
+    for g in exhaustive_graphs(0, 6):
+        for masks in _enum_partitions(g.adj, g.n, None, None):
+            assert Coloring.from_masks(masks) == Coloring.of(
+                [list(bits(m)) for m in masks])
+
+
+@pytest.mark.parametrize("masks, message", [
+    ([0b011, 0], "empty"),
+    ([0, 0b011], "empty"),
+    ([0b011, 0b110], "overlap"),
+    ([0b001, 0b110, 0b100], "overlap"),
+])
+def test_from_masks_errors_match_of(masks, message):
+    with pytest.raises(ValueError, match=message) as by_masks:
+        Coloring.from_masks(masks)
+    with pytest.raises(ValueError) as by_lists:
+        Coloring.of([list(bits(m)) for m in masks])
+    assert str(by_masks.value) == str(by_lists.value)
 
 
 def test_is_proper(c5):

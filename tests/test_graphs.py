@@ -115,6 +115,40 @@ def test_graph_validation():
         Graph(2, (2, 0))
 
 
+def _checked_copy(g):
+    """``g`` rebuilt through the validating public constructor."""
+    return Graph(g.n, tuple(g.adj))
+
+
+def test_derived_graphs_pass_validation():
+    # complement, induced, without and graph_from_mask build from a graph
+    # already known valid; each result must be exactly what the validating
+    # constructor accepts and what an edge-list construction gives.
+    rng = random.Random(7107)
+    graphs = [g for n in range(EXHAUSTIVE_MAX_N + 1) for g in all_graphs(n)]
+    graphs += [er_random(n, p, seed=rng.getrandbits(32))
+               for n in range(7, 11) for p in (0.2, 0.5, 0.8) for _ in range(3)]
+    for g in graphs:
+        n = g.n
+        comp = g.complement()
+        assert comp == _checked_copy(comp) and hash(comp) == hash(_checked_copy(comp))
+        assert comp == Graph.from_edges(
+            n, [(u, v) for v in range(n) for u in range(v) if not g.has_edge(u, v)])
+        keep = sorted(rng.sample(range(n), rng.randint(0, n)))
+        sub = g.induced(keep)
+        assert sub == _checked_copy(sub)
+        assert sub == Graph.from_edges(len(keep), [
+            (i, j) for j in range(len(keep)) for i in range(j)
+            if g.has_edge(keep[i], keep[j])])
+        for a, b in list(g.edges())[:3]:
+            dropped = g.without((a, b))
+            assert dropped == _checked_copy(dropped)
+            assert dropped == g.induced(v for v in range(n) if v not in (a, b))
+        rebuilt = graph_from_mask(n, graph_to_mask(g))
+        assert rebuilt == _checked_copy(rebuilt) == g
+        assert hash(rebuilt) == hash(g)
+
+
 def test_complete_k4():
     g = complete(4)
     assert g.edge_count() == 6

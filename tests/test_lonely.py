@@ -5,6 +5,7 @@ import pytest
 from stingycolor import (
     Coloring,
     ColoringProperty,
+    PartitionError,
     SwapError,
     all_graphs,
     b_r,
@@ -24,7 +25,7 @@ from stingycolor import (
     verify_touches_lemma,
     doubly_critical_edges,
 )
-from stingycolor.lonely import PropertyNotApplicableError, format_t
+from stingycolor.lonely import ColoredGraph, PropertyNotApplicableError, format_t
 
 
 # --- frames ------------------------------------------------------------------
@@ -99,6 +100,14 @@ def test_lonely_digraph_empty_graph():
 def test_lonely_digraph_rejects_improper(c5):
     with pytest.raises(ValueError, match="not proper"):
         lonely_digraph(c5, Coloring.of([[0, 1], [2, 3], [4]]))
+
+
+def test_colored_graph_rejects_non_partition(c5):
+    # missing vertex 4, then a vertex outside 0..4: structural, not "improper"
+    with pytest.raises(PartitionError, match=r"missing \[4\]"):
+        ColoredGraph(c5, Coloring.of([[0, 2], [1, 3]]))
+    with pytest.raises(PartitionError, match=r"extra \[5\]"):
+        ColoredGraph(c5, Coloring.of([[0, 2], [1, 3], [4, 5]]))
 
 
 def test_lonely_digraph_agrees_with_is_lonely():
