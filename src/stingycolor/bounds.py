@@ -13,7 +13,9 @@ Conjecture violations are first-class artifacts carrying enough data
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
+from typing import Callable
 
 from .graphs import (
     Graph,
@@ -161,77 +163,42 @@ class GeneralizedReport:
         )
 
 
-def evaluate_bounds(g: Graph, params: VerificationParams = VerificationParams()) -> BoundsReport:
-    """All unparameterized claims on one graph."""
-    inv = invariants(g)
-    n = g.n
-    omega, alpha = inv.omega, inv.alpha
-    dmax, dmin, nu = inv.max_deg, inv.min_deg, inv.nu
-    g6 = emit_graph6(g)
+CLASSIC, GENERALIZED, LONELY = "classic", "generalized", "lonely"
 
-    inv_dict = {
-        "n": n, "omega": omega, "alpha": alpha,
-        "max_deg": dmax, "min_deg": dmin, "nu": nu,
-        "chi": None, "iota": None,
-    }
-    claim_names = [
-        "very-stingy-reed", "stinginess-patching", "chi-avg-bound",
-        "reed-disjunct", "reed-disjunct-gap", "reed-chi-above-half",
-        "reed-alpha-two", "simple-bound", "chi-at-least-half",
-        "ceil-reed-gap", "matching-bound", "iota2-matching-identity",
-    ]
-    try:
-        st = stats(g, params.guards)
-    except GuardExceededError as exc:
-        return BoundsReport(
-            g6, inv_dict, tuple(_not_evaluated(name, str(exc)) for name in claim_names)
-        )
-    chi, iota = st.chi, st.iota
-    inv_dict["chi"] = chi
-    inv_dict["iota"] = iota
-    base = {"n": n, "omega": omega, "alpha": alpha, "max_deg": dmax,
-            "chi": chi, "iota": iota}
-
-    claims = [
-        _claim("very-stingy-reed",
-               2 * iota > omega,
-               2 * chi <= omega + dmax + 1,
-               base),
-        _patching_claim(g, params.guards),
-        _claim("chi-avg-bound", True, 2 * chi <= iota + n, base),
-        _claim("reed-disjunct", True,
-               2 * chi <= omega + dmax + 1 or 4 * chi <= omega + 2 * (n - alpha) + 4,
-               base),
-        _claim("reed-disjunct-gap",
-               2 * chi > omega + dmax + 1,
-               2 * (n - dmax) >= 2 * alpha + omega - 1,
-               base),
-        _claim("reed-chi-above-half",
-               chi > (n + 1) // 2,
-               2 * chi <= omega + dmax + 1,
-               base),
-        _claim("reed-alpha-two",
-               alpha <= 2,
-               chi <= (omega + dmax + 2) // 2,
-               base),
-        _claim("simple-bound",
-               2 * chi > n + 3 - alpha,
-               chi <= (omega + dmax + 2) // 2,
-               base),
-        _claim("chi-at-least-half",
-               2 * chi >= n + 1,
-               chi <= (omega + dmax + 2) // 2,
-               base),
-        _claim("ceil-reed-gap",
-               chi > (omega + dmax + 2) // 2,
-               n - dmax >= alpha + omega,
-               base),
-    ]
-    claims.extend(verify_matching_corollary(g, params.guards))
-    return BoundsReport(g6, inv_dict, tuple(claims))
+# What a refused lonely stream leaves in place of its records: the uncapped
+# stream's refusal ends every lonely claim; a capped stream's is tagged [r=R].
+LONELY_REFUSED = "lonely-claims"
+GEN_LONELY_REFUSED = "gen-lonely-claims"
 
 
-def _patching_claim(g: Graph, guards: Guards) -> ClaimRecord:
+@dataclass(frozen=True)
+class Claim:
+    """One row of the claim table. A row without ``compute`` is decided by
+    ``_claim`` from ``hyp`` (absent: always holds) and ``concl``. A row with
+    it builds its records: a classic row as ``compute(row, g, guards)``, one
+    record per name in ``names``; a generalized row as
+    ``compute(name, g, bounded_stats, guards)``."""
+
+    name: str
+    family: str
+    hyp: Callable | None = None
+    concl: Callable | None = None
+    compute: Callable | None = None
+    also: tuple[str, ...] = ()  # the further records of a classic compute row
+    rs: tuple[int, ...] = ()  # generalized: only these r, and the bare name
+    counterexample: bool = False  # generalized: a violation yields an artifact
+    placeholder: str | None = None  # lonely: the record left when refused
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return (self.name, *self.also)
+
+    def record(self, name: str, q: SimpleNamespace, witness: dict) -> ClaimRecord:
+        hyp = self.hyp is None or self.hyp(q)
+        return _claim(name, hyp, hyp and self.concl(q), witness)
+
+
+def _patching_claim(row: Claim, g: Graph, guards: Guards) -> list[ClaimRecord]:
     """Stinginess of patched colorings, tested constructively on H = one
     maximum independent set: when chi(G) = chi(G - H) + chi(H), require
     iota(G) >= iota(G - H) + iota(H)."""
@@ -245,112 +212,42 @@ def _patching_claim(g: Graph, guards: Guards) -> ClaimRecord:
     hyp = chi_g == chi_rest + chi_h
     witness = {"H": h, "chi": chi_g, "chi_rest": chi_rest, "chi_H": chi_h}
     if not hyp:
-        return _claim("stinginess-patching", False, None, witness)
+        return [_claim(row.name, False, None, witness)]
     iota_g = stats(g, guards).iota
     iota_rest = stats(rest, guards).iota
     iota_h = stats(sub_h, guards).iota
     witness.update({"iota": iota_g, "iota_rest": iota_rest, "iota_H": iota_h})
-    return _claim("stinginess-patching", True,
-                  iota_g >= iota_rest + iota_h, witness)
+    return [_claim(row.name, True, iota_g >= iota_rest + iota_h, witness)]
 
 
 def verify_matching_corollary(g: Graph, guards: Guards = DEFAULT_GUARDS) -> list[ClaimRecord]:
     """4*nu >= n - alpha + min_deg, plus the cross-check identity
     iota_2 = n - 2*nu(complement)."""
+    bound_name, identity_name = MATCHING_PAIR.names
     inv = invariants(g)
     base = {"n": g.n, "alpha": inv.alpha, "min_deg": inv.min_deg, "nu": inv.nu}
     out = [
-        _claim("matching-bound", True,
+        _claim(bound_name, True,
                4 * inv.nu >= g.n - inv.alpha + inv.min_deg, base)
     ]
     try:
         bs2 = bounded_stats(g, 2, guards)
     except GuardExceededError as exc:
-        out.append(_not_evaluated("iota2-matching-identity", str(exc)))
+        out.append(_not_evaluated(identity_name, str(exc)))
         return out
     nu_comp = invariants(g.complement()).nu if g.n else 0
     out.append(
-        _claim("iota2-matching-identity", True,
+        _claim(identity_name, True,
                bs2.iota_r == g.n - 2 * nu_comp,
                {"iota_2": bs2.iota_r, "n": g.n, "nu_complement": nu_comp})
     )
     return out
 
 
-def evaluate_generalized(g: Graph, r: int,
-                         params: VerificationParams = VerificationParams()) -> GeneralizedReport:
-    """All r-parameterized claims on one graph, for a single r."""
-    inv = invariants(g)
-    n = g.n
-    omega, dmax = inv.omega, inv.max_deg
-    g6 = emit_graph6(g)
-    tag = f"[r={r}]"
-    names = [
-        f"gen-very-stingy-reed{tag}", f"gen-reed-conjecture{tag}",
-        f"gen-reed-disjunct{tag}", f"gen-disjunct-gap{tag}",
-        f"gen-stinginess-patching{tag}", f"gen-chi-avg-bound{tag}",
-    ]
-    if r == 1:
-        names.append("r1-sanity")
-    if r == 2:
-        names.extend(["iota2-bound", "chi2-identity"])
-    try:
-        bs = bounded_stats(g, r, params.guards)
-    except GuardExceededError as exc:
-        return GeneralizedReport(
-            g6, r, None, None, None,
-            tuple(_not_evaluated(name, str(exc)) for name in names),
-        )
-    chi_r, m_r, iota_r = bs.chi_r, bs.m_r, bs.iota_r
-    gap = chi_r - m_r
-    base = {"r": r, "n": n, "omega": omega, "max_deg": dmax,
-            "chi_r": chi_r, "m_r": m_r, "iota_r": iota_r}
-
-    counterexamples = []
-    conjecture_ok = gap <= (omega + dmax + 2) // 2
-    if not conjecture_ok:
-        counterexamples.append({
-            "claim": f"gen-reed-conjecture{tag}",
-            "g6": g6,
-            "r": r,
-            "chi_r": chi_r,
-            "m_r": m_r,
-            "omega": omega,
-            "max_deg": dmax,
-            "m_witness": bs.m_witness.as_lists(),
-            "iota_witness": bs.iota_witness.as_lists(),
-        })
-
-    claims = [
-        _claim(f"gen-very-stingy-reed{tag}",
-               2 * iota_r > omega,
-               2 * gap <= omega + dmax + 1,
-               base),
-        _claim(f"gen-reed-conjecture{tag}", True, conjecture_ok, base),
-        _claim(f"gen-reed-disjunct{tag}", True,
-               2 * gap <= omega + dmax + 1 or 4 * gap <= omega + 2 * (n - r * m_r),
-               base),
-        _claim(f"gen-disjunct-gap{tag}",
-               2 * gap > omega + dmax + 1,
-               2 * (n - dmax) >= 2 * r * m_r + omega + 3,
-               base),
-        _gen_patching_claim(g, r, bs, params.guards),
-        _claim(f"gen-chi-avg-bound{tag}", True, 2 * chi_r <= iota_r + n, base),
-    ]
-    if r == 1:
-        claims.append(_claim("r1-sanity", True, chi_r == n and m_r == n, base))
-    if r == 2:
-        claims.append(_claim("iota2-bound", True,
-                             2 * iota_r <= omega + dmax + 1, base))
-        claims.append(_claim("chi2-identity", True, gap == iota_r, base))
-    return GeneralizedReport(g6, r, chi_r, m_r, iota_r, tuple(claims),
-                             tuple(counterexamples))
-
-
-def _gen_patching_claim(g: Graph, r: int, bs, guards: Guards) -> ClaimRecord:
+def _gen_patching_claim(name: str, g: Graph, bs, guards: Guards) -> ClaimRecord:
     """r-bounded patching, tested on H = the union of the size-r classes of
     the M_r witness coloring."""
-    name = f"gen-stinginess-patching[r={r}]"
+    r = bs.r
     h = sorted(v for cls in bs.m_witness.classes if len(cls) == r for v in cls)
     rest = g.without(h)
     sub_h = g.induced(h)
@@ -367,20 +264,175 @@ def _gen_patching_claim(g: Graph, r: int, bs, guards: Guards) -> ClaimRecord:
     return _claim(name, True, bs.iota_r >= iota_rest + iota_h, witness)
 
 
+MATCHING_PAIR = Claim("matching-bound", CLASSIC, also=("iota2-matching-identity",),
+                      compute=lambda row, g, guards: verify_matching_corollary(g, guards))
+
+# Every claim in report order. Classic rows read n, omega, alpha, max_deg, chi
+# and iota; generalized rows r, n, omega, max_deg, chi_r, m_r, iota_r and
+# gap = chi_r - m_r. A ceiling ceil((x + 1) / 2) is written (x + 2) // 2.
+CLAIMS = (
+    Claim("very-stingy-reed", CLASSIC, lambda q: 2 * q.iota > q.omega,
+          lambda q: 2 * q.chi <= q.omega + q.max_deg + 1),
+    Claim("stinginess-patching", CLASSIC, compute=_patching_claim),
+    Claim("chi-avg-bound", CLASSIC, concl=lambda q: 2 * q.chi <= q.iota + q.n),
+    Claim("reed-disjunct", CLASSIC,
+          concl=lambda q: (2 * q.chi <= q.omega + q.max_deg + 1
+                           or 4 * q.chi <= q.omega + 2 * (q.n - q.alpha) + 4)),
+    Claim("reed-disjunct-gap", CLASSIC, lambda q: 2 * q.chi > q.omega + q.max_deg + 1,
+          lambda q: 2 * (q.n - q.max_deg) >= 2 * q.alpha + q.omega - 1),
+    Claim("reed-chi-above-half", CLASSIC, lambda q: q.chi > (q.n + 1) // 2,
+          lambda q: 2 * q.chi <= q.omega + q.max_deg + 1),
+    Claim("reed-alpha-two", CLASSIC, lambda q: q.alpha <= 2,
+          lambda q: q.chi <= (q.omega + q.max_deg + 2) // 2),
+    Claim("simple-bound", CLASSIC, lambda q: 2 * q.chi > q.n + 3 - q.alpha,
+          lambda q: q.chi <= (q.omega + q.max_deg + 2) // 2),
+    Claim("chi-at-least-half", CLASSIC, lambda q: 2 * q.chi >= q.n + 1,
+          lambda q: q.chi <= (q.omega + q.max_deg + 2) // 2),
+    Claim("ceil-reed-gap", CLASSIC, lambda q: q.chi > (q.omega + q.max_deg + 2) // 2,
+          lambda q: q.n - q.max_deg >= q.alpha + q.omega),
+    MATCHING_PAIR,
+    Claim("gen-very-stingy-reed", GENERALIZED, lambda q: 2 * q.iota_r > q.omega,
+          lambda q: 2 * q.gap <= q.omega + q.max_deg + 1),
+    Claim("gen-reed-conjecture", GENERALIZED, counterexample=True,
+          concl=lambda q: q.gap <= (q.omega + q.max_deg + 2) // 2),
+    Claim("gen-reed-disjunct", GENERALIZED,
+          concl=lambda q: (2 * q.gap <= q.omega + q.max_deg + 1
+                           or 4 * q.gap <= q.omega + 2 * (q.n - q.r * q.m_r))),
+    Claim("gen-disjunct-gap", GENERALIZED, lambda q: 2 * q.gap > q.omega + q.max_deg + 1,
+          lambda q: 2 * (q.n - q.max_deg) >= 2 * q.r * q.m_r + q.omega + 3),
+    Claim("gen-stinginess-patching", GENERALIZED, compute=_gen_patching_claim),
+    Claim("gen-chi-avg-bound", GENERALIZED, concl=lambda q: 2 * q.chi_r <= q.iota_r + q.n),
+    Claim("r1-sanity", GENERALIZED, rs=(1,), concl=lambda q: q.chi_r == q.n and q.m_r == q.n),
+    Claim("iota2-bound", GENERALIZED, rs=(2,),
+          concl=lambda q: 2 * q.iota_r <= q.omega + q.max_deg + 1),
+    Claim("chi2-identity", GENERALIZED, rs=(2,), concl=lambda q: q.gap == q.iota_r),
+    Claim("lonely-path-join", LONELY, placeholder=LONELY_REFUSED),
+    Claim("class-meets-all-classes", LONELY, placeholder=LONELY_REFUSED),
+    Claim("lonely-degree-bound", LONELY, placeholder=LONELY_REFUSED),
+    Claim("swap-preserves-frame", LONELY, placeholder=LONELY_REFUSED),
+    Claim("doubly-critical-iff-two-singletons", LONELY, placeholder=LONELY_REFUSED),
+    Claim("singleton-meets-small-classes", LONELY, placeholder=GEN_LONELY_REFUSED),
+    Claim("gen-lonely-degree-bound", LONELY, placeholder=GEN_LONELY_REFUSED),
+)
+CLASSIC_ROWS = tuple(row for row in CLAIMS if row.family == CLASSIC)
+GENERALIZED_ROWS = tuple(row for row in CLAIMS if row.family == GENERALIZED)
+_ROW_BY_NAME = {name: row for row in CLAIMS for name in row.names}
+
+
+def base_name(claim: str) -> str:
+    return claim.split("[", 1)[0]
+
+
+def evaluate_bounds(g: Graph, params: VerificationParams = VerificationParams()) -> BoundsReport:
+    """All unparameterized claims on one graph."""
+    inv = invariants(g)
+    g6 = emit_graph6(g)
+    inv_dict = {
+        "n": g.n, "omega": inv.omega, "alpha": inv.alpha,
+        "max_deg": inv.max_deg, "min_deg": inv.min_deg, "nu": inv.nu,
+        "chi": None, "iota": None,
+    }
+    try:
+        st = stats(g, params.guards)
+    except GuardExceededError as exc:
+        return BoundsReport(g6, inv_dict, tuple(
+            _not_evaluated(name, str(exc)) for row in CLASSIC_ROWS for name in row.names))
+    inv_dict["chi"] = st.chi
+    inv_dict["iota"] = st.iota
+    base = {"n": g.n, "omega": inv.omega, "alpha": inv.alpha, "max_deg": inv.max_deg,
+            "chi": st.chi, "iota": st.iota}
+    q = SimpleNamespace(**base)
+    claims = []
+    for row in CLASSIC_ROWS:
+        if row.compute:
+            claims.extend(row.compute(row, g, params.guards))
+        else:
+            claims.append(row.record(row.name, q, base))
+    return BoundsReport(g6, inv_dict, tuple(claims))
+
+
+def evaluate_generalized(g: Graph, r: int,
+                         params: VerificationParams = VerificationParams()) -> GeneralizedReport:
+    """All r-parameterized claims on one graph, for a single r."""
+    inv = invariants(g)
+    g6 = emit_graph6(g)
+    rows = [row for row in GENERALIZED_ROWS if not row.rs or r in row.rs]
+    names = [row.name if row.rs else f"{row.name}[r={r}]" for row in rows]
+    try:
+        bs = bounded_stats(g, r, params.guards)
+    except GuardExceededError as exc:
+        return GeneralizedReport(
+            g6, r, None, None, None,
+            tuple(_not_evaluated(name, str(exc)) for name in names),
+        )
+    chi_r, m_r, iota_r = bs.chi_r, bs.m_r, bs.iota_r
+    base = {"r": r, "n": g.n, "omega": inv.omega, "max_deg": inv.max_deg,
+            "chi_r": chi_r, "m_r": m_r, "iota_r": iota_r}
+    q = SimpleNamespace(gap=chi_r - m_r, **base)
+    claims = []
+    counterexamples = []
+    for row, name in zip(rows, names):
+        if row.compute:
+            rec = row.compute(name, g, bs, params.guards)
+        else:
+            rec = row.record(name, q, base)
+        claims.append(rec)
+        if row.counterexample and rec.verdict == VERDICT_VIOLATION:
+            counterexamples.append({
+                "claim": name,
+                "g6": g6,
+                "r": r,
+                "chi_r": chi_r,
+                "m_r": m_r,
+                "omega": inv.omega,
+                "max_deg": inv.max_deg,
+                "m_witness": bs.m_witness.as_lists(),
+                "iota_witness": bs.iota_witness.as_lists(),
+            })
+    return GeneralizedReport(g6, r, chi_r, m_r, iota_r, tuple(claims),
+                             tuple(counterexamples))
+
+
+class UnknownClaimError(ValueError):
+    def __init__(self, claim: str):
+        valid = ", ".join(sorted(_ROW_BY_NAME))
+        super().__init__(f"unknown claim {claim!r}; valid claims: {valid}")
+
+
+def claim_records_for(g: Graph, query: str, params: VerificationParams) -> list[ClaimRecord]:
+    """The claim records on ``g`` whose name matches ``query`` (exact name or
+    base name, in which case every parameterization in params is covered),
+    and the placeholders a refused stream left in place of a lonely claim's."""
+    base = base_name(query)
+    row = _ROW_BY_NAME.get(base)
+    if row is None:
+        raise UnknownClaimError(query)
+    if row.family == CLASSIC:
+        records = evaluate_bounds(g, params).claims
+    elif row.family == GENERALIZED:
+        records = [rec for r in params.r_list
+                   for rec in evaluate_generalized(g, r, params).claims]
+    else:
+        records = _lonely_claims(g, params)
+    return [rec for rec in records
+            if rec.name == query or (query == base and base_name(rec.name) == base)
+            or (rec.verdict == VERDICT_NOT_EVALUATED
+                and base_name(rec.name) in (LONELY_REFUSED, row.placeholder))]
+
+
 def recheck_counterexample(artifact: dict,
                            params: VerificationParams = VerificationParams()) -> bool:
     """True iff the claimed violation reproduces from scratch on the artifact's
-    graph. Independent of the run that produced it."""
+    graph. Independent of the run that produced it. The artifact's ``r``, when
+    present, is the r evaluated."""
     g = parse_graph6(artifact["g6"])
-    claim_name = artifact["claim"]
-    r = artifact.get("r")
-    if r is not None:
-        rep = evaluate_generalized(g, r, params)
-        records = {c.name: c for c in rep.claims}
-    else:
-        records = {c.name: c for c in evaluate_bounds(g, params).claims}
-    record = records.get(claim_name)
-    return record is not None and record.verdict == VERDICT_VIOLATION
+    if artifact.get("r") is not None:
+        params = replace(params, r_list=(artifact["r"],))
+    try:
+        return any(rec.name == artifact["claim"] and rec.verdict == VERDICT_VIOLATION
+                   for rec in claim_records_for(g, artifact["claim"], params))
+    except UnknownClaimError:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +469,7 @@ def _lonely_claims(g: Graph, params: VerificationParams) -> list[ClaimRecord]:
             "doubly-critical-iff-two-singletons", True, dc.consistent,
             {"edges": [list(e) for e in dc.edges], "iota": dc.iota}))
     except GuardExceededError as exc:
-        out.append(_not_evaluated("lonely-claims", str(exc)))
+        out.append(_not_evaluated(LONELY_REFUSED, str(exc)))
         return out
     for r in params.r_list:
         try:
@@ -427,7 +479,7 @@ def _lonely_claims(g: Graph, params: VerificationParams) -> list[ClaimRecord]:
                 out.append(_from_report(
                     lonely.replete_report(g, bounded, r, t2, guards)))
         except GuardExceededError as exc:
-            out.append(_not_evaluated(f"gen-lonely-claims[r={r}]", str(exc)))
+            out.append(_not_evaluated(f"{GEN_LONELY_REFUSED}[r={r}]", str(exc)))
             continue
         if r >= 2:
             # The optimal r-bounded colorings are the B_r-optimal ones, in the

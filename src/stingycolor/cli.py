@@ -210,10 +210,15 @@ def cmd_search(args, params: VerificationParams) -> int:
     if not result["records"]:
         raise UsageError(f"claim {args.claim!r} has no record on the {result['graphs']} "
                          f"graphs searched; check its parameters against --r and --t")
+    skipped = result["not_evaluated"]
+    if skipped == result["records"]:
+        raise UsageError(f"claim {args.claim!r} was not evaluated on any of the "
+                         f"{result['graphs']} graphs searched: {result['guard_reason']}")
     lines = "".join(_dump_json(a) + "\n" for a in result["counterexamples"])
     _write_output(lines, args.out)
     print(f"searched {result['graphs']} graphs ({result['records']} claim records), "
-          f"{len(result['counterexamples'])} counterexamples", file=sys.stderr)
+          f"{len(result['counterexamples'])} counterexamples"
+          + (f", {skipped} not evaluated" if skipped else ""), file=sys.stderr)
     return EXIT_VIOLATION if result["counterexamples"] else EXIT_OK
 
 
@@ -226,27 +231,7 @@ def cmd_verify(args, params: VerificationParams) -> int:
     _check_samples(args)
     if args.predicates < 0:
         raise UsageError(f"--predicates must be nonnegative, got {args.predicates}")
-    guards = params.guards
-    if suite == "lonely-path":
-        result = suites_mod.suite_lonely_path(
-            args.max_n, max_len=params.max_path_len, samples=args.samples,
-            sample_ns=tuple(args.sample_ns) if args.sample_ns else (7, 8),
-            seed=params.seed, guards=guards)
-    elif suite == "generalized-lonely-path":
-        result = suites_mod.suite_gen_lonely_path(
-            args.max_n, rs=tuple(r for r in params.r_list if r >= 2),
-            max_len=params.max_path_len, guards=guards)
-    elif suite == "replete":
-        result = suites_mod.suite_replete(
-            args.max_n, t2s=params.t2_list, rs=params.r_list, guards=guards)
-    elif suite == "swap":
-        result = suites_mod.suite_swap(args.max_n, guards=guards)
-    elif suite == "properties":
-        result = suites_mod.suite_properties(
-            seed=params.seed, predicates=args.predicates,
-            max_n_br=min(args.max_n, 5), guards=guards)
-    else:
-        result = suites_mod.suite_identities(args.max_n, guards=guards)
+    result = suites_mod.SUITES[suite](args.max_n, params, args)
     if not (result.checked or result.vacuous):
         raise UsageError(f"suite {suite} found nothing to check (0 checked, 0 vacuous) "
                          f"with --max-n {args.max_n}")

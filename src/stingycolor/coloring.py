@@ -61,6 +61,8 @@ class Coloring:
             cl = tuple(sorted(set(cls)))
             if not cl:
                 raise ValueError("empty color class")
+            if cl[0] < 0:
+                raise ValueError("negative vertex in color class")
             if seen.intersection(cl):
                 raise ValueError("color classes overlap")
             seen.update(cl)
@@ -74,8 +76,9 @@ class Coloring:
         the order key (size, least vertex) is (popcount, lowest bit)."""
         seen = 0
         for mask in masks:
-            if not mask:
-                raise ValueError("empty color class")
+            if mask <= 0:
+                raise ValueError("negative vertex in color class" if mask
+                                 else "empty color class")
             if seen & mask:
                 raise ValueError("color classes overlap")
             seen |= mask

@@ -240,12 +240,6 @@ class LemmaReport:
             report.violations.extend(bad)
         return report
 
-    @property
-    def verdict(self) -> str:
-        if not self.hypothesis_holds:
-            return "vacuous-pass"
-        return "VIOLATION" if self.violations else "checked-pass"
-
 
 def join_failures(cg: ColoredGraph, max_len: int = 3) -> tuple[int, list[dict]]:
     """Every pair of lonely paths out of two singleton classes is completely

@@ -37,11 +37,12 @@ from .coloring import (
     one_optimal_coloring,
 )
 from . import lonely
-from .bounds import (
-    VerificationParams,
+from .bounds import (  # UnknownClaimError: what claim_records_for raises, kept importable here
+    VERDICT_NOT_EVALUATED,
     VERDICT_VIOLATION,
-    evaluate_bounds,
-    evaluate_generalized,
+    UnknownClaimError,
+    VerificationParams,
+    claim_records_for,
     full_report,
 )
 
@@ -277,13 +278,22 @@ def suite_properties(seed: int = 0, predicates: int = 100, max_n_br: int = 5,
     return result
 
 
+# Every suite as ``verify`` runs it: (max_n, params, parsed arguments) -> result.
 SUITES = {
-    "lonely-path": suite_lonely_path,
-    "generalized-lonely-path": suite_gen_lonely_path,
-    "replete": suite_replete,
-    "swap": suite_swap,
-    "properties": suite_properties,
-    "identities": suite_identities,
+    "lonely-path": lambda max_n, params, args: suite_lonely_path(
+        max_n, max_len=params.max_path_len, samples=args.samples,
+        sample_ns=tuple(args.sample_ns) or (7, 8), seed=params.seed,
+        guards=params.guards),
+    "generalized-lonely-path": lambda max_n, params, args: suite_gen_lonely_path(
+        max_n, rs=tuple(r for r in params.r_list if r >= 2),
+        max_len=params.max_path_len, guards=params.guards),
+    "replete": lambda max_n, params, args: suite_replete(
+        max_n, t2s=params.t2_list, rs=params.r_list, guards=params.guards),
+    "swap": lambda max_n, params, args: suite_swap(max_n, guards=params.guards),
+    "properties": lambda max_n, params, args: suite_properties(
+        seed=params.seed, predicates=args.predicates, max_n_br=min(max_n, 5),
+        guards=params.guards),
+    "identities": lambda max_n, params, args: suite_identities(max_n, guards=params.guards),
 }
 
 
@@ -317,67 +327,16 @@ def sweep_reports(graphs: Iterable[Graph],
     return reports
 
 
-CLASSIC_CLAIMS = (
-    "very-stingy-reed", "stinginess-patching", "chi-avg-bound",
-    "reed-disjunct", "reed-disjunct-gap", "reed-chi-above-half",
-    "reed-alpha-two", "simple-bound", "chi-at-least-half", "ceil-reed-gap",
-    "matching-bound", "iota2-matching-identity",
-)
-GENERALIZED_CLAIMS = (
-    "gen-very-stingy-reed", "gen-reed-conjecture", "gen-reed-disjunct",
-    "gen-disjunct-gap", "gen-stinginess-patching", "gen-chi-avg-bound",
-    "r1-sanity", "iota2-bound", "chi2-identity",
-)
-LONELY_CLAIMS = (
-    "lonely-path-join", "class-meets-all-classes", "lonely-degree-bound",
-    "swap-preserves-frame", "doubly-critical-iff-two-singletons",
-    "singleton-meets-small-classes", "gen-lonely-degree-bound",
-)
-ALL_CLAIM_BASES = CLASSIC_CLAIMS + GENERALIZED_CLAIMS + LONELY_CLAIMS
-
-
-def _base_name(claim: str) -> str:
-    return claim.split("[", 1)[0]
-
-
-class UnknownClaimError(ValueError):
-    def __init__(self, claim: str):
-        valid = ", ".join(sorted(ALL_CLAIM_BASES))
-        super().__init__(f"unknown claim {claim!r}; valid claims: {valid}")
-
-
-def claim_records_for(g: Graph, query: str, params: VerificationParams) -> list:
-    """The claim records on ``g`` whose name matches ``query`` (exact name or
-    base name, in which case every parameterization in params is covered)."""
-    base = _base_name(query)
-    if base not in ALL_CLAIM_BASES:
-        raise UnknownClaimError(query)
-    records = []
-    if base in CLASSIC_CLAIMS:
-        records.extend(evaluate_bounds(g, params).claims)
-    if base in GENERALIZED_CLAIMS:
-        for r in params.r_list:
-            records.extend(evaluate_generalized(g, r, params).claims)
-    if base in LONELY_CLAIMS:
-        from .bounds import _lonely_claims
-
-        records.extend(_lonely_claims(g, params))
-    return [
-        rec for rec in records
-        if rec.name == query or (query == base and _base_name(rec.name) == base)
-    ]
-
-
 def search_claim(query: str, params: VerificationParams, min_n: int = 1,
                  max_n: int = 6, samples: int = 0,
                  sample_ns: tuple[int, ...] = (), seed: int = 0,
                  densities: tuple[float, ...] = DENSITIES) -> dict:
     """Hunt for VIOLATION verdicts of one claim. Exhaustive over min_n..max_n,
-    then seeded random samples. Returns counts plus counterexample artifacts."""
-    _ = _base_name(query)
-    if _ not in ALL_CLAIM_BASES:
-        raise UnknownClaimError(query)
+    then seeded random samples. Returns counts plus counterexample artifacts;
+    ``not_evaluated`` counts the matched records a guard refused, and
+    ``guard_reason`` gives the first refusal's reason."""
     artifacts: list[dict] = []
+    refusals: list[str] = []
     graphs_seen = 0
     records_seen = 0
 
@@ -386,7 +345,9 @@ def search_claim(query: str, params: VerificationParams, min_n: int = 1,
         graphs_seen += 1
         for rec in claim_records_for(g, query, params):
             records_seen += 1
-            if rec.verdict == VERDICT_VIOLATION:
+            if rec.verdict == VERDICT_NOT_EVALUATED:
+                refusals.append(rec.witness["reason"])
+            elif rec.verdict == VERDICT_VIOLATION:
                 artifacts.append({
                     "claim": rec.name,
                     "g6": emit_graph6(g),
@@ -405,5 +366,7 @@ def search_claim(query: str, params: VerificationParams, min_n: int = 1,
         "claim": query,
         "graphs": graphs_seen,
         "records": records_seen,
+        "not_evaluated": len(refusals),
+        "guard_reason": refusals[0] if refusals else None,
         "counterexamples": artifacts,
     }

@@ -217,8 +217,12 @@ def _lemma_record(rep, extra=None):
     if rep.violations:
         witness["violations"] = rep.violations
     hyp = rep.hypothesis_holds
+    if not hyp:
+        verdict = VERDICT_VACUOUS
+    else:
+        verdict = VERDICT_VIOLATION if rep.violations else VERDICT_CHECKED
     return {"name": rep.name, "hyp": hyp, "concl": not rep.violations if hyp else None,
-            "verdict": rep.verdict, "witness": witness}
+            "verdict": verdict, "witness": witness}
 
 
 def _swap_record_by_vertex_pairs(g, guards):

@@ -96,6 +96,27 @@ def test_sweep_n6_golden_digest(capsys, tmp_path):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == SWEEP_N6_SHA256
 
 
+# The not-evaluated paths: sha256 of `analyze --gen er:11,0.5,1`, where the
+# optimal guard refuses every claim record, and of the n <= 6
+# sweep under guards 5/4, where it refuses them on the graphs with 6 vertices.
+ANALYZE_ER11_SHA256 = "34583628740b55cf2d687b021373457cf888849780e529f50d2dbd05af4d80c1"
+SWEEP_N6_GUARDS_5_4_SHA256 = "8df7f23c6b65c3ef5b673f64fafb91f9cb368b8d41ca76468f5a40085ff620ed"
+
+
+def test_analyze_not_evaluated_golden_digest(capsys):
+    code, out, err = run(capsys, "analyze", "--gen", "er:11,0.5,1")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_ER11_SHA256
+
+
+def test_sweep_n6_guards_5_4_golden_digest(capsys, monkeypatch):
+    monkeypatch.setenv("STINGYCOLOR_OPTIMAL_GUARD", "5")
+    monkeypatch.setenv("STINGYCOLOR_FULL_GUARD", "4")
+    code, out, err = run(capsys, "sweep", "--exhaustive", "--max-n", "6", "--min-n", "0")
+    assert (code, err) == (0, "swept 209 graphs, 0 violations\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_N6_GUARDS_5_4_SHA256
+
+
 # sha256 of the stdout of `verify --suite <suite> --max-n 6` (default options),
 # with the number of checks it reports: every swap of every proper coloring,
 # and every touches and lonely-degree record, on the 209 classes with n <= 6.
@@ -158,6 +179,36 @@ def test_search_clean_claim(capsys):
     assert code == 0
     assert out == ""
     assert "0 counterexamples" in err
+
+
+NOT_EVALUATED_N11 = ["--max-n", "0", "--samples", "3", "--sample-ns", "11", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, env, code, err", [
+    (["--claim", "simple-bound", "--max-n", "4"], {}, 0,
+     "searched 18 graphs (18 claim records), 0 counterexamples\n"),
+    (["--claim", "simple-bound", *NOT_EVALUATED_N11], {}, 2,
+     "error: claim 'simple-bound' was not evaluated on any of the 3 graphs searched: "
+     "stinginess guarded at n <= 10 (graph has 11)\n"),
+    (["--claim", "lonely-path-join", *NOT_EVALUATED_N11], {}, 2,
+     "error: claim 'lonely-path-join' was not evaluated on any of the 3 graphs searched: "
+     "optimal coloring enumeration guarded at n <= 10 (graph has 11)\n"),
+    (["--claim", "simple-bound", "--min-n", "4", "--max-n", "6"],
+     {"STINGYCOLOR_OPTIMAL_GUARD": "3"}, 2,
+     "error: claim 'simple-bound' was not evaluated on any of the 201 graphs searched: "
+     "stinginess guarded at n <= 3 (graph has 4)\n"),
+    (["--claim", "simple-bound", "--max-n", "6"], {"STINGYCOLOR_OPTIMAL_GUARD": "3"}, 0,
+     "searched 208 graphs (208 claim records), 0 counterexamples, 201 not evaluated\n"),
+    (["--claim", "lonely-path-join", *NOT_EVALUATED_N11[2:], "--max-n", "2"], {}, 0,
+     "searched 6 graphs (12 claim records), 0 counterexamples, 3 not evaluated\n"),
+], ids=["all-evaluated", "classic-none", "lonely-none", "guard-3-none", "guard-3-some",
+        "lonely-some"])
+def test_search_not_evaluated(capsys, monkeypatch, argv, env, code, err):
+    # A search that evaluated none of its records checked nothing: exit 2. A
+    # search that evaluated some says how many it did not.
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert run(capsys, "search", *argv) == (code, "", err)
 
 
 def test_search_unknown_claim(capsys):

@@ -77,12 +77,16 @@ def test_from_masks_matches_of_on_partition_stream():
     ([0, 0b011], "empty"),
     ([0b011, 0b110], "overlap"),
     ([0b001, 0b110, 0b100], "overlap"),
+    ([-1], "negative"),
+    ([0b00101, 0b01010, 0b10000, -1], "negative"),
 ])
 def test_from_masks_errors_match_of(masks, message):
     with pytest.raises(ValueError, match=message) as by_masks:
         Coloring.from_masks(masks)
+    # bits() never ends on a negative mask, which stands here for the class
+    # holding that negative label.
     with pytest.raises(ValueError) as by_lists:
-        Coloring.of([list(bits(m)) for m in masks])
+        Coloring.of([list(bits(m)) if m >= 0 else [m] for m in masks])
     assert str(by_masks.value) == str(by_lists.value)
 
 

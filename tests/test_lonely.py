@@ -198,19 +198,20 @@ def test_pairs_respect_constraints():
 
 def test_lonely_path_lemma_k3():
     rep = verify_lonely_path_lemma(complete(3))
-    assert rep.verdict == "checked-pass"
+    assert rep.hypothesis_holds and not rep.violations
     assert rep.checks == 9  # three root pairs, paths up to three vertices
 
 
 def test_lonely_path_lemma_small_graphs():
     for n in range(0, 5):
         for g in all_graphs(n):
-            assert verify_lonely_path_lemma(g).verdict != "VIOLATION"
+            rep = verify_lonely_path_lemma(g)
+            assert not (rep.hypothesis_holds and rep.violations)
 
 
 def test_generalized_lonely_path_b2(c5):
     rep = verify_lonely_path_lemma(c5, mode="property", prop=b_r(2))
-    assert rep.verdict == "checked-pass"
+    assert rep.hypothesis_holds and not rep.violations
     assert rep.colorings_checked == 5
 
 
@@ -227,24 +228,23 @@ def test_replete_c5_detail(c5):
     # vertex with at least omega = 2 lonely out-edges
     rep = verify_replete_lemma(c5, t2=0)
     assert rep.hypothesis_holds
-    assert rep.verdict == "checked-pass"
+    assert not rep.violations
     assert rep.colorings_checked == 5
     assert rep.checks == 15
 
 
 def test_replete_vacuous_on_k4():
     rep = verify_replete_lemma(complete(4), t2=0)
-    assert not rep.hypothesis_holds
-    assert rep.verdict == "vacuous-pass"
+    assert not rep.hypothesis_holds  # vacuous
 
 
 def test_replete_exhaustive_small():
     for n in range(0, 5):
         for g in all_graphs(n):
             for t2 in (0, 1):
-                assert verify_replete_lemma(g, t2=t2).verdict != "VIOLATION"
-                for r in (2, 3):
-                    assert verify_replete_lemma(g, r=r, t2=t2).verdict != "VIOLATION"
+                for r in (None, 2, 3):
+                    rep = verify_replete_lemma(g, r=r, t2=t2)
+                    assert not (rep.hypothesis_holds and rep.violations)
 
 
 def test_replete_rejects_negative_slack(c5):
@@ -259,9 +259,9 @@ def test_format_t():
 def test_touches_everybody_small():
     for n in range(0, 5):
         for g in all_graphs(n):
-            assert verify_touches_lemma(g).verdict == "checked-pass"
-            for r in (2, 3):
-                assert verify_touches_lemma(g, r=r).verdict == "checked-pass"
+            for r in (None, 2, 3):
+                rep = verify_touches_lemma(g, r=r)
+                assert rep.hypothesis_holds and not rep.violations
 
 
 # --- doubly critical edges ---------------------------------------------------------

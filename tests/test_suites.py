@@ -1,6 +1,18 @@
+from dataclasses import replace
+
 import pytest
 
-from stingycolor import VerificationParams, emit_graph6
+from stingycolor import (
+    VerificationParams,
+    cycle,
+    emit_graph6,
+    er_random,
+    full_report,
+    petersen,
+    recheck_counterexample,
+)
+from stingycolor import bounds, lonely
+from stingycolor.bounds import CLAIMS, GEN_LONELY_REFUSED, LONELY_REFUSED, base_name
 from stingycolor.suites import (
     UnknownClaimError,
     claim_records_for,
@@ -115,3 +127,75 @@ def test_search_claim_no_counterexamples():
 def test_search_claim_unknown():
     with pytest.raises(UnknownClaimError, match="valid claims"):
         search_claim("foo", PARAMS)
+
+
+def test_search_claim_counts_not_evaluated():
+    evaluated = search_claim("simple-bound", PARAMS, max_n=4)
+    assert (evaluated["not_evaluated"], evaluated["guard_reason"]) == (0, None)
+    refused = search_claim("simple-bound", PARAMS, max_n=0,
+                           samples=3, sample_ns=(11,), seed=1)
+    assert refused["records"] == refused["not_evaluated"] == 3
+    assert refused["guard_reason"] == "stinginess guarded at n <= 10 (graph has 11)"
+    # The uncapped stream's placeholder stands for every lonely claim.
+    lonely = search_claim("lonely-path-join", PARAMS, max_n=2,
+                          samples=3, sample_ns=(11,), seed=1)
+    assert (lonely["graphs"], lonely["records"], lonely["not_evaluated"]) == (6, 12, 3)
+
+
+# --- the claim table -----------------------------------------------------------
+
+DRIFT_PARAMS = VerificationParams(r_list=(1, 2, 3, 4), t2_list=(0, 1, 2))
+
+
+def test_claim_table_matches_emitted_records():
+    # Every record full_report emits resolves through the table to exactly
+    # itself, and the table names no claim that is never emitted. A base-name
+    # query covers every parameterization, so lonely-path-join also returns
+    # lonely-path-join[B_r].
+    placeholders = {LONELY_REFUSED, GEN_LONELY_REFUSED}
+    emitted = set()
+    for g in (cycle(5), petersen(), er_random(11, 0.5, seed=1)):
+        for rec in full_report(g, DRIFT_PARAMS)["claims"]:
+            name = rec["name"]
+            if base_name(name) in placeholders:
+                continue
+            emitted.add(base_name(name))
+            got = claim_records_for(g, name, DRIFT_PARAMS)
+            assert [r.to_dict() for r in got if r.name == name] == [rec], name
+            assert {base_name(r.name) for r in got} == {base_name(name)}, name
+    assert {name for row in CLAIMS for name in row.names} == emitted
+
+
+# --- rechecking artifacts --------------------------------------------------------
+
+
+def _one_violation_per_coloring(cg, *args):
+    return 1, [{"coloring": cg.c.as_lists()}]
+
+
+@pytest.mark.parametrize("check, claim", [
+    ("swap_failures", "swap-preserves-frame"),
+    ("touches_failures", "singleton-meets-small-classes[r=3]"),
+])
+def test_recheck_reproduces_lonely_artifacts(monkeypatch, check, claim):
+    monkeypatch.setattr(lonely, check, _one_violation_per_coloring)
+    artifacts = search_claim(claim, PARAMS, max_n=3)["counterexamples"]
+    assert len(artifacts) == 7  # every graph on 1..3 vertices
+    assert all(recheck_counterexample(a, PARAMS) for a in artifacts)
+
+
+def test_recheck_evaluates_the_artifact_r(monkeypatch):
+    # Inflating chi_r by n violates the conjecture on every graph. The
+    # artifacts are made at r = 4 and recheck under params without r = 4.
+    real = bounds.bounded_stats
+
+    def inflated(g, r, guards):
+        bs = real(g, r, guards)
+        return replace(bs, chi_r=bs.chi_r + g.n)
+
+    monkeypatch.setattr(bounds, "bounded_stats", inflated)
+    artifacts = search_claim("gen-reed-conjecture[r=4]", VerificationParams(r_list=(4,)),
+                             max_n=3)["counterexamples"]
+    assert len(artifacts) == 7 and {a["r"] for a in artifacts} == {4}
+    assert PARAMS.r_list == (1, 2, 3)
+    assert all(recheck_counterexample(a, PARAMS) for a in artifacts)
