@@ -248,7 +248,7 @@ def _gen_patching_claim(name: str, g: Graph, bs, guards: Guards) -> ClaimRecord:
     """r-bounded patching, tested on H = the union of the size-r classes of
     the M_r witness coloring."""
     r = bs.r
-    h = sorted(v for cls in bs.m_witness.classes if len(cls) == r for v in cls)
+    h = sorted(v for m in bs.m_masks if m.bit_count() == r for v in bits(m))
     rest = g.without(h)
     sub_h = g.induced(h)
     chi_rest = chromatic_number(rest, cap=r)

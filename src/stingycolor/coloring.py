@@ -8,6 +8,13 @@ quantities are maximized by a second branch and bound over partitions with an
 admissible score bound. Enumeration-based routes exist alongside the direct
 searches so the two can cross-check each other.
 
+The chromatic search returns the discrete partition at once when its lower
+bound (clique number, or ceil(n / cap)) is n. Otherwise greedy DSATUR, which
+picks each vertex by one integer key sat*n^2 + deg*n + (n-1-v), gives the
+first incumbent, and most calls end there, at the lower bound. ``stats`` and
+``bounded_stats`` keep their witnesses as the searches' class masks; the
+witness properties build the ``Coloring`` when read.
+
 Guards: full-partition enumeration refuses beyond ``Guards.full`` vertices and
 the optimal-coloring machinery beyond ``Guards.optimal``. Exceeding a guard is
 an error, never a silent approximation.
@@ -146,40 +153,66 @@ def is_proper(g: Graph, c: Coloring) -> bool:
 
 
 def _greedy_dsatur(adj: tuple[int, ...], n: int, cap: int | None) -> list[int]:
-    """Greedy DSATUR coloring (class masks); respects a class-size cap."""
-    classes: list[int] = []
-    sizes: list[int] = []
-    colored = 0
+    """Greedy DSATUR coloring (class masks); respects a class-size cap.
+
+    Each step colors the uncolored vertex of most saturation (distinct classes
+    among its neighbours), then highest degree, then least index: the maximum
+    of the integer key sat*n^2 + deg*n + (n-1-v), in which deg*n + (n-1-v)
+    < n^2, so the key orders as the tuple (sat, deg, -v). The vertex joins the
+    first class that has no neighbour of it and room under the cap; only its
+    uncolored neighbours' saturation masks and keys change."""
+    step = n * n
+    prio = [adj[v].bit_count() * n + (n - 1 - v) for v in range(n)]
     saturation = [0] * n  # bitmask of classes adjacent to v
-    uncolored = set(range(n))
-    while uncolored:
-        v = max(
-            uncolored,
-            key=lambda u: (saturation[u].bit_count(), adj[u].bit_count(), -u),
-        )
-        uncolored.remove(v)
-        for j, mask in enumerate(classes):
-            if not (mask & adj[v]) and (cap is None or sizes[j] < cap):
-                classes[j] |= 1 << v
-                sizes[j] += 1
-                break
+    classes: list[int] = []
+    reach: list[int] = []  # per class: the neighbours of its members
+    full = 0  # bitmask of classes at the cap
+    free = set(range(n))
+    free_mask = (1 << n) - 1
+    key = prio.__getitem__
+    while free:
+        v = max(free, key=key)
+        free.remove(v)
+        free_mask ^= 1 << v
+        av = adj[v]
+        open_classes = ~(saturation[v] | full) & ((1 << len(classes)) - 1)
+        if open_classes:
+            j = (open_classes & -open_classes).bit_length() - 1
+            classes[j] |= 1 << v
+            fresh = av & free_mask & ~reach[j]
+            reach[j] |= av
         else:
             j = len(classes)
             classes.append(1 << v)
-            sizes.append(1)
-        for u in bits(adj[v]):
-            saturation[u] |= 1 << j
-        colored += 1
+            reach.append(av)
+            fresh = av & free_mask
+        if cap is not None and classes[j].bit_count() == cap:
+            full |= 1 << j
+        # the uncolored vertices that class j now saturates
+        bit = 1 << j
+        while fresh:
+            low = fresh & -fresh
+            u = low.bit_length() - 1
+            fresh ^= low
+            saturation[u] |= bit
+            prio[u] += step
     return classes
 
 
 def _color_bb(adj: tuple[int, ...], n: int, cap: int | None) -> tuple[int, list[int]]:
-    """Exact minimum class count (size cap optional) with one witness."""
+    """Exact minimum class count (size cap optional) with one witness.
+
+    The lower bound is the clique number, or ceil(n / cap) if larger. At
+    lower == n the discrete partition is the only witness; otherwise DSATUR's
+    greedy coloring is the first incumbent, and the search runs only when it
+    uses more classes than the bound."""
     if n == 0:
         return 0, []
     lower = clique_number(Graph._unchecked(n, adj))
     if cap is not None:
         lower = max(lower, -(-n // cap))
+    if lower == n:
+        return n, [1 << v for v in range(n)]
     best_masks = _greedy_dsatur(adj, n, cap)
     best_k = len(best_masks)
     if best_k == lower:
@@ -441,11 +474,16 @@ def _best_partition_score(adj: tuple[int, ...], n: int, k: int, cap: int | None,
 
 @dataclass(frozen=True)
 class ColoringStats:
-    """chi, stinginess iota, and a stingy witness coloring."""
+    """chi, stinginess iota, and a stingy witness, kept as the search's class
+    masks; ``stingy_witness`` builds the coloring when read."""
 
     chi: int
     iota: int
-    stingy_witness: Coloring
+    stingy_masks: tuple[int, ...]
+
+    @property
+    def stingy_witness(self) -> Coloring:
+        return Coloring.from_masks(self.stingy_masks)
 
 
 @functools.lru_cache(maxsize=65536)
@@ -456,7 +494,7 @@ def _stats_cached(g: Graph, optimal_guard: int) -> ColoringStats:
         )
     chi = chromatic_number(g)
     iota, masks = _best_partition_score(g.adj, g.n, chi, None, "singletons")
-    return ColoringStats(chi, iota, Coloring.from_masks(masks))
+    return ColoringStats(chi, iota, tuple(masks))
 
 
 def stats(g: Graph, guards: Guards = DEFAULT_GUARDS) -> ColoringStats:
@@ -467,14 +505,24 @@ def stats(g: Graph, guards: Guards = DEFAULT_GUARDS) -> ColoringStats:
 
 @dataclass(frozen=True)
 class BoundedStats:
-    """The r-bounded family: chi_r, M_r, iota_r with witnesses."""
+    """The r-bounded family: chi_r, M_r, iota_r, with their witnesses kept as
+    class masks; ``m_witness`` and ``iota_witness`` build the colorings when
+    read."""
 
     r: int
     chi_r: int
     m_r: int
     iota_r: int
-    m_witness: Coloring
-    iota_witness: Coloring
+    m_masks: tuple[int, ...]
+    iota_masks: tuple[int, ...]
+
+    @property
+    def m_witness(self) -> Coloring:
+        return Coloring.from_masks(self.m_masks)
+
+    @property
+    def iota_witness(self) -> Coloring:
+        return Coloring.from_masks(self.iota_masks)
 
 
 @functools.lru_cache(maxsize=65536)
@@ -486,11 +534,7 @@ def _bounded_cached(g: Graph, r: int, optimal_guard: int) -> BoundedStats:
     chi_r = chromatic_number(g, cap=r)
     m_r, m_masks = _best_partition_score(g.adj, g.n, chi_r, r, "exact", r)
     iota_r, i_masks = _best_partition_score(g.adj, g.n, chi_r, r, "singletons")
-    return BoundedStats(
-        r, chi_r, m_r, iota_r,
-        Coloring.from_masks(m_masks),
-        Coloring.from_masks(i_masks),
-    )
+    return BoundedStats(r, chi_r, m_r, iota_r, tuple(m_masks), tuple(i_masks))
 
 
 def bounded_stats(g: Graph, r: int, guards: Guards = DEFAULT_GUARDS) -> BoundedStats:
@@ -542,9 +586,10 @@ class FrameProperty:
         return [f for f in _frames(n) if self.frame_predicate(f)]
 
 
-def _frames(n: int) -> Iterator[tuple[int, ...]]:
+@functools.lru_cache(maxsize=None)
+def _frames(n: int) -> tuple[tuple[int, ...], ...]:
     """Every frame of ``n`` vertices: the integer partitions of n, each as a
-    nondecreasing tuple."""
+    nondecreasing tuple, in lexicographic order. Computed once per n."""
     prefix: list[int] = []
 
     def rec(rest: int, least: int):
@@ -556,7 +601,7 @@ def _frames(n: int) -> Iterator[tuple[int, ...]]:
             yield from rec(rest - part, part)
             prefix.pop()
 
-    yield from rec(n, 1)
+    return tuple(rec(n, 1))
 
 
 def b_r(r: int) -> FrameProperty:

@@ -107,13 +107,13 @@ class Graph:
     def induced(self, keep) -> "Graph":
         """Induced subgraph on ``keep``, relabeled to 0..k-1 in sorted order."""
         old = sorted(set(keep))
-        pos = {v: i for i, v in enumerate(old)}
         rows = []
         for v in old:
+            av = self.adj[v]
             row = 0
-            for u in bits(self.adj[v]):
-                if u in pos:
-                    row |= 1 << pos[u]
+            for i, u in enumerate(old):
+                if av >> u & 1:
+                    row |= 1 << i
             rows.append(row)
         return Graph._unchecked(len(old), tuple(rows))
 
@@ -433,6 +433,7 @@ def matching_number(g: Graph) -> int:
     return rec((1 << g.n) - 1)
 
 
+@functools.lru_cache(maxsize=65536)
 def invariants(g: Graph) -> GraphInvariants:
     """All five invariants, exact. The n = 0 graph gets all zeros by convention."""
     if g.n == 0:

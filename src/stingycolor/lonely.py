@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .graphs import Graph, bits, invariants
+from .graphs import Graph, bits, invariants, max_clique_mask
 from .coloring import (
     Coloring,
     ColoringProperty,
@@ -438,11 +438,17 @@ class DoublyCriticalResult:
 
 
 def doubly_critical_edges(g: Graph, guards: Guards = DEFAULT_GUARDS) -> DoublyCriticalResult:
+    """An edge ab is doubly critical iff chi(G - a - b) = chi - 2. A maximum
+    clique Q of G stays a clique of G - a - b, so chi(G - a - b) >=
+    |Q - {a, b}|; an edge with |Q - {a, b}| > chi - 2 is rejected without
+    computing chi(G - a - b)."""
     chi = chromatic_number(g)
+    clique = max_clique_mask(g)
     hits = tuple(
         (a, b)
         for a, b in g.edges()
-        if chromatic_number(g.without((a, b))) == chi - 2
+        if (clique & ~(1 << a | 1 << b)).bit_count() <= chi - 2
+        and chromatic_number(g.without((a, b))) == chi - 2
     )
     iota = stats(g, guards).iota
     return DoublyCriticalResult(

@@ -36,11 +36,13 @@ from stingycolor import (
 )
 from stingycolor.coloring import (
     _best_partition_score,
+    _color_bb,
     _enum_partitions,
+    _greedy_dsatur,
     enumerate_p_optimal,
     merge_singletons,
 )
-from stingycolor.graphs import bits, graph_from_mask
+from stingycolor.graphs import Graph, bits, clique_number, graph_from_mask
 from stingycolor.suites import exhaustive_graphs
 
 
@@ -232,6 +234,49 @@ def test_best_partition_score_pins_first_maximum():
                             best, witness = got, masks
                     assert _best_partition_score(g.adj, g.n, k, cap, score, r) == (
                         best, witness), (g.n, g.adj, cap, k, score, r)
+
+
+def _grotzsch():
+    """The Mycielskian of C5: triangle-free with chi = 4."""
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+    edges += [(5 + i, 10) for i in range(5)]
+    return Graph.from_edges(11, edges)
+
+
+def test_search_past_first_descent_matches_oracles():
+    # DSATUR's greedy coloring is the search's first descent; the search
+    # proper runs only when it uses more classes than the lower bound. Cover
+    # that branch, including cases where the search improves on the greedy.
+    grotzsch = _grotzsch()
+    assert clique_number(grotzsch) == 2
+    assert len(_greedy_dsatur(grotzsch.adj, 11, None)) > 2
+    assert chromatic_number(grotzsch) == oracles.chromatic_number_oracle(grotzsch) == 4
+    rng = random.Random(8)
+    searched = improved = 0
+    for n, per_cell in ((8, 24), (9, 8)):
+        pairs = n * (n - 1) // 2
+        for frac in (0.5, 0.6, 0.7, 0.8):
+            for _ in range(per_cell):
+                g = _gnm(n, round(frac * pairs), rng)
+                for cap in (None, 2, 3):
+                    lower = max(clique_number(g), -(-n // cap) if cap else 0)
+                    greedy = len(_greedy_dsatur(g.adj, n, cap))
+                    if greedy == lower:
+                        continue
+                    searched += 1
+                    k, masks = _color_bb(g.adj, n, cap)
+                    improved += k < greedy
+                    witness = Coloring.from_masks(masks)
+                    assert is_proper(g, witness) and len(witness) == k
+                    if cap is None:
+                        assert k == oracles.chromatic_number_oracle(g)
+                    else:
+                        assert max(len(cls) for cls in witness.classes) <= cap
+                        bs = bounded_stats(g, cap)
+                        assert k == bs.chi_r
+                        assert (bs.chi_r, bs.m_r, bs.iota_r) == oracles.bounded_oracle(g, cap)
+    assert searched >= 20 and improved >= 3, (searched, improved)
 
 
 def test_iota_at_most_chi_and_singletons_adjacent():

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -25,6 +26,8 @@ from stingycolor import (
     verify_touches_lemma,
     doubly_critical_edges,
 )
+from stingycolor.coloring import chromatic_number
+from stingycolor.graphs import EXHAUSTIVE_MAX_N, er_random, max_clique_mask
 from stingycolor.lonely import ColoredGraph, PropertyNotApplicableError, format_t
 
 
@@ -287,3 +290,22 @@ def test_doubly_critical_consistent_small():
     for n in range(1, 5):
         for g in all_graphs(n):
             assert doubly_critical_edges(g).consistent
+
+
+def test_doubly_critical_clique_skip_matches_brute_loop():
+    # doubly_critical_edges rejects an edge ab without a search when a maximum
+    # clique Q has |Q - {a, b}| > chi - 2; the brute loop searches every edge.
+    rng = random.Random(9090)
+    graphs = [g for n in range(EXHAUSTIVE_MAX_N + 1) for g in all_graphs(n)]
+    graphs += [er_random(n, p, seed=rng.getrandbits(32))
+               for n in (7, 8, 9) for p in (0.3, 0.5, 0.7, 0.9) for _ in range(6)]
+    skipped = 0
+    for g in graphs:
+        chi = chromatic_number(g)
+        brute = tuple((a, b) for a, b in g.edges()
+                      if chromatic_number(g.without((a, b))) == chi - 2)
+        assert doubly_critical_edges(g).edges == brute, (g.n, g.adj)
+        clique = max_clique_mask(g)
+        skipped += sum((clique & ~(1 << a | 1 << b)).bit_count() > chi - 2
+                       for a, b in g.edges())
+    assert skipped > 0
