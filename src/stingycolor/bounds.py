@@ -323,6 +323,12 @@ def base_name(claim: str) -> str:
     return claim.split("[", 1)[0]
 
 
+def _r_tag(claim: str) -> str | None:
+    """The R of a name tagged ``[r=R]`` or ``[r=R,...]``, else None."""
+    tag = claim.partition("[")[2]
+    return tag[2:].rstrip("]").split(",")[0] if tag.startswith("r=") else None
+
+
 def evaluate_bounds(g: Graph, params: VerificationParams = VerificationParams()) -> BoundsReport:
     """All unparameterized claims on one graph."""
     inv = invariants(g)
@@ -402,7 +408,9 @@ class UnknownClaimError(ValueError):
 def claim_records_for(g: Graph, query: str, params: VerificationParams) -> list[ClaimRecord]:
     """The claim records on ``g`` whose name matches ``query`` (exact name or
     base name, in which case every parameterization in params is covered),
-    and the placeholders a refused stream left in place of a lonely claim's."""
+    and the placeholders a refused stream left in place of a lonely claim's:
+    ``lonely-claims`` always, and a capped stream's ``[r=R]`` placeholder
+    for a base-name query or a query tagged with the same r."""
     base = base_name(query)
     row = _ROW_BY_NAME.get(base)
     if row is None:
@@ -417,7 +425,9 @@ def claim_records_for(g: Graph, query: str, params: VerificationParams) -> list[
     return [rec for rec in records
             if rec.name == query or (query == base and base_name(rec.name) == base)
             or (rec.verdict == VERDICT_NOT_EVALUATED
-                and base_name(rec.name) in (LONELY_REFUSED, row.placeholder))]
+                and (rec.name == LONELY_REFUSED
+                     or (base_name(rec.name) == row.placeholder
+                         and (query == base or _r_tag(rec.name) == _r_tag(query)))))]
 
 
 def recheck_counterexample(artifact: dict,
@@ -443,16 +453,16 @@ def recheck_counterexample(artifact: dict,
 def _lonely_claims(g: Graph, params: VerificationParams) -> list[ClaimRecord]:
     """The lonely-edge lemma records. Each optimal-coloring stream (uncapped,
     then capped at each r) is enumerated once and feeds every claim on it;
-    each distinct coloring gets one view and one join check, shared by the
-    streams it appears in."""
+    each distinct coloring gets one view, built from its class masks, and one
+    join check, shared by the streams it appears in."""
     guards = params.guards
-    views: dict[tuple, lonely.ColoredGraph] = {}
-    joins: dict[tuple, tuple[int, list[dict]]] = {}
+    views: dict[tuple[int, ...], lonely.ColoredGraph] = {}
+    joins: dict[tuple[int, ...], tuple[int, list[dict]]] = {}
 
     def join(cg: lonely.ColoredGraph) -> tuple[int, list[dict]]:
-        found = joins.get(cg.c.classes)
+        found = joins.get(cg.masks)
         if found is None:
-            found = joins[cg.c.classes] = lonely.join_failures(cg, params.max_path_len)
+            found = joins[cg.masks] = lonely.join_failures(cg, params.max_path_len)
         return found
 
     out: list[ClaimRecord] = []

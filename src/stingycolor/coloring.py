@@ -15,6 +15,11 @@ first incumbent, and most calls end there, at the lower bound. ``stats`` and
 ``bounded_stats`` keep their witnesses as the searches' class masks; the
 witness properties build the ``Coloring`` when read.
 
+The full and optimal partition streams and the sampled optimal coloring
+also come as class masks in ``Coloring`` order (``enumerate_coloring_masks``,
+``enumerate_optimal_masks``, ``one_optimal_masks``); the ``Coloring`` forms
+are ``Coloring.from_masks`` over them.
+
 Guards: full-partition enumeration refuses beyond ``Guards.full`` vertices and
 the optimal-coloring machinery beyond ``Guards.optimal``. Exceeding a guard is
 an error, never a silent approximation.
@@ -54,6 +59,11 @@ class Guards:
 DEFAULT_GUARDS = Guards()
 
 
+def _coloring_order(masks) -> tuple[int, ...]:
+    """Class masks in ``Coloring`` order: by (popcount, lowest bit)."""
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), m & -m)))
+
+
 @dataclass(frozen=True)
 class Coloring:
     """Partition into independent classes; classes sorted by (size, least vertex)."""
@@ -89,8 +99,7 @@ class Coloring:
             if seen & mask:
                 raise ValueError("color classes overlap")
             seen |= mask
-        ordered = sorted(masks, key=lambda m: (m.bit_count(), m & -m))
-        return Coloring(tuple(tuple(bits(m)) for m in ordered))
+        return Coloring(tuple(tuple(bits(m)) for m in _coloring_order(masks)))
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -125,15 +134,17 @@ class Coloring:
         return [list(cls) for cls in self.classes]
 
 
+def _partition_error(missing: list[int], extra: list[int]) -> PartitionError:
+    return PartitionError(
+        f"classes do not partition the vertex set (missing {missing}, extra {extra})"
+    )
+
+
 def _check_partition(g: Graph, c: Coloring) -> None:
     want = set(range(g.n))
     got = c.vertices()
     if got != want:
-        missing = sorted(want - got)
-        extra = sorted(got - want)
-        raise PartitionError(
-            f"classes do not partition the vertex set (missing {missing}, extra {extra})"
-        )
+        raise _partition_error(sorted(want - got), sorted(got - want))
 
 
 def is_proper(g: Graph, c: Coloring) -> bool:
@@ -284,16 +295,11 @@ def chromatic_number(g: Graph, cap: int | None = None) -> int:
     return _chi_cached(g, cap)
 
 
-def one_optimal_coloring(g: Graph, cap: int | None = None,
-                         rng: random.Random | None = None) -> Coloring:
-    """A single optimal (optionally cap-bounded) coloring.
-
-    Deterministic without ``rng``; with it, the vertices are relabeled by a
-    seeded shuffle first, which samples different optimal colorings.
-    """
+def one_optimal_masks(g: Graph, cap: int | None = None,
+                      rng: random.Random | None = None) -> tuple[int, ...]:
+    """``one_optimal_coloring`` as class masks in ``Coloring`` order."""
     if rng is None:
-        _, masks = _color_bb(g.adj, g.n, cap)
-        return Coloring.from_masks(masks)
+        return _coloring_order(_color_bb(g.adj, g.n, cap)[1])
     perm = list(range(g.n))
     rng.shuffle(perm)
     inv = [0] * g.n
@@ -302,7 +308,17 @@ def one_optimal_coloring(g: Graph, cap: int | None = None,
     # row ``new`` of the relabeled graph is old vertex perm[new]'s row, relabeled
     shuffled = tuple(sum(1 << inv[u] for u in bits(g.adj[old])) for old in perm)
     _, masks = _color_bb(shuffled, g.n, cap)
-    return Coloring.from_masks([sum(1 << perm[v] for v in bits(m)) for m in masks])
+    return _coloring_order(sum(1 << perm[v] for v in bits(m)) for m in masks)
+
+
+def one_optimal_coloring(g: Graph, cap: int | None = None,
+                         rng: random.Random | None = None) -> Coloring:
+    """A single optimal (optionally cap-bounded) coloring.
+
+    Deterministic without ``rng``; with it, the vertices are relabeled by a
+    seeded shuffle first, which samples different optimal colorings.
+    """
+    return Coloring.from_masks(one_optimal_masks(g, cap, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -353,26 +369,47 @@ def _enum_partitions(adj: tuple[int, ...], n: int, k: int | None,
     yield from rec(0)
 
 
+def _ordered_partitions(adj: tuple[int, ...], n: int, k: int | None,
+                        cap: int | None) -> Iterator[tuple[int, ...]]:
+    """``_enum_partitions`` in ``Coloring`` order. Its classes come ordered by
+    lowest bit (each is opened by its least vertex), so a stable sort by
+    popcount gives the (popcount, lowest bit) order."""
+    for masks in _enum_partitions(adj, n, k, cap):
+        yield tuple(sorted(masks, key=int.bit_count))
+
+
 def enumerate_colorings(g: Graph, guards: Guards = DEFAULT_GUARDS) -> Iterator[Coloring]:
     """Every proper coloring of ``g`` (any class count), canonical, each once."""
+    for masks in enumerate_coloring_masks(g, guards):
+        yield Coloring.from_masks(masks)
+
+
+def enumerate_coloring_masks(g: Graph, guards: Guards = DEFAULT_GUARDS
+                             ) -> Iterator[tuple[int, ...]]:
+    """``enumerate_colorings`` as class masks in ``Coloring`` order."""
     if g.n > guards.full:
         raise GuardExceededError(
             f"full coloring enumeration guarded at n <= {guards.full} (graph has {g.n})"
         )
-    for masks in _enum_partitions(g.adj, g.n, None, None):
-        yield Coloring.from_masks(masks)
+    yield from _ordered_partitions(g.adj, g.n, None, None)
 
 
 def enumerate_optimal_colorings(g: Graph, cap: int | None = None,
                                 guards: Guards = DEFAULT_GUARDS) -> Iterator[Coloring]:
     """Every proper partition into exactly chi (or chi_cap) classes."""
+    for masks in enumerate_optimal_masks(g, cap, guards):
+        yield Coloring.from_masks(masks)
+
+
+def enumerate_optimal_masks(g: Graph, cap: int | None = None,
+                            guards: Guards = DEFAULT_GUARDS) -> Iterator[tuple[int, ...]]:
+    """``enumerate_optimal_colorings`` as class masks in ``Coloring`` order."""
     if g.n > guards.optimal:
         raise GuardExceededError(
             f"optimal coloring enumeration guarded at n <= {guards.optimal} (graph has {g.n})"
         )
     k = chromatic_number(g, cap)
-    for masks in _enum_partitions(g.adj, g.n, k, cap):
-        yield Coloring.from_masks(masks)
+    yield from _ordered_partitions(g.adj, g.n, k, cap)
 
 
 # ---------------------------------------------------------------------------

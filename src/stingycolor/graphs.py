@@ -223,8 +223,11 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, tuple(rows))
 
 
+@functools.lru_cache(maxsize=65536)
 def emit_graph6(g: Graph) -> str:
-    """Encode ``g`` in graph6 under its given vertex order (no canonicalization)."""
+    """Encode ``g`` in graph6 under its given vertex order (no canonicalization).
+    Memoized like ``invariants``: every report on a graph names it by this
+    string, so each graph is encoded once."""
     n = g.n
     if n > G6_MAX:
         raise ValueError(f"size {n} exceeds supported encoding range (max {G6_MAX})")

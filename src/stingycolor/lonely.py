@@ -22,10 +22,10 @@ from .coloring import (
     FrameProperty,
     Guards,
     DEFAULT_GUARDS,
-    _check_partition,
+    _partition_error,
     bounded_stats,
     chromatic_number,
-    enumerate_optimal_colorings,
+    enumerate_optimal_masks,
     enumerate_p_optimal,
     is_frame_property,
     is_singleton_friendly,
@@ -76,40 +76,72 @@ class LonelyDigraph:
 
 class ColoredGraph:
     """One proper coloring of a graph with what the per-coloring lemma checks
-    read from it, each built once: the class masks, the class of each vertex
-    and the lonely digraph. The masks are checked to partition the vertex set
-    (else PartitionError) and to be independent as they are built."""
+    read from it, each built once: the class masks in ``Coloring`` order, the
+    class of each vertex, the lonely digraph and, per vertex, the bitmask of
+    the classes it has a neighbour in (``meets``). ``from_masks`` builds it
+    from class masks; ``ColoredGraph(g, c)`` converts ``c`` to masks once and
+    builds the same way. The masks are checked to partition the vertex set
+    (else PartitionError) and to be independent as the view is built. The
+    coloring ``c`` is built only when read."""
 
-    __slots__ = ("g", "c", "masks", "by_vertex", "ld")
+    __slots__ = ("g", "masks", "by_vertex", "ld", "meets", "_c")
 
     def __init__(self, g: Graph, c: Coloring):
-        masks = []
-        by_vertex = {}
+        self._build(g, c.class_masks())
+        self._c = c
+
+    @classmethod
+    def from_masks(cls, g: Graph, masks: tuple[int, ...]) -> "ColoredGraph":
+        """The view of the coloring whose class masks, in ``Coloring`` order
+        (popcount, lowest bit), are ``masks``."""
+        cg = object.__new__(cls)
+        cg._build(g, masks)
+        cg._c = None
+        return cg
+
+    def _build(self, g: Graph, masks: tuple[int, ...]):
+        n = g.n
+        full = (1 << n) - 1
         covered = 0
-        for j, cls in enumerate(c.classes):
-            mask = 0
-            for v in cls:
-                mask |= 1 << v
-                by_vertex[v] = j
-            masks.append(mask)
+        for mask in masks:
             covered |= mask
-        if covered != (1 << g.n) - 1:
-            _check_partition(g, c)  # raises, naming the missing and extra vertices
+        if covered != full:
+            raise _partition_error(list(bits(full & ~covered)), list(bits(covered & ~full)))
+        by_vertex = [0] * n
+        for j, mask in enumerate(masks):
+            for v in bits(mask):
+                by_vertex[v] = j
         out = []
+        meets = []
         for v, av in enumerate(g.adj):
-            if av & masks[by_vertex[v]]:
-                raise ValueError("coloring is not proper")
-            row = 0
+            row = met = 0
+            bit = 1
             for mask in masks:
                 hit = av & mask
-                if hit and hit & (hit - 1) == 0:
-                    row |= hit
+                if hit:
+                    met |= bit
+                    if hit & (hit - 1) == 0:
+                        row |= hit
+                bit <<= 1
+            if met >> by_vertex[v] & 1:
+                raise ValueError("coloring is not proper")
             out.append(row)
+            meets.append(met)
         self.g = g
-        self.c = c
-        self.masks = tuple(masks)
+        self.masks = masks
         self.by_vertex = by_vertex
-        self.ld = LonelyDigraph(g.n, tuple(out))
+        self.ld = LonelyDigraph(n, tuple(out))
+        self.meets = meets
+
+    @property
+    def c(self) -> Coloring:
+        if self._c is None:
+            self._c = Coloring.from_masks(self.masks)
+        return self._c
+
+    def singletons(self) -> list[int]:
+        """The vertices of the singleton classes, in increasing order."""
+        return sorted(m.bit_length() - 1 for m in self.masks if m & (m - 1) == 0)
 
 
 def lonely_digraph(g: Graph, c: Coloring) -> LonelyDigraph:
@@ -117,17 +149,17 @@ def lonely_digraph(g: Graph, c: Coloring) -> LonelyDigraph:
 
 
 def optimal_views(g: Graph, cap: int | None, guards: Guards,
-                  seen: dict[tuple, ColoredGraph]) -> list[ColoredGraph]:
+                  seen: dict[tuple[int, ...], ColoredGraph]) -> list[ColoredGraph]:
     """The optimal (with ``cap``: optimal cap-bounded) colorings of ``g`` as
-    views, in enumeration order. A coloring already in ``seen``, keyed by its
-    classes, keeps its view. A list, so several claims can read one stream,
-    and building it checks the guard before any claim computes its
-    hypothesis."""
+    views built from class masks, in enumeration order. A coloring already in
+    ``seen``, keyed by its masks, keeps its view. A list, so several claims
+    can read one stream, and building it checks the guard before any claim
+    computes its hypothesis."""
     out = []
-    for c in enumerate_optimal_colorings(g, cap=cap, guards=guards):
-        cg = seen.get(c.classes)
+    for masks in enumerate_optimal_masks(g, cap, guards):
+        cg = seen.get(masks)
         if cg is None:
-            cg = seen[c.classes] = ColoredGraph(g, c)
+            cg = seen[masks] = ColoredGraph.from_masks(g, masks)
         out.append(cg)
     return out
 
@@ -164,7 +196,7 @@ class LonelyPathPair:
     pb: tuple[int, ...]
 
 
-def _paths_from(ld: LonelyDigraph, by_vertex: dict[int, int], start: int,
+def _paths_from(ld: LonelyDigraph, by_vertex: list[int], start: int,
                 max_len: int, forbidden: int) -> Iterator[tuple[int, ...]]:
     """Directed paths from ``start`` with at most max_len vertices, at most one
     vertex per class, avoiding the ``forbidden`` vertex mask. Lex order."""
@@ -186,14 +218,15 @@ def _paths_from(ld: LonelyDigraph, by_vertex: dict[int, int], start: int,
         yield from extend([start], 1 << start, 1 << by_vertex[start])
 
 
-def enumerate_lonely_path_pairs(g: Graph, c: Coloring, max_len: int = 3,
+def enumerate_lonely_path_pairs(g: Graph, c: Coloring | None, max_len: int = 3,
                                 view: ColoredGraph | None = None) -> Iterator[LonelyPathPair]:
     """All valid path pairs, deterministically ordered; pa starts at the
     lexicographically smaller of the two singleton roots. ``view``, if given,
-    is ``ColoredGraph(g, c)`` already built, and its digraph is used."""
+    is the coloring's view already built: its digraph and singletons are
+    used, and ``c`` is not read."""
     cg = view or ColoredGraph(g, c)
     ld, by_vertex = cg.ld, cg.by_vertex
-    singles = sorted(c.singleton_vertices())
+    singles = cg.singletons()
     for ia in range(len(singles)):
         for ib in range(ia + 1, len(singles)):
             a, b = singles[ia], singles[ib]
@@ -244,15 +277,15 @@ class LemmaReport:
 def join_failures(cg: ColoredGraph, max_len: int = 3) -> tuple[int, list[dict]]:
     """Every pair of lonely paths out of two singleton classes is completely
     joined: (pairs checked, join failures)."""
-    g, c = cg.g, cg.c
+    g = cg.g
     checks = 0
     bad = []
-    for pair in enumerate_lonely_path_pairs(g, c, max_len, view=cg):
+    for pair in enumerate_lonely_path_pairs(g, None, max_len, view=cg):
         checks += 1
         missing = _join_violations(g, pair)
         if missing:
             bad.append({
-                "coloring": c.as_lists(),
+                "coloring": cg.c.as_lists(),
                 "pa": list(pair.pa),
                 "pb": list(pair.pb),
                 "missing_edges": missing,
@@ -262,39 +295,46 @@ def join_failures(cg: ColoredGraph, max_len: int = 3) -> tuple[int, list[dict]]:
 
 def touches_failures(cg: ColoredGraph, r: int | None = None) -> tuple[int, list[dict]]:
     """classic: every class holds a vertex meeting all other classes. With
-    ``r``: every singleton meets all other classes of size below r."""
-    g, c = cg.g, cg.c
+    ``r``: every singleton meets all other classes of size below r. Reads
+    the classes each vertex meets from ``cg.meets``."""
+    masks, meets = cg.masks, cg.meets
+    if r is None:
+        targets = (1 << len(masks)) - 1
+    else:
+        targets = sum(1 << i for i, m in enumerate(masks) if m.bit_count() < r)
     checks = 0
     bad = []
-    for j, cls in enumerate(c.classes):
-        if r is not None and len(cls) != 1:
+    for j, cls in enumerate(masks):
+        if r is not None and cls & (cls - 1):
             continue
-        others = [m for i, m in enumerate(cg.masks)
-                  if i != j and (r is None or m.bit_count() < r)]
         checks += 1
-        if r is None:
-            ok = any(all(g.adj[v] & m for m in others) for v in cls)
+        need = targets & ~(1 << j)
+        for v in bits(cls):
+            if meets[v] & need == need:
+                break
         else:
-            ok = all(g.adj[cls[0]] & m for m in others)
-        if not ok:
-            bad.append({"coloring": c.as_lists(), "class": list(cls)})
+            bad.append({"coloring": cg.c.as_lists(), "class": list(bits(cls))})
     return checks, bad
 
 
 def replete_failures(cg: ColoredGraph, r: int | None, need: int) -> tuple[int, list[dict]]:
     """Every class (with ``r``: every singleton class) holds a vertex with at
     least ``need`` lonely out-edges."""
+    out = cg.ld.out
     checks = 0
     bad = []
-    for cls in cg.c.classes:
-        if r is not None and len(cls) != 1:
+    for cls in cg.masks:
+        if r is not None and cls & (cls - 1):
             continue
         checks += 1
-        if max(cg.ld.out_degree(v) for v in cls) < need:
+        for v in bits(cls):
+            if out[v].bit_count() >= need:
+                break
+        else:
             bad.append({
                 "coloring": cg.c.as_lists(),
-                "class": list(cls),
-                "lonely_degrees": [cg.ld.out_degree(v) for v in cls],
+                "class": list(bits(cls)),
+                "lonely_degrees": [out[v].bit_count() for v in bits(cls)],
                 "needed": need,
             })
     return checks, bad
@@ -304,9 +344,9 @@ def swap_failures(cg: ColoredGraph) -> tuple[int, list[dict]]:
     """Every mutually lonely pair v < w swaps to a proper coloring on the same
     frame: both changed classes stay independent and the sorted class sizes
     are unchanged. The pairs are the mutual arcs of the lonely digraph."""
-    g, c, out = cg.g, cg.c, cg.ld.out
+    g, out = cg.g, cg.ld.out
     adj, masks, by_vertex = g.adj, cg.masks, cg.by_vertex
-    frame = c.frame()
+    frame = tuple(m.bit_count() for m in masks)
     checks = 0
     bad = []
     for v in range(g.n):
@@ -318,7 +358,7 @@ def swap_failures(cg: ColoredGraph) -> tuple[int, list[dict]]:
             if not (_independent(adj, swapped[by_vertex[v]])
                     and _independent(adj, swapped[by_vertex[w]])
                     and tuple(sorted(m.bit_count() for m in swapped)) == frame):
-                bad.append({"coloring": c.as_lists(), "pair": [v, w]})
+                bad.append({"coloring": cg.c.as_lists(), "pair": [v, w]})
     return checks, bad
 
 
@@ -398,32 +438,31 @@ def verify_lonely_path_lemma(g: Graph, mode: str = "classic",
     """
     if mode == "classic":
         prop = None
-        colorings = enumerate_optimal_colorings(g, guards=guards)
+        views = (ColoredGraph.from_masks(g, m) for m in enumerate_optimal_masks(g, guards=guards))
     elif mode == "property":
         if prop is None:
             raise ValueError("property mode needs a ColoringProperty")
         check_path_join_property(g, prop, guards)
-        colorings = enumerate_p_optimal(g, prop, guards)
+        views = (ColoredGraph(g, c) for c in enumerate_p_optimal(g, prop, guards))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return path_join_report((ColoredGraph(g, c) for c in colorings),
-                            lambda cg: join_failures(cg, max_len), prop)
+    return path_join_report(views, lambda cg: join_failures(cg, max_len), prop)
 
 
 def verify_touches_lemma(g: Graph, r: int | None = None,
                          guards: Guards = DEFAULT_GUARDS) -> LemmaReport:
     """``touches_report`` over the optimal (with ``r``: optimal r-bounded)
     colorings."""
-    colorings = enumerate_optimal_colorings(g, cap=r, guards=guards)
-    return touches_report((ColoredGraph(g, c) for c in colorings), r)
+    masks = enumerate_optimal_masks(g, cap=r, guards=guards)
+    return touches_report((ColoredGraph.from_masks(g, m) for m in masks), r)
 
 
 def verify_replete_lemma(g: Graph, r: int | None = None, t2: int = 0,
                          guards: Guards = DEFAULT_GUARDS) -> LemmaReport:
     """``replete_report`` over the optimal (with ``r``: optimal r-bounded)
     colorings, enumerated only when the hypothesis holds."""
-    colorings = enumerate_optimal_colorings(g, cap=r, guards=guards)
-    return replete_report(g, (ColoredGraph(g, c) for c in colorings), r, t2, guards)
+    masks = enumerate_optimal_masks(g, cap=r, guards=guards)
+    return replete_report(g, (ColoredGraph.from_masks(g, m) for m in masks), r, t2, guards)
 
 
 @dataclass(frozen=True)

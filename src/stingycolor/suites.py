@@ -31,10 +31,11 @@ from .coloring import (
     Coloring,
     ColoringProperty,
     enumerate_colorings,
-    enumerate_optimal_colorings,
+    enumerate_coloring_masks,
+    enumerate_optimal_masks,
     is_frame_property,
     is_singleton_friendly,
-    one_optimal_coloring,
+    one_optimal_masks,
 )
 from . import lonely
 from .bounds import (  # UnknownClaimError: what claim_records_for raises, kept importable here
@@ -105,7 +106,7 @@ def suite_swap(max_n: int, guards: Guards = DEFAULT_GUARDS) -> SuiteResult:
     colorings = 0
     for g in exhaustive_graphs(0, max_n):
         rep = lonely.swap_report(
-            lonely.ColoredGraph(g, c) for c in enumerate_colorings(g, guards))
+            lonely.ColoredGraph.from_masks(g, m) for m in enumerate_coloring_masks(g, guards))
         colorings += rep.colorings_checked
         result.checked += rep.checks
         for bad in rep.violations:
@@ -128,9 +129,10 @@ def suite_lonely_path(max_n: int, max_len: int = 3, samples: int = 0,
     colorings = 0
     for g in exhaustive_graphs(0, max_n):
         g6 = emit_graph6(g)
-        for c in enumerate_optimal_colorings(g, guards=guards):
+        for masks in enumerate_optimal_masks(g, guards=guards):
             colorings += 1
-            checks, failures = lonely.join_failures(lonely.ColoredGraph(g, c), max_len)
+            checks, failures = lonely.join_failures(
+                lonely.ColoredGraph.from_masks(g, masks), max_len)
             result.checked += checks
             for bad in failures:
                 bad["g6"] = g6
@@ -140,9 +142,10 @@ def suite_lonely_path(max_n: int, max_len: int = 3, samples: int = 0,
         for n, p, count in sample_specs(samples, sample_ns, densities):
             for _ in range(count):
                 g = er_random(n, p, seed=rng.getrandbits(32))
-                c = one_optimal_coloring(g, rng=rng)
+                masks = one_optimal_masks(g, rng=rng)
                 colorings += 1
-                checks, failures = lonely.join_failures(lonely.ColoredGraph(g, c), max_len)
+                checks, failures = lonely.join_failures(
+                    lonely.ColoredGraph.from_masks(g, masks), max_len)
                 result.checked += checks
                 for bad in failures:
                     bad["g6"] = emit_graph6(g)
@@ -189,7 +192,7 @@ def suite_replete(max_n: int, t2s: tuple[int, ...] = (0, 1),
 
     for g in exhaustive_graphs(0, max_n):
         g6 = emit_graph6(g)
-        views: dict[tuple, lonely.ColoredGraph] = {}
+        views: dict[tuple[int, ...], lonely.ColoredGraph] = {}
         for r in (None, *rs):
             stream = lonely.optimal_views(g, r, guards, views)
             absorb(g6, lonely.touches_report(stream, r))

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +23,19 @@ def test_analyze_c5(capsys):
     report = json.loads(out)
     assert report["inv"]["chi"] == 3 and report["inv"]["iota"] == 1
     assert all(c["verdict"] != "VIOLATION" for c in report["claims"])
+
+
+def test_python_m_runs_the_cli(capsys):
+    # ``python -m stingycolor`` is the same command line as ``main``.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "stingycolor", "analyze", "--gen", "cycle:5"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    code, out, _ = run(capsys, "analyze", "--gen", "cycle:5")
+    assert (proc.returncode, proc.stdout) == (code, out) == (0, out)
+    proc = subprocess.run([sys.executable, "-m", "stingycolor", "analyze", "--g6", ""],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stderr.startswith("error:")
 
 
 def test_analyze_g6_k1(capsys):

@@ -1,0 +1,203 @@
+"""Pins of the coloring streams behind the lonely claims, as sha256 digests.
+
+The lonely-claim checks read views built from class masks and build a
+``Coloring`` only for a violation payload. Their records and payloads must be
+what the ``Coloring``-built route gave: ``full_report`` on seeded G(n, M)
+graphs with n = 7, 8, and every violation payload of the per-coloring checks
+on every proper coloring (optimal or not) of the classes with n <= 5.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from stingycolor import (
+    Coloring,
+    PartitionError,
+    all_graphs,
+    cycle,
+    emit_graph6,
+    enumerate_colorings,
+    er_random,
+    evaluate_bounds,
+    evaluate_generalized,
+    full_report,
+    path,
+)
+from stingycolor import lonely
+from stingycolor.coloring import (
+    enumerate_coloring_masks,
+    enumerate_optimal_colorings,
+    enumerate_optimal_masks,
+    one_optimal_coloring,
+    one_optimal_masks,
+)
+from stingycolor.graphs import graph_from_mask
+from stingycolor.lonely import ColoredGraph
+
+
+def _digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(repr(line).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _gnm_graphs():
+    """Three G(n, M) graphs per cell, n = 7, 8 and M = round(p * n(n-1)/2)
+    for p = .2, .5, .8."""
+    rng = random.Random(7878)
+    graphs = []
+    for n in (7, 8):
+        pairs = n * (n - 1) // 2
+        for frac in (0.2, 0.5, 0.8):
+            for _ in range(3):
+                mask = sum(1 << i for i in rng.sample(range(pairs), round(frac * pairs)))
+                graphs.append(graph_from_mask(n, mask))
+    return graphs
+
+
+# sha256 of the JSON lines (the CLI's format) of full_report on _gnm_graphs().
+FULL_REPORT_GNM_SHA256 = "be16b2224b00dc32dd2c08dcff9fc2b7b04ff5d8bb80607cc1b018ed46a45b1e"
+
+
+def test_full_report_gnm_n7_n8_pin():
+    text = "".join(json.dumps(full_report(g), sort_keys=True, separators=(",", ":")) + "\n"
+                   for g in _gnm_graphs())
+    assert hashlib.sha256(text.encode()).hexdigest() == FULL_REPORT_GNM_SHA256
+
+
+def _checks(cg):
+    """Every per-coloring check, at settings where colorings that are not
+    optimal fail: the join and touches lemmas hold only for optimal
+    colorings, and no vertex has n + 1 lonely out-edges."""
+    need = cg.g.n + 1
+    yield "join", lonely.join_failures(cg, 3)
+    for r in (None, 2, 3):
+        yield f"touches-{r}", lonely.touches_failures(cg, r)
+    for r in (None, 2):
+        yield f"replete-{r}", lonely.replete_failures(cg, r, need)
+    yield "swap", lonely.swap_failures(cg)
+
+
+def _payload_lines(views):
+    for cg in views:
+        for name, (checks, bad) in _checks(cg):
+            yield cg.g.adj, name, checks, bad
+
+
+# sha256 of _payload_lines over every proper coloring of every class with
+# n <= 5: 3654 lines holding 10054 violation payloads.
+PAYLOADS_SHA256 = "ec68ac250447cd71324a61a696f8e093c63dc14554d2effdc7290e06d9c12331"
+
+
+def _small_graphs():
+    return [g for n in range(6) for g in all_graphs(n)]
+
+
+@pytest.mark.parametrize("route", ["masks", "coloring"])
+def test_violation_payload_pin(route):
+    if route == "masks":
+        views = (ColoredGraph.from_masks(g, m)
+                 for g in _small_graphs() for m in enumerate_coloring_masks(g))
+    else:
+        views = (ColoredGraph(g, c) for g in _small_graphs() for c in enumerate_colorings(g))
+    lines = list(_payload_lines(views))
+    assert (len(lines), sum(len(bad) for *_, bad in lines)) == (3654, 10054)
+    assert _digest(lines) == PAYLOADS_SHA256
+
+
+def test_violation_payloads_on_path3_discrete():
+    cg = ColoredGraph.from_masks(path(3), (0b001, 0b010, 0b100))
+    got = dict(_checks(cg))
+    coloring = [[0], [1], [2]]
+    assert got["touches-None"] == (3, [{"coloring": coloring, "class": [0]},
+                                       {"coloring": coloring, "class": [2]}])
+    assert got["replete-2"] == (3, [
+        {"coloring": coloring, "class": [v], "lonely_degrees": [d], "needed": 4}
+        for v, d in ((0, 1), (1, 2), (2, 1))
+    ])
+    assert got["swap"] == (2, [])
+    assert got["join"][0] == 7 and got["join"][1][0] == {
+        "coloring": coloring, "pa": [0], "pb": [1, 2], "missing_edges": [(0, 2)]}
+
+
+def test_mask_view_builds_coloring_only_for_payloads():
+    g = cycle(5)
+    for masks in enumerate_optimal_masks(g):
+        cg = ColoredGraph.from_masks(g, masks)
+        for _, (_, bad) in _checks(cg):
+            assert not bad or cg._c is not None
+        cg = ColoredGraph.from_masks(g, masks)
+        lonely.touches_failures(cg)
+        lonely.swap_failures(cg)
+        assert cg._c is None
+        assert cg.c == Coloring.from_masks(masks)
+
+
+def _cross_check_graphs():
+    rng = random.Random(4242)
+    graphs = _small_graphs()
+    for n in (7, 8, 9):
+        for p in (0.2, 0.5, 0.8):
+            graphs += [er_random(n, p, seed=rng.getrandbits(32)) for _ in range(3)]
+    return graphs
+
+
+def test_mask_views_match_coloring_views():
+    # Seeded cross-check: a view built from the enumerator's masks and one
+    # built from the Coloring of the same stream agree on every field and
+    # every per-coloring check, and ``meets`` is the classes each vertex has
+    # a neighbour in.
+    for g in _cross_check_graphs():
+        for cap in (None, 2, 3):
+            pairs = zip(enumerate_optimal_masks(g, cap), enumerate_optimal_colorings(g, cap))
+            for masks, c in pairs:
+                a, b = ColoredGraph.from_masks(g, masks), ColoredGraph(g, c)
+                assert a.masks == b.masks == c.class_masks()
+                assert a.by_vertex == b.by_vertex
+                assert a.ld == b.ld
+                assert a.meets == b.meets == [
+                    sum(1 << j for j, m in enumerate(masks) if g.adj[v] & m)
+                    for v in range(g.n)]
+                assert a.singletons() == sorted(c.singleton_vertices())
+                assert list(_checks(a)) == list(_checks(b))
+                assert a.c == c
+    rng = random.Random(17)
+    for g in _cross_check_graphs()[-27:]:
+        seed = rng.getrandbits(32)
+        masks = one_optimal_masks(g, rng=random.Random(seed))
+        assert Coloring.from_masks(masks) == one_optimal_coloring(g, rng=random.Random(seed))
+        assert masks == Coloring.from_masks(masks).class_masks()
+
+
+def test_mask_view_errors_match_coloring_view():
+    g = cycle(5)
+    for masks, error, message in (
+        ((0b00101, 0b01010), PartitionError, r"missing \[4\], extra \[\]"),
+        ((0b00101, 0b01010, 0b110000), PartitionError, r"missing \[\], extra \[5\]"),
+        ((0b00011, 0b01100, 0b10000), ValueError, "coloring is not proper"),
+    ):
+        c = Coloring(tuple(tuple(v for v in range(6) if m >> v & 1) for m in masks))
+        for build in (lambda: ColoredGraph.from_masks(g, masks), lambda: ColoredGraph(g, c)):
+            with pytest.raises(error, match=message):
+                build()
+
+
+def test_graph6_encoded_once_per_graph():
+    # The bound-claims path (evaluate_bounds plus evaluate_generalized for
+    # r = 1, 2, 3) and full_report each name a graph by its graph6 four times.
+    graphs = _gnm_graphs()[:6]
+    emit_graph6.cache_clear()
+    for g in graphs:
+        evaluate_bounds(g)
+        for r in (1, 2, 3):
+            evaluate_generalized(g, r)
+    assert emit_graph6.cache_info().misses == len(set(graphs))
+    emit_graph6.cache_clear()
+    for g in graphs:
+        full_report(g)
+    assert emit_graph6.cache_info().misses == len(set(graphs))

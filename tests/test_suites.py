@@ -12,6 +12,7 @@ from stingycolor import (
     recheck_counterexample,
 )
 from stingycolor import bounds, lonely
+from stingycolor.coloring import GuardExceededError
 from stingycolor.bounds import CLAIMS, GEN_LONELY_REFUSED, LONELY_REFUSED, base_name
 from stingycolor.suites import (
     UnknownClaimError,
@@ -111,6 +112,30 @@ def test_claim_records_for(c5):
     assert "lonely-path-join" in {rec.name for rec in records}
     with pytest.raises(UnknownClaimError):
         claim_records_for(c5, "nope", PARAMS)
+
+
+def test_claim_records_for_counts_only_its_own_r_placeholder(c5, monkeypatch):
+    # Refuse only the cap = 3 stream: an [r=2] query must not count the r = 3
+    # placeholder, an [r=3] query counts it alone, a base-name query both.
+    real = lonely.optimal_views
+
+    def refuse_cap_3(g, cap, guards, seen):
+        if cap == 3:
+            raise GuardExceededError("cap-3 stream refused")
+        return real(g, cap, guards, seen)
+
+    monkeypatch.setattr(lonely, "optimal_views", refuse_cap_3)
+    refused = f"{GEN_LONELY_REFUSED}[r=3]"
+    for query, want in (
+        ("singleton-meets-small-classes[r=2]", ["singleton-meets-small-classes[r=2]"]),
+        ("gen-lonely-degree-bound[r=2,t=1/2]", ["gen-lonely-degree-bound[r=2,t=1/2]"]),
+        ("singleton-meets-small-classes[r=3]", [refused]),
+        ("singleton-meets-small-classes", ["singleton-meets-small-classes[r=1]",
+                                           "singleton-meets-small-classes[r=2]", refused]),
+    ):
+        assert [rec.name for rec in claim_records_for(c5, query, PARAMS)] == want, query
+    result = search_claim("singleton-meets-small-classes[r=2]", PARAMS, max_n=3)
+    assert result["not_evaluated"] == 0 and result["records"] == 7
 
 
 def test_search_claim_no_counterexamples():
