@@ -22,6 +22,7 @@ from .graphs import (
     bits,
     emit_graph6,
     invariants,
+    matching_number,
     max_independent_set_mask,
     parse_graph6,
 )
@@ -166,7 +167,8 @@ class GeneralizedReport:
 CLASSIC, GENERALIZED, LONELY = "classic", "generalized", "lonely"
 
 # What a refused lonely stream leaves in place of its records: the uncapped
-# stream's refusal ends every lonely claim; a capped stream's is tagged [r=R].
+# stream's refusal ends every lonely claim; a capped stream's is tagged [r=R]
+# and stands for the rows that read the capped streams.
 LONELY_REFUSED = "lonely-claims"
 GEN_LONELY_REFUSED = "gen-lonely-claims"
 
@@ -201,21 +203,21 @@ class Claim:
 def _patching_claim(row: Claim, g: Graph, guards: Guards) -> list[ClaimRecord]:
     """Stinginess of patched colorings, tested constructively on H = one
     maximum independent set: when chi(G) = chi(G - H) + chi(H), require
-    iota(G) >= iota(G - H) + iota(H)."""
-    h_mask = max_independent_set_mask(g)
-    h = sorted(bits(h_mask))
+    iota(G) >= iota(G - H) + iota(H). H is independent, so the one class H
+    is the only optimal coloring of G[H]: chi(H) is 1 (0 for H empty) and
+    iota(H) is 1 only when |H| = 1."""
+    h = sorted(bits(max_independent_set_mask(g)))
     rest = g.without(h)
-    sub_h = g.induced(h)
     chi_g = stats(g, guards).chi
     chi_rest = chromatic_number(rest)
-    chi_h = chromatic_number(sub_h)
+    chi_h = 1 if h else 0
     hyp = chi_g == chi_rest + chi_h
     witness = {"H": h, "chi": chi_g, "chi_rest": chi_rest, "chi_H": chi_h}
     if not hyp:
         return [_claim(row.name, False, None, witness)]
     iota_g = stats(g, guards).iota
     iota_rest = stats(rest, guards).iota
-    iota_h = stats(sub_h, guards).iota
+    iota_h = 1 if len(h) == 1 else 0
     witness.update({"iota": iota_g, "iota_rest": iota_rest, "iota_H": iota_h})
     return [_claim(row.name, True, iota_g >= iota_rest + iota_h, witness)]
 
@@ -235,7 +237,7 @@ def verify_matching_corollary(g: Graph, guards: Guards = DEFAULT_GUARDS) -> list
     except GuardExceededError as exc:
         out.append(_not_evaluated(identity_name, str(exc)))
         return out
-    nu_comp = invariants(g.complement()).nu if g.n else 0
+    nu_comp = matching_number(g.complement())
     out.append(
         _claim(identity_name, True,
                bs2.iota_r == g.n - 2 * nu_comp,
@@ -246,20 +248,22 @@ def verify_matching_corollary(g: Graph, guards: Guards = DEFAULT_GUARDS) -> list
 
 def _gen_patching_claim(name: str, g: Graph, bs, guards: Guards) -> ClaimRecord:
     """r-bounded patching, tested on H = the union of the size-r classes of
-    the M_r witness coloring."""
+    the M_r witness coloring. G[H] splits into M_r independent r-sets, and no
+    r-bounded coloring of it has fewer than |H| / r classes, so its optimal
+    r-bounded colorings have only size-r classes: chi_r(H) = |H| / r, and
+    iota_r(H) is |H| for r = 1 and 0 otherwise."""
     r = bs.r
     h = sorted(v for m in bs.m_masks if m.bit_count() == r for v in bits(m))
     rest = g.without(h)
-    sub_h = g.induced(h)
     chi_rest = chromatic_number(rest, cap=r)
-    chi_h = chromatic_number(sub_h, cap=r)
+    chi_h = len(h) // r
     hyp = bs.chi_r == chi_rest + chi_h
     witness = {"r": r, "H": h, "chi_r": bs.chi_r,
                "chi_r_rest": chi_rest, "chi_r_H": chi_h}
     if not hyp:
         return _claim(name, False, None, witness)
     iota_rest = bounded_stats(rest, r, guards).iota_r if rest.n else 0
-    iota_h = bounded_stats(sub_h, r, guards).iota_r if sub_h.n else 0
+    iota_h = len(h) if r == 1 else 0
     witness.update({"iota_r": bs.iota_r, "iota_r_rest": iota_rest, "iota_r_H": iota_h})
     return _claim(name, True, bs.iota_r >= iota_rest + iota_h, witness)
 
@@ -306,7 +310,8 @@ CLAIMS = (
     Claim("iota2-bound", GENERALIZED, rs=(2,),
           concl=lambda q: 2 * q.iota_r <= q.omega + q.max_deg + 1),
     Claim("chi2-identity", GENERALIZED, rs=(2,), concl=lambda q: q.gap == q.iota_r),
-    Claim("lonely-path-join", LONELY, placeholder=LONELY_REFUSED),
+    # lonely-path-join[B_R] reads the cap = R stream
+    Claim("lonely-path-join", LONELY, placeholder=GEN_LONELY_REFUSED),
     Claim("class-meets-all-classes", LONELY, placeholder=LONELY_REFUSED),
     Claim("lonely-degree-bound", LONELY, placeholder=LONELY_REFUSED),
     Claim("swap-preserves-frame", LONELY, placeholder=LONELY_REFUSED),
@@ -324,9 +329,10 @@ def base_name(claim: str) -> str:
 
 
 def _r_tag(claim: str) -> str | None:
-    """The R of a name tagged ``[r=R]`` or ``[r=R,...]``, else None."""
+    """The R of a name tagged ``[r=R]``, ``[r=R,...]`` or ``[B_R]`` (a claim
+    read from the cap = R stream), else None."""
     tag = claim.partition("[")[2]
-    return tag[2:].rstrip("]").split(",")[0] if tag.startswith("r=") else None
+    return tag[2:].rstrip("]").split(",")[0] if tag[:2] in ("r=", "B_") else None
 
 
 def evaluate_bounds(g: Graph, params: VerificationParams = VerificationParams()) -> BoundsReport:
@@ -410,7 +416,8 @@ def claim_records_for(g: Graph, query: str, params: VerificationParams) -> list[
     base name, in which case every parameterization in params is covered),
     and the placeholders a refused stream left in place of a lonely claim's:
     ``lonely-claims`` always, and a capped stream's ``[r=R]`` placeholder
-    for a base-name query or a query tagged with the same r."""
+    for a base-name query or a query tagged with the same r (``[B_R]``
+    counts as r = R)."""
     base = base_name(query)
     row = _ROW_BY_NAME.get(base)
     if row is None:

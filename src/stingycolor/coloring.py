@@ -13,7 +13,9 @@ bound (clique number, or ceil(n / cap)) is n. Otherwise greedy DSATUR, which
 picks each vertex by one integer key sat*n^2 + deg*n + (n-1-v), gives the
 first incumbent, and most calls end there, at the lower bound. ``stats`` and
 ``bounded_stats`` keep their witnesses as the searches' class masks; the
-witness properties build the ``Coloring`` when read.
+witness properties build the ``Coloring`` when read. The score search returns
+the discrete partition at once when k = n, and at a cap r >= alpha
+``bounded_stats`` reads chi_r, iota_r and the iota_r witness from ``stats``.
 
 The full and optimal partition streams and the sampled optimal coloring
 also come as class masks in ``Coloring`` order (``enumerate_coloring_masks``,
@@ -32,7 +34,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterator
 
-from .graphs import Graph, bits, clique_number
+from .graphs import Graph, bits, clique_number, independence_number
 
 
 class PartitionError(ValueError):
@@ -445,10 +447,12 @@ def _best_partition_score(adj: tuple[int, ...], n: int, k: int, cap: int | None,
       iota_2 this is 2k - n, always attained, so the first partition ends it.
     - exact, r >= 2: the other k - M classes are nonempty, so
       M <= min(k, n // r, (n - k) // (r - 1)).
-    Returns (-1, []) when n > 0 and no such partition exists."""
-    if n == 0:
-        return 0, []
+    At k = n the discrete partition is the only one; its score is n when
+    singletons count, else 0. Returns (-1, []) when no such partition
+    exists."""
     target = 1 if score == "singletons" else r
+    if k == n:
+        return (n if target == 1 else 0), [1 << v for v in range(n)]
     ceiling = _score_ceiling(n, k, cap, target)
     size_cap = n if cap is None else cap
     masks: list[int] = []
@@ -568,9 +572,16 @@ def _bounded_cached(g: Graph, r: int, optimal_guard: int) -> BoundedStats:
         raise GuardExceededError(
             f"r-bounded stats guarded at n <= {optimal_guard} (graph has {g.n})"
         )
-    chi_r = chromatic_number(g, cap=r)
+    if r >= independence_number(g):
+        # No independent set exceeds the cap, so the capped partitions are
+        # the uncapped ones, in the same order: chi_r and iota_r are chi and
+        # iota, with the same witness.
+        st = _stats_cached(g, optimal_guard)
+        chi_r, iota_r, i_masks = st.chi, st.iota, st.stingy_masks
+    else:
+        chi_r = chromatic_number(g, cap=r)
+        iota_r, i_masks = _best_partition_score(g.adj, g.n, chi_r, r, "singletons")
     m_r, m_masks = _best_partition_score(g.adj, g.n, chi_r, r, "exact", r)
-    iota_r, i_masks = _best_partition_score(g.adj, g.n, chi_r, r, "singletons")
     return BoundedStats(r, chi_r, m_r, iota_r, tuple(m_masks), tuple(i_masks))
 
 

@@ -13,6 +13,8 @@ from stingycolor import (
     VerificationParams,
     all_graphs,
     b_r,
+    bounded_stats,
+    chromatic_number,
     complete,
     cycle,
     doubly_critical_edges,
@@ -26,6 +28,7 @@ from stingycolor import (
     is_proper,
     petersen,
     recheck_counterexample,
+    stats,
     swap,
     verify_lonely_path_lemma,
     verify_matching_corollary,
@@ -144,6 +147,41 @@ def test_conjecture_agrees_with_iota2_bound():
             by = claims_by_name(evaluate_generalized(g, 2, PARAMS))
             assert (by["gen-reed-conjecture[r=2]"].verdict
                     == by["iota2-bound"].verdict == VERDICT_CHECKED)
+
+
+def _patching_graphs():
+    graphs = [g for n in range(7) for g in all_graphs(n)]
+    rng = random.Random(1109)
+    for n in range(7, 11):
+        pairs = n * (n - 1) // 2
+        for frac in (0.2, 0.5, 0.8):
+            for _ in range(10):
+                edges = rng.sample(range(pairs), round(frac * pairs))
+                graphs.append(graph_from_mask(n, sum(1 << i for i in edges)))
+    return graphs
+
+
+def test_patching_h_side_matches_search_on_induced_subgraph():
+    # The patching claims read chi, iota, chi_r and iota_r of G[H] from |H|
+    # alone; each value a record reports must equal the search on G[H].
+    seen = set()
+    for g in _patching_graphs():
+        rec = claims_by_name(evaluate_bounds(g, PARAMS))["stinginess-patching"]
+        sub = g.induced(rec.witness["H"])
+        assert rec.witness["chi_H"] == chromatic_number(sub)
+        if rec.hyp:
+            assert rec.witness["iota_H"] == stats(sub).iota
+            seen.add(("iota_H", min(sub.n, 2)))
+        for r in (1, 2, 3, 4):
+            rec = claims_by_name(evaluate_generalized(g, r, PARAMS))[
+                f"gen-stinginess-patching[r={r}]"]
+            sub = g.induced(rec.witness["H"])
+            assert rec.witness["chi_r_H"] == chromatic_number(sub, cap=r)
+            assert rec.hyp  # chi_r(G - H) = chi_r - M_r always
+            assert rec.witness["iota_r_H"] == bounded_stats(sub, r).iota_r
+            seen.add((r, min(sub.n, 1)))
+    assert {("iota_H", 0), ("iota_H", 1), ("iota_H", 2)} <= seen
+    assert {(r, h) for r in (1, 2, 3, 4) for h in (0, 1)} <= seen
 
 
 def test_serialization_round_trip(c5):

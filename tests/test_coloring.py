@@ -35,6 +35,7 @@ from stingycolor import (
     stats,
 )
 from stingycolor.coloring import (
+    BoundedStats,
     _best_partition_score,
     _color_bb,
     _enum_partitions,
@@ -236,6 +237,19 @@ def test_best_partition_score_pins_first_maximum():
                         best, witness), (g.n, g.adj, cap, k, score, r)
 
 
+def test_best_partition_score_at_k_equal_n_is_discrete():
+    # Only the discrete partition has n classes: counting singletons or
+    # exact r = 1 it scores n, exact r >= 2 scores 0.
+    for g in _score_oracle_graphs():
+        discrete = [1 << v for v in range(g.n)]
+        assert list(_enum_partitions(g.adj, g.n, g.n, None)) == [discrete]
+        for cap in (None, 1, 2, 3):
+            for score, r, want in (("singletons", 0, g.n), ("exact", 1, g.n),
+                                   ("exact", 2, 0), ("exact", 3, 0)):
+                assert _best_partition_score(g.adj, g.n, g.n, cap, score, r) == (
+                    want, discrete), (g.adj, cap, score, r)
+
+
 def _grotzsch():
     """The Mycielskian of C5: triangle-free with chi = 4."""
     edges = [(i, (i + 1) % 5) for i in range(5)]
@@ -320,6 +334,20 @@ def test_bounded_matches_oracle():
             for r in (1, 2, 3):
                 bs = bounded_stats(g, r)
                 assert (bs.chi_r, bs.m_r, bs.iota_r) == oracles.bounded_oracle(g, r)
+
+
+def test_bounded_stats_at_cap_from_alpha_on_matches_capped_searches():
+    # At r >= alpha no independent set exceeds the cap, so bounded_stats
+    # takes chi_r, iota_r and its witness from the uncapped search; it must
+    # equal the capped searches, masks included. r = alpha - 1 is covered too.
+    for g in _score_oracle_graphs():
+        alpha = independence_number(g)
+        for r in range(max(1, alpha - 1), alpha + 2):
+            chi_r, _ = _color_bb(g.adj, g.n, r)
+            m_r, m_masks = _best_partition_score(g.adj, g.n, chi_r, r, "exact", r)
+            iota_r, i_masks = _best_partition_score(g.adj, g.n, chi_r, r, "singletons")
+            assert bounded_stats(g, r) == BoundedStats(
+                r, chi_r, m_r, iota_r, tuple(m_masks), tuple(i_masks)), (g.adj, r)
 
 
 def test_chi_r_monotonicity():

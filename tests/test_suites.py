@@ -115,8 +115,9 @@ def test_claim_records_for(c5):
 
 
 def test_claim_records_for_counts_only_its_own_r_placeholder(c5, monkeypatch):
-    # Refuse only the cap = 3 stream: an [r=2] query must not count the r = 3
-    # placeholder, an [r=3] query counts it alone, a base-name query both.
+    # Refuse only the cap = 3 stream: an [r=2] or [B_2] query must not count
+    # the r = 3 placeholder, an [r=3] or [B_3] query counts it alone, a
+    # base-name query both.
     real = lonely.optimal_views
 
     def refuse_cap_3(g, cap, guards, seen):
@@ -132,6 +133,10 @@ def test_claim_records_for_counts_only_its_own_r_placeholder(c5, monkeypatch):
         ("singleton-meets-small-classes[r=3]", [refused]),
         ("singleton-meets-small-classes", ["singleton-meets-small-classes[r=1]",
                                            "singleton-meets-small-classes[r=2]", refused]),
+        # lonely-path-join[B_R] is read from the cap = R stream
+        ("lonely-path-join[B_2]", ["lonely-path-join[B_2]"]),
+        ("lonely-path-join[B_3]", [refused]),
+        ("lonely-path-join", ["lonely-path-join", "lonely-path-join[B_2]", refused]),
     ):
         assert [rec.name for rec in claim_records_for(c5, query, PARAMS)] == want, query
     result = search_claim("singleton-meets-small-classes[r=2]", PARAMS, max_n=3)
