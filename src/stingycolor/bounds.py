@@ -459,11 +459,12 @@ def recheck_counterexample(artifact: dict,
 
 def _lonely_claims(g: Graph, params: VerificationParams) -> list[ClaimRecord]:
     """The lonely-edge lemma records. Each optimal-coloring stream (uncapped,
-    then capped at each r) is enumerated once and feeds every claim on it;
-    each distinct coloring gets one view, built from its class masks, and one
-    join check, shared by the streams it appears in."""
+    then capped at each r) is built once and feeds every claim on it (see
+    ``lonely.optimal_views``: a stream capped at r >= alpha is the uncapped
+    one); each distinct coloring gets one view, built from its class masks,
+    and one join check, shared by the streams it appears in."""
     guards = params.guards
-    views: dict[tuple[int, ...], lonely.ColoredGraph] = {}
+    views = lonely.ViewCache()
     joins: dict[tuple[int, ...], tuple[int, list[dict]]] = {}
 
     def join(cg: lonely.ColoredGraph) -> tuple[int, list[dict]]:

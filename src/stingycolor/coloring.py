@@ -330,7 +330,10 @@ def one_optimal_coloring(g: Graph, cap: int | None = None,
 
 def _enum_partitions(adj: tuple[int, ...], n: int, k: int | None,
                      cap: int | None) -> Iterator[list[int]]:
-    """All proper partitions (class masks); exactly ``k`` classes if k given."""
+    """All proper partitions (class masks); exactly ``k`` classes if k given.
+    Depth-first with an explicit stack: vertex v tries the open classes in
+    order, then a new class, so each class is opened by its least vertex;
+    ``placed[v]`` is the class v sits in while later vertices are placed."""
     if n == 0:
         if k in (None, 0):
             yield []
@@ -339,36 +342,43 @@ def _enum_partitions(adj: tuple[int, ...], n: int, k: int | None,
         return
     if k is not None and cap is not None and k * cap < n:
         return
+    size_cap = n if cap is None else cap
+    most = n if k is None else k
     masks: list[int] = []
     sizes: list[int] = []
-
-    def rec(v: int):
+    placed = [0] * n
+    v = j = 0  # place vertex v in class j or a later one
+    while True:
         if v == n:
             if k is None or len(masks) == k:
                 yield list(masks)
-            return
-        if k is not None and len(masks) + (n - v) < k:
-            return
-        bit = 1 << v
-        av = adj[v]
-        for j in range(len(masks)):
-            if masks[j] & av:
+        elif k is None or len(masks) + (n - v) >= k:
+            m = len(masks)
+            av = adj[v]
+            while j < m and (masks[j] & av or sizes[j] >= size_cap):
+                j += 1
+            if j == m < most:  # open a new class
+                masks.append(0)
+                sizes.append(0)
+                m += 1
+            if j < m:
+                masks[j] |= 1 << v
+                sizes[j] += 1
+                placed[v] = j
+                v, j = v + 1, 0
                 continue
-            if cap is not None and sizes[j] >= cap:
-                continue
-            masks[j] |= bit
-            sizes[j] += 1
-            yield from rec(v + 1)
-            masks[j] ^= bit
-            sizes[j] -= 1
-        if k is None or len(masks) < k:
-            masks.append(bit)
-            sizes.append(1)
-            yield from rec(v + 1)
+        # backtrack: take the last placed vertex out of its class
+        v -= 1
+        if v < 0:
+            return
+        j = placed[v]
+        if masks[j] == 1 << v:
             masks.pop()
             sizes.pop()
-
-    yield from rec(0)
+        else:
+            masks[j] ^= 1 << v
+            sizes[j] -= 1
+        j += 1
 
 
 def _ordered_partitions(adj: tuple[int, ...], n: int, k: int | None,
@@ -403,13 +413,18 @@ def enumerate_optimal_colorings(g: Graph, cap: int | None = None,
         yield Coloring.from_masks(masks)
 
 
-def enumerate_optimal_masks(g: Graph, cap: int | None = None,
-                            guards: Guards = DEFAULT_GUARDS) -> Iterator[tuple[int, ...]]:
-    """``enumerate_optimal_colorings`` as class masks in ``Coloring`` order."""
+def check_optimal_guard(g: Graph, guards: Guards) -> None:
+    """Refuse optimal-coloring enumeration beyond ``guards.optimal`` vertices."""
     if g.n > guards.optimal:
         raise GuardExceededError(
             f"optimal coloring enumeration guarded at n <= {guards.optimal} (graph has {g.n})"
         )
+
+
+def enumerate_optimal_masks(g: Graph, cap: int | None = None,
+                            guards: Guards = DEFAULT_GUARDS) -> Iterator[tuple[int, ...]]:
+    """``enumerate_optimal_colorings`` as class masks in ``Coloring`` order."""
+    check_optimal_guard(g, guards)
     k = chromatic_number(g, cap)
     yield from _ordered_partitions(g.adj, g.n, k, cap)
 

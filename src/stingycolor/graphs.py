@@ -389,7 +389,10 @@ def clique_number(g: Graph) -> int:
     return max_clique_mask(g).bit_count()
 
 
+@functools.lru_cache(maxsize=65536)
 def max_independent_set_mask(g: Graph) -> int:
+    """A maximum clique of the complement; memoized like ``max_clique_mask``,
+    so each graph builds its complement once for alpha."""
     return max_clique_mask(g.complement())
 
 

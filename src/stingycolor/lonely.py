@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .graphs import Graph, bits, invariants, max_clique_mask
+from .graphs import Graph, bits, independence_number, invariants, max_clique_mask
 from .coloring import (
     Coloring,
     ColoringProperty,
@@ -24,6 +24,7 @@ from .coloring import (
     DEFAULT_GUARDS,
     _partition_error,
     bounded_stats,
+    check_optimal_guard,
     chromatic_number,
     enumerate_optimal_masks,
     enumerate_p_optimal,
@@ -76,15 +77,16 @@ class LonelyDigraph:
 
 class ColoredGraph:
     """One proper coloring of a graph with what the per-coloring lemma checks
-    read from it, each built once: the class masks in ``Coloring`` order, the
-    class of each vertex, the lonely digraph and, per vertex, the bitmask of
-    the classes it has a neighbour in (``meets``). ``from_masks`` builds it
+    read from it: the class masks in ``Coloring`` order, the class of each
+    vertex, and per class the mask of the vertices with a neighbour in it
+    (``reach``, the OR of ``adj`` over its members). ``from_masks`` builds it
     from class masks; ``ColoredGraph(g, c)`` converts ``c`` to masks once and
     builds the same way. The masks are checked to partition the vertex set
-    (else PartitionError) and to be independent as the view is built. The
-    coloring ``c`` is built only when read."""
+    (else PartitionError) and to be independent in one pass over each
+    class's members. The lonely digraph ``ld`` and the coloring ``c`` are
+    built only when read."""
 
-    __slots__ = ("g", "masks", "by_vertex", "ld", "meets", "_c")
+    __slots__ = ("g", "masks", "by_vertex", "reach", "_ld", "_c")
 
     def __init__(self, g: Graph, c: Coloring):
         self._build(g, c.class_masks())
@@ -107,31 +109,43 @@ class ColoredGraph:
             covered |= mask
         if covered != full:
             raise _partition_error(list(bits(full & ~covered)), list(bits(covered & ~full)))
+        adj = g.adj
         by_vertex = [0] * n
+        reach = []
         for j, mask in enumerate(masks):
-            for v in bits(mask):
+            near = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                v = low.bit_length() - 1
                 by_vertex[v] = j
-        out = []
-        meets = []
-        for v, av in enumerate(g.adj):
-            row = met = 0
-            bit = 1
-            for mask in masks:
-                hit = av & mask
-                if hit:
-                    met |= bit
-                    if hit & (hit - 1) == 0:
-                        row |= hit
-                bit <<= 1
-            if met >> by_vertex[v] & 1:
+                near |= adj[v]
+                rest ^= low
+            if near & mask:
                 raise ValueError("coloring is not proper")
-            out.append(row)
-            meets.append(met)
+            reach.append(near)
         self.g = g
         self.masks = masks
         self.by_vertex = by_vertex
-        self.ld = LonelyDigraph(n, tuple(out))
-        self.meets = meets
+        self.reach = reach
+        self._ld = None
+
+    @property
+    def ld(self) -> LonelyDigraph:
+        """The lonely digraph: each vertex with exactly one neighbour in a
+        class (met once but not twice) has an arc to that neighbour."""
+        if self._ld is None:
+            adj = self.g.adj
+            out = [0] * self.g.n
+            for mask in self.masks:
+                once = twice = 0
+                for u in bits(mask):
+                    twice |= once & adj[u]
+                    once |= adj[u]
+                for v in bits(once & ~twice):
+                    out[v] |= adj[v] & mask
+            self._ld = LonelyDigraph(self.g.n, tuple(out))
+        return self._ld
 
     @property
     def c(self) -> Coloring:
@@ -148,19 +162,43 @@ def lonely_digraph(g: Graph, c: Coloring) -> LonelyDigraph:
     return ColoredGraph(g, c).ld
 
 
+@dataclass
+class ViewCache:
+    """The views built on one graph: each distinct coloring's, keyed by its
+    class masks, and the uncapped optimal stream once it is built."""
+
+    by_masks: dict[tuple[int, ...], ColoredGraph] = field(default_factory=dict)
+    optimal: list[ColoredGraph] | None = None
+
+
 def optimal_views(g: Graph, cap: int | None, guards: Guards,
-                  seen: dict[tuple[int, ...], ColoredGraph]) -> list[ColoredGraph]:
+                  seen: ViewCache) -> list[ColoredGraph]:
     """The optimal (with ``cap``: optimal cap-bounded) colorings of ``g`` as
     views built from class masks, in enumeration order. A coloring already in
-    ``seen``, keyed by its masks, keeps its view. A list, so several claims
-    can read one stream, and building it checks the guard before any claim
-    computes its hypothesis."""
+    ``seen`` keeps its view. A list, so several claims can read one stream,
+    and building it checks the guard before any claim computes its
+    hypothesis. At cap >= alpha no independent set exceeds the cap, so the
+    capped stream is the uncapped one, the same masks in the same order (as
+    in ``bounded_stats``), and the uncapped list is returned. Below that, at
+    cap = 1 the only optimal coloring is the discrete partition."""
+    check_optimal_guard(g, guards)
+    if cap is not None and cap >= independence_number(g):
+        return optimal_views(g, None, guards, seen)
+    if cap is None and seen.optimal is not None:
+        return seen.optimal
+    if cap == 1:
+        stream = [tuple(1 << v for v in range(g.n))]
+    else:
+        stream = enumerate_optimal_masks(g, cap, guards)
+    by_masks = seen.by_masks
     out = []
-    for masks in enumerate_optimal_masks(g, cap, guards):
-        cg = seen.get(masks)
+    for masks in stream:
+        cg = by_masks.get(masks)
         if cg is None:
-            cg = seen[masks] = ColoredGraph.from_masks(g, masks)
+            cg = by_masks[masks] = ColoredGraph.from_masks(g, masks)
         out.append(cg)
+    if cap is None:
+        seen.optimal = out
     return out
 
 
@@ -171,10 +209,6 @@ def _swapped_masks(masks, by_vertex, v: int, w: int) -> list[int]:
     out[by_vertex[v]] ^= flip
     out[by_vertex[w]] ^= flip
     return out
-
-
-def _independent(adj: tuple[int, ...], mask: int) -> bool:
-    return not any(adj[u] & mask for u in bits(mask))
 
 
 def swap(g: Graph, c: Coloring, v: int, w: int) -> Coloring:
@@ -225,8 +259,10 @@ def enumerate_lonely_path_pairs(g: Graph, c: Coloring | None, max_len: int = 3,
     is the coloring's view already built: its digraph and singletons are
     used, and ``c`` is not read."""
     cg = view or ColoredGraph(g, c)
-    ld, by_vertex = cg.ld, cg.by_vertex
     singles = cg.singletons()
+    if len(singles) < 2:
+        return
+    ld, by_vertex = cg.ld, cg.by_vertex
     for ia in range(len(singles)):
         for ib in range(ia + 1, len(singles)):
             a, b = singles[ia], singles[ib]
@@ -295,24 +331,25 @@ def join_failures(cg: ColoredGraph, max_len: int = 3) -> tuple[int, list[dict]]:
 
 def touches_failures(cg: ColoredGraph, r: int | None = None) -> tuple[int, list[dict]]:
     """classic: every class holds a vertex meeting all other classes. With
-    ``r``: every singleton meets all other classes of size below r. Reads
-    the classes each vertex meets from ``cg.meets``."""
-    masks, meets = cg.masks, cg.meets
+    ``r``: every singleton meets all other classes of size below r. A vertex
+    meets class i iff it lies in ``cg.reach[i]``, so a class passes iff it
+    meets the AND of the other target classes' reach masks."""
+    masks, reach = cg.masks, cg.reach
     if r is None:
-        targets = (1 << len(masks)) - 1
+        targets = range(len(masks))
     else:
-        targets = sum(1 << i for i, m in enumerate(masks) if m.bit_count() < r)
+        targets = [i for i, m in enumerate(masks) if m.bit_count() < r]
     checks = 0
     bad = []
     for j, cls in enumerate(masks):
         if r is not None and cls & (cls - 1):
             continue
         checks += 1
-        need = targets & ~(1 << j)
-        for v in bits(cls):
-            if meets[v] & need == need:
-                break
-        else:
+        hit = cls
+        for i in targets:
+            if i != j:
+                hit &= reach[i]
+        if not hit:
             bad.append({"coloring": cg.c.as_lists(), "class": list(bits(cls))})
     return checks, bad
 
@@ -343,7 +380,9 @@ def replete_failures(cg: ColoredGraph, r: int | None, need: int) -> tuple[int, l
 def swap_failures(cg: ColoredGraph) -> tuple[int, list[dict]]:
     """Every mutually lonely pair v < w swaps to a proper coloring on the same
     frame: both changed classes stay independent and the sorted class sizes
-    are unchanged. The pairs are the mutual arcs of the lonely digraph."""
+    are unchanged. The pairs are the mutual arcs of the lonely digraph. The
+    view is proper, so v's class A stays independent with w in place of v
+    iff ``adj[w] & (A ^ 1 << v)`` is 0, and likewise for w's class."""
     g, out = cg.g, cg.ld.out
     adj, masks, by_vertex = g.adj, cg.masks, cg.by_vertex
     frame = tuple(m.bit_count() for m in masks)
@@ -355,9 +394,9 @@ def swap_failures(cg: ColoredGraph) -> tuple[int, list[dict]]:
                 continue
             checks += 1
             swapped = _swapped_masks(masks, by_vertex, v, w)
-            if not (_independent(adj, swapped[by_vertex[v]])
-                    and _independent(adj, swapped[by_vertex[w]])
-                    and tuple(sorted(m.bit_count() for m in swapped)) == frame):
+            if (adj[w] & (masks[by_vertex[v]] ^ 1 << v)
+                    or adj[v] & (masks[by_vertex[w]] ^ 1 << w)
+                    or tuple(sorted(m.bit_count() for m in swapped)) != frame):
                 bad.append({"coloring": cg.c.as_lists(), "pair": [v, w]})
     return checks, bad
 

@@ -126,31 +126,29 @@ def suite_lonely_path(max_n: int, max_len: int = 3, samples: int = 0,
         "max_n": max_n, "max_len": max_len, "samples": samples,
         "sample_ns": list(sample_ns), "seed": seed, "densities": list(densities),
     })
-    colorings = 0
-    for g in exhaustive_graphs(0, max_n):
-        g6 = emit_graph6(g)
-        for masks in enumerate_optimal_masks(g, guards=guards):
-            colorings += 1
-            checks, failures = lonely.join_failures(
-                lonely.ColoredGraph.from_masks(g, masks), max_len)
-            result.checked += checks
-            for bad in failures:
-                bad["g6"] = g6
-                result.violations.append(bad)
-    if samples:
+
+    def views() -> Iterator[lonely.ColoredGraph]:
+        for g in exhaustive_graphs(0, max_n):
+            for masks in enumerate_optimal_masks(g, guards=guards):
+                yield lonely.ColoredGraph.from_masks(g, masks)
+        if not samples:
+            return
         rng = random.Random(seed)
         for n, p, count in sample_specs(samples, sample_ns, densities):
             for _ in range(count):
                 g = er_random(n, p, seed=rng.getrandbits(32))
-                masks = one_optimal_masks(g, rng=rng)
-                colorings += 1
-                checks, failures = lonely.join_failures(
-                    lonely.ColoredGraph.from_masks(g, masks), max_len)
-                result.checked += checks
-                for bad in failures:
-                    bad["g6"] = emit_graph6(g)
-                    result.violations.append(bad)
-    result.details["colorings"] = colorings
+                yield lonely.ColoredGraph.from_masks(g, one_optimal_masks(g, rng=rng))
+
+    def join(cg: lonely.ColoredGraph) -> tuple[int, list[dict]]:
+        checks, failures = lonely.join_failures(cg, max_len)
+        for bad in failures:
+            bad["g6"] = emit_graph6(cg.g)
+        return checks, failures
+
+    rep = lonely.path_join_report(views(), join)
+    result.checked = rep.checks
+    result.violations = rep.violations
+    result.details["colorings"] = rep.colorings_checked
     return result
 
 
@@ -192,7 +190,7 @@ def suite_replete(max_n: int, t2s: tuple[int, ...] = (0, 1),
 
     for g in exhaustive_graphs(0, max_n):
         g6 = emit_graph6(g)
-        views: dict[tuple[int, ...], lonely.ColoredGraph] = {}
+        views = lonely.ViewCache()
         for r in (None, *rs):
             stream = lonely.optimal_views(g, r, guards, views)
             absorb(g6, lonely.touches_report(stream, r))

@@ -168,3 +168,49 @@ def all_graphs_oracle(n: int) -> tuple[Graph, ...]:
             edges = [pair for t, pair in enumerate(pairs) if mask >> t & 1]
             reps.append(Graph.from_edges(n, edges))
     return tuple(reps)
+
+
+def enum_partitions_oracle(adj: tuple[int, ...], n: int, k: int | None,
+                           cap: int | None):
+    """Reference order for ``coloring._enum_partitions``: the recursive
+    generator it replaced. Proper partitions as class masks, each class
+    opened by its least vertex; vertex v tries the open classes in order,
+    then a new class. Exactly ``k`` classes if k is given."""
+    if n == 0:
+        if k in (None, 0):
+            yield []
+        return
+    if k == 0:
+        return
+    if k is not None and cap is not None and k * cap < n:
+        return
+    masks: list[int] = []
+    sizes: list[int] = []
+
+    def rec(v: int):
+        if v == n:
+            if k is None or len(masks) == k:
+                yield list(masks)
+            return
+        if k is not None and len(masks) + (n - v) < k:
+            return
+        bit = 1 << v
+        av = adj[v]
+        for j in range(len(masks)):
+            if masks[j] & av:
+                continue
+            if cap is not None and sizes[j] >= cap:
+                continue
+            masks[j] |= bit
+            sizes[j] += 1
+            yield from rec(v + 1)
+            masks[j] ^= bit
+            sizes[j] -= 1
+        if k is None or len(masks) < k:
+            masks.append(bit)
+            sizes.append(1)
+            yield from rec(v + 1)
+            masks.pop()
+            sizes.pop()
+
+    yield from rec(0)

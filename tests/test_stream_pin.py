@@ -35,7 +35,17 @@ from stingycolor.coloring import (
     one_optimal_masks,
 )
 from stingycolor.graphs import graph_from_mask
-from stingycolor.lonely import ColoredGraph
+from stingycolor.lonely import (
+    ColoredGraph,
+    LonelyDigraph,
+    ViewCache,
+    is_lonely,
+    optimal_views,
+)
+from stingycolor.coloring import DEFAULT_GUARDS, GuardExceededError, Guards, _enum_partitions
+from stingycolor.graphs import independence_number
+
+import oracles
 
 
 def _digest(lines) -> str:
@@ -138,6 +148,59 @@ def test_mask_view_builds_coloring_only_for_payloads():
         assert cg.c == Coloring.from_masks(masks)
 
 
+def test_mask_view_builds_digraph_only_when_read():
+    # Every optimal coloring of C5 has one singleton class: touches reads the
+    # reach masks, and the join check and the path pairs stop before the
+    # digraph, so none of them builds it. The swap check reads it.
+    g = cycle(5)
+    for masks in enumerate_optimal_masks(g):
+        cg = ColoredGraph.from_masks(g, masks)
+        for r in (None, 2, 3):
+            lonely.touches_failures(cg, r)
+        assert lonely.join_failures(cg, 3) == (0, [])
+        assert list(lonely.enumerate_lonely_path_pairs(g, None, 3, view=cg)) == []
+        assert cg._ld is None
+        lonely.swap_failures(cg)
+        assert cg._ld is not None
+
+
+def _stream_graphs():
+    """Every class with n <= 6, then the seeded G(n, M) graphs at n = 7, 8."""
+    return [g for n in range(7) for g in all_graphs(n)] + _gnm_graphs()
+
+
+def test_enum_partitions_matches_recursive_reference():
+    # The explicit-stack enumerator yields the recursive generator's sequence
+    # exactly, for every class count k (and none) and every cap (and none).
+    for g in _stream_graphs():
+        for k in (None, *range(g.n + 2)):
+            for cap in (None, *range(1, g.n + 1)):
+                assert list(_enum_partitions(g.adj, g.n, k, cap)) == list(
+                    oracles.enum_partitions_oracle(g.adj, g.n, k, cap)), (g.adj, k, cap)
+
+
+def test_optimal_views_at_cap_1_and_from_alpha_match_enumeration():
+    # The cap = 1 stream is read as the discrete partition and a cap >= alpha
+    # stream as the uncapped list; both must be the enumerator's stream, mask
+    # for mask and in order, whether or not the uncapped list was built first.
+    for g in _stream_graphs():
+        alpha = independence_number(g)
+        seen = ViewCache()
+        uncapped = optimal_views(g, None, DEFAULT_GUARDS, seen)
+        for cap in range(1, alpha + 2):
+            want = list(enumerate_optimal_masks(g, cap))
+            for cache in (seen, ViewCache()):
+                got = optimal_views(g, cap, DEFAULT_GUARDS, cache)
+                assert [cg.masks for cg in got] == want, (g.adj, cap)
+            if cap >= alpha:
+                assert optimal_views(g, cap, DEFAULT_GUARDS, seen) is uncapped
+    big = cycle(9)
+    for cap in (None, 1, 4, 5):
+        with pytest.raises(GuardExceededError,
+                           match=r"enumeration guarded at n <= 8 \(graph has 9\)"):
+            optimal_views(big, cap, Guards(optimal=8), ViewCache())
+
+
 def _cross_check_graphs():
     rng = random.Random(4242)
     graphs = _small_graphs()
@@ -150,8 +213,9 @@ def _cross_check_graphs():
 def test_mask_views_match_coloring_views():
     # Seeded cross-check: a view built from the enumerator's masks and one
     # built from the Coloring of the same stream agree on every field and
-    # every per-coloring check, and ``meets`` is the classes each vertex has
-    # a neighbour in.
+    # every per-coloring check; ``reach`` holds, per class, the vertices with
+    # a neighbour in it, and the lazily built ``ld`` holds exactly the lonely
+    # pairs.
     for g in _cross_check_graphs():
         for cap in (None, 2, 3):
             pairs = zip(enumerate_optimal_masks(g, cap), enumerate_optimal_colorings(g, cap))
@@ -159,10 +223,11 @@ def test_mask_views_match_coloring_views():
                 a, b = ColoredGraph.from_masks(g, masks), ColoredGraph(g, c)
                 assert a.masks == b.masks == c.class_masks()
                 assert a.by_vertex == b.by_vertex
-                assert a.ld == b.ld
-                assert a.meets == b.meets == [
-                    sum(1 << j for j, m in enumerate(masks) if g.adj[v] & m)
-                    for v in range(g.n)]
+                assert a.ld == b.ld == LonelyDigraph(g.n, tuple(
+                    sum(1 << w for w in range(g.n) if is_lonely(g, c, v, w))
+                    for v in range(g.n)))
+                assert a.reach == b.reach == [
+                    sum(1 << v for v in range(g.n) if g.adj[v] & m) for m in masks]
                 assert a.singletons() == sorted(c.singleton_vertices())
                 assert list(_checks(a)) == list(_checks(b))
                 assert a.c == c
