@@ -13,6 +13,7 @@ Conjecture violations are first-class artifacts carrying enough data
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable
@@ -31,6 +32,7 @@ from .coloring import (
     DEFAULT_GUARDS,
     GuardExceededError,
     b_r,
+    bounded_iota,
     bounded_stats,
     chromatic_number,
     stats,
@@ -250,21 +252,19 @@ def _gen_patching_claim(name: str, g: Graph, bs, guards: Guards) -> ClaimRecord:
     """r-bounded patching, tested on H = the union of the size-r classes of
     the M_r witness coloring. G[H] splits into M_r independent r-sets, and no
     r-bounded coloring of it has fewer than |H| / r classes, so its optimal
-    r-bounded colorings have only size-r classes: chi_r(H) = |H| / r, and
-    iota_r(H) is |H| for r = 1 and 0 otherwise."""
+    r-bounded colorings have only size-r classes: chi_r(H) = |H| / r = M_r,
+    and iota_r(H) is |H| for r = 1 and 0 otherwise. chi_r(G - H) is
+    chi_r - M_r: the witness restricted to G - H gives <=, and adding its M_r
+    classes back to any r-bounded coloring of G - H gives >=. So the
+    hypothesis chi_r(G) = chi_r(G - H) + chi_r(H) always holds, and only
+    iota_r(G - H) is searched."""
     r = bs.r
     h = sorted(v for m in bs.m_masks if m.bit_count() == r for v in bits(m))
-    rest = g.without(h)
-    chi_rest = chromatic_number(rest, cap=r)
-    chi_h = len(h) // r
-    hyp = bs.chi_r == chi_rest + chi_h
-    witness = {"r": r, "H": h, "chi_r": bs.chi_r,
-               "chi_r_rest": chi_rest, "chi_r_H": chi_h}
-    if not hyp:
-        return _claim(name, False, None, witness)
-    iota_rest = bounded_stats(rest, r, guards).iota_r if rest.n else 0
+    _, iota_rest, _ = bounded_iota(g.without(h), r, guards)
     iota_h = len(h) if r == 1 else 0
-    witness.update({"iota_r": bs.iota_r, "iota_r_rest": iota_rest, "iota_r_H": iota_h})
+    witness = {"r": r, "H": h, "chi_r": bs.chi_r, "chi_r_rest": bs.chi_r - bs.m_r,
+               "chi_r_H": bs.m_r, "iota_r": bs.iota_r, "iota_r_rest": iota_rest,
+               "iota_r_H": iota_h}
     return _claim(name, True, bs.iota_r >= iota_rest + iota_h, witness)
 
 
@@ -363,19 +363,25 @@ def evaluate_bounds(g: Graph, params: VerificationParams = VerificationParams())
     return BoundsReport(g6, inv_dict, tuple(claims))
 
 
+@functools.lru_cache(maxsize=None)
+def _generalized_rows(r: int) -> tuple[tuple[Claim, str], ...]:
+    """The generalized rows that apply at ``r``, each with its record name."""
+    return tuple((row, row.name if row.rs else f"{row.name}[r={r}]")
+                 for row in GENERALIZED_ROWS if not row.rs or r in row.rs)
+
+
 def evaluate_generalized(g: Graph, r: int,
                          params: VerificationParams = VerificationParams()) -> GeneralizedReport:
     """All r-parameterized claims on one graph, for a single r."""
     inv = invariants(g)
     g6 = emit_graph6(g)
-    rows = [row for row in GENERALIZED_ROWS if not row.rs or r in row.rs]
-    names = [row.name if row.rs else f"{row.name}[r={r}]" for row in rows]
+    rows = _generalized_rows(r)
     try:
         bs = bounded_stats(g, r, params.guards)
     except GuardExceededError as exc:
         return GeneralizedReport(
             g6, r, None, None, None,
-            tuple(_not_evaluated(name, str(exc)) for name in names),
+            tuple(_not_evaluated(name, str(exc)) for _, name in rows),
         )
     chi_r, m_r, iota_r = bs.chi_r, bs.m_r, bs.iota_r
     base = {"r": r, "n": g.n, "omega": inv.omega, "max_deg": inv.max_deg,
@@ -383,7 +389,7 @@ def evaluate_generalized(g: Graph, r: int,
     q = SimpleNamespace(gap=chi_r - m_r, **base)
     claims = []
     counterexamples = []
-    for row, name in zip(rows, names):
+    for row, name in rows:
         if row.compute:
             rec = row.compute(name, g, bs, params.guards)
         else:

@@ -16,6 +16,8 @@ first incumbent, and most calls end there, at the lower bound. ``stats`` and
 witness properties build the ``Coloring`` when read. The score search returns
 the discrete partition at once when k = n, and at a cap r >= alpha
 ``bounded_stats`` reads chi_r, iota_r and the iota_r witness from ``stats``.
+``bounded_iota`` is ``bounded_stats`` without the M_r search; both share its
+memo.
 
 The full and optimal partition streams and the sampled optimal coloring
 also come as class masks in ``Coloring`` order (``enumerate_coloring_masks``,
@@ -165,17 +167,22 @@ def is_proper(g: Graph, c: Coloring) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _dsatur_keys(adj: tuple[int, ...], n: int) -> list[int]:
+    """Each vertex's DSATUR key at saturation 0, deg*n + (n-1-v). The key at
+    saturation sat (distinct classes among its neighbours) adds sat*n^2;
+    deg*n + (n-1-v) < n^2, so the key orders as the tuple (sat, deg, -v):
+    most saturated first, then highest degree, then least index."""
+    return [adj[v].bit_count() * n + (n - 1 - v) for v in range(n)]
+
+
 def _greedy_dsatur(adj: tuple[int, ...], n: int, cap: int | None) -> list[int]:
     """Greedy DSATUR coloring (class masks); respects a class-size cap.
 
-    Each step colors the uncolored vertex of most saturation (distinct classes
-    among its neighbours), then highest degree, then least index: the maximum
-    of the integer key sat*n^2 + deg*n + (n-1-v), in which deg*n + (n-1-v)
-    < n^2, so the key orders as the tuple (sat, deg, -v). The vertex joins the
+    Each step colors the uncolored vertex of largest DSATUR key. It joins the
     first class that has no neighbour of it and room under the cap; only its
     uncolored neighbours' saturation masks and keys change."""
     step = n * n
-    prio = [adj[v].bit_count() * n + (n - 1 - v) for v in range(n)]
+    prio = _dsatur_keys(adj, n)
     saturation = [0] * n  # bitmask of classes adjacent to v
     classes: list[int] = []
     reach: list[int] = []  # per class: the neighbours of its members
@@ -234,20 +241,14 @@ def _color_bb(adj: tuple[int, ...], n: int, cap: int | None) -> tuple[int, list[
     classes: list[int] = []
     sizes: list[int] = []
     assigned = [-1] * n
+    step = n * n
+    prio = _dsatur_keys(adj, n)
+
+    def key(v: int) -> int:
+        return sum(1 for m in classes if m & adj[v]) * step + prio[v]
 
     def pick() -> int:
-        # DSATUR: most saturated first, then highest degree, then least index.
-        best_v = -1
-        key = (-1, -1, 0)
-        for v in range(n):
-            if assigned[v] >= 0:
-                continue
-            sat = sum(1 for m in classes if m & adj[v])
-            cand = (sat, adj[v].bit_count(), -v)
-            if cand > key:
-                key = cand
-                best_v = v
-        return best_v
+        return max((v for v in range(n) if assigned[v] < 0), key=key)
 
     def descend(colored: int):
         nonlocal best_k, best_masks
@@ -582,7 +583,8 @@ class BoundedStats:
 
 
 @functools.lru_cache(maxsize=65536)
-def _bounded_cached(g: Graph, r: int, optimal_guard: int) -> BoundedStats:
+def _bounded_iota_cached(g: Graph, r: int, optimal_guard: int
+                         ) -> tuple[int, int, tuple[int, ...]]:
     if g.n > optimal_guard:
         raise GuardExceededError(
             f"r-bounded stats guarded at n <= {optimal_guard} (graph has {g.n})"
@@ -592,12 +594,26 @@ def _bounded_cached(g: Graph, r: int, optimal_guard: int) -> BoundedStats:
         # the uncapped ones, in the same order: chi_r and iota_r are chi and
         # iota, with the same witness.
         st = _stats_cached(g, optimal_guard)
-        chi_r, iota_r, i_masks = st.chi, st.iota, st.stingy_masks
-    else:
-        chi_r = chromatic_number(g, cap=r)
-        iota_r, i_masks = _best_partition_score(g.adj, g.n, chi_r, r, "singletons")
+        return st.chi, st.iota, st.stingy_masks
+    chi_r = chromatic_number(g, cap=r)
+    iota_r, masks = _best_partition_score(g.adj, g.n, chi_r, r, "singletons")
+    return chi_r, iota_r, tuple(masks)
+
+
+def bounded_iota(g: Graph, r: int, guards: Guards = DEFAULT_GUARDS
+                 ) -> tuple[int, int, tuple[int, ...]]:
+    """(chi_r, iota_r, the iota_r witness's class masks): ``bounded_stats``
+    without the M_r search, with the same values, witness and guard."""
+    if r < 1:
+        raise ValueError("r must be positive")
+    return _bounded_iota_cached(g, r, guards.optimal)
+
+
+@functools.lru_cache(maxsize=65536)
+def _bounded_cached(g: Graph, r: int, optimal_guard: int) -> BoundedStats:
+    chi_r, iota_r, i_masks = _bounded_iota_cached(g, r, optimal_guard)
     m_r, m_masks = _best_partition_score(g.adj, g.n, chi_r, r, "exact", r)
-    return BoundedStats(r, chi_r, m_r, iota_r, tuple(m_masks), tuple(i_masks))
+    return BoundedStats(r, chi_r, m_r, iota_r, tuple(m_masks), i_masks)
 
 
 def bounded_stats(g: Graph, r: int, guards: Guards = DEFAULT_GUARDS) -> BoundedStats:

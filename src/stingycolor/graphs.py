@@ -3,7 +3,8 @@
 Vertices are dense integers 0..n-1. Adjacency is stored as one int bitmask
 per vertex, which keeps the exact kernels (clique, coloring, matching search)
 fast enough for desk-scale exhaustive work. Graphs are immutable and hashable,
-so results of the expensive invariants are memoized per graph.
+so results of the expensive invariants are memoized per graph; each instance
+computes its hash once, and builds its complement once, when first asked.
 
 I/O is graph6 only: the bit-packed upper triangle of the adjacency matrix,
 column major, six bits per printable character offset by 63.
@@ -61,13 +62,19 @@ class Graph:
             for u in bits(self.adj[v]):
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"asymmetric edge {v}-{u}")
+        self.__dict__["_hash"] = hash((self.n, self.adj))
+
+    def __hash__(self) -> int:
+        # The value the dataclass would compute on every call, kept per
+        # instance: the memoized kernels look one graph up dozens of times.
+        return self._hash
 
     @classmethod
     def _unchecked(cls, n: int, adj: tuple[int, ...]) -> "Graph":
         """A graph whose rows are derived from a valid graph, so they are
         valid by construction; skips the checks of ``__post_init__``."""
         g = object.__new__(cls)
-        g.__dict__.update(n=n, adj=adj)
+        g.__dict__.update(n=n, adj=adj, _hash=hash((n, adj)))
         return g
 
     @staticmethod
@@ -98,28 +105,49 @@ class Graph:
                     yield (v, u)
 
     def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        return Graph._unchecked(
-            self.n,
-            tuple((full ^ row ^ (1 << v)) for v, row in enumerate(self.adj)),
-        )
+        """The complement, built on the first call and kept: alpha and nu of
+        the complement both read it."""
+        comp = self.__dict__.get("_complement")
+        if comp is None:
+            full = (1 << self.n) - 1
+            comp = self.__dict__["_complement"] = Graph._unchecked(
+                self.n, tuple(full ^ row ^ (1 << v) for v, row in enumerate(self.adj)))
+        return comp
 
     def induced(self, keep) -> "Graph":
         """Induced subgraph on ``keep``, relabeled to 0..k-1 in sorted order."""
-        old = sorted(set(keep))
-        rows = []
-        for v in old:
-            av = self.adj[v]
-            row = 0
-            for i, u in enumerate(old):
-                if av >> u & 1:
-                    row |= 1 << i
-            rows.append(row)
-        return Graph._unchecked(len(old), tuple(rows))
+        mask = 0
+        for v in keep:
+            mask |= 1 << v
+        if mask >> self.n:
+            raise ValueError(f"vertex outside 0..{self.n - 1}")
+        return self._induced_mask(mask)
 
     def without(self, drop) -> "Graph":
-        dropped = set(drop)
-        return self.induced(v for v in range(self.n) if v not in dropped)
+        """Induced subgraph on the vertices not in ``drop``."""
+        mask = (1 << self.n) - 1
+        for v in drop:
+            mask &= ~(1 << v)
+        return self._induced_mask(mask)
+
+    def _induced_mask(self, keep: int) -> "Graph":
+        """Induced subgraph on the vertex bitmask ``keep``: its i-th lowest
+        vertex becomes vertex i."""
+        label = [0] * self.n  # the new bit of each kept vertex
+        kept = []
+        for v in range(self.n):
+            if keep >> v & 1:
+                label[v] = 1 << len(kept)
+                kept.append(v)
+        rows = []
+        for v in kept:
+            row, rest = 0, self.adj[v] & keep
+            while rest:
+                low = rest & -rest
+                row |= label[low.bit_length() - 1]
+                rest ^= low
+            rows.append(row)
+        return Graph._unchecked(len(kept), tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +475,7 @@ def invariants(g: Graph) -> GraphInvariants:
     degrees = [row.bit_count() for row in g.adj]
     return GraphInvariants(
         omega=clique_number(g),
-        alpha=clique_number(g.complement()),
+        alpha=independence_number(g),
         max_deg=max(degrees),
         min_deg=min(degrees),
         nu=matching_number(g),

@@ -18,14 +18,13 @@ from .graphs import (
     all_graphs,
     emit_graph6,
     er_random,
-    matching_number,
     parse_graph6,
 )
 from .coloring import (
     Guards,
     DEFAULT_GUARDS,
+    GuardExceededError,
     b_r,
-    bounded_stats,
     check_complete_condition,
     check_frame3_sufficiency,
     Coloring,
@@ -44,7 +43,9 @@ from .bounds import (  # UnknownClaimError: what claim_records_for raises, kept 
     UnknownClaimError,
     VerificationParams,
     claim_records_for,
+    evaluate_generalized,
     full_report,
+    verify_matching_corollary,
 )
 
 DENSITIES = (0.2, 0.5, 0.8)
@@ -199,23 +200,27 @@ def suite_replete(max_n: int, t2s: tuple[int, ...] = (0, 1),
     return result
 
 
+IDENTITIES = ("iota2-matching-identity", "chi2-identity")
+
+
 def suite_identities(max_n: int, guards: Guards = DEFAULT_GUARDS) -> SuiteResult:
-    """iota_2 = n - 2 nu(complement) and chi_2 - M_2 = iota_2, exhaustively."""
+    """The identity rows of ``bounds.CLAIMS``, iota_2 = n - 2 nu(complement)
+    and chi_2 - M_2 = iota_2, exhaustively. A violation payload is the
+    record's witness plus ``g6`` and ``claim``; a refused record raises
+    ``GuardExceededError`` with its reason."""
     result = SuiteResult("identities", {"max_n": max_n})
+    params = VerificationParams(guards=guards)
     for g in exhaustive_graphs(0, max_n):
-        bs = bounded_stats(g, 2, guards)
-        nu_comp = matching_number(g.complement())
-        result.checked += 2
-        if bs.iota_r != g.n - 2 * nu_comp:
-            result.violations.append({
-                "g6": emit_graph6(g), "identity": "iota2 = n - 2 nu(complement)",
-                "iota_2": bs.iota_r, "n": g.n, "nu_complement": nu_comp,
-            })
-        if bs.chi_r - bs.m_r != bs.iota_r:
-            result.violations.append({
-                "g6": emit_graph6(g), "identity": "chi2 - M2 = iota2",
-                "chi_2": bs.chi_r, "m_2": bs.m_r, "iota_2": bs.iota_r,
-            })
+        for rec in (*verify_matching_corollary(g, guards),
+                    *evaluate_generalized(g, 2, params).claims):
+            if rec.name not in IDENTITIES:
+                continue
+            if rec.verdict == VERDICT_NOT_EVALUATED:
+                raise GuardExceededError(rec.witness["reason"])
+            result.checked += 1
+            if rec.verdict == VERDICT_VIOLATION:
+                result.violations.append(
+                    {**rec.witness, "g6": emit_graph6(g), "claim": rec.name})
     return result
 
 

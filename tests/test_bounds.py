@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -43,7 +44,8 @@ from stingycolor.bounds import (
     _lonely_claims,
     report_violations,
 )
-from stingycolor.graphs import graph_from_mask
+from stingycolor.coloring import _best_partition_score, _color_bb, bounded_iota
+from stingycolor.graphs import bits, graph_from_mask
 
 PARAMS = VerificationParams()
 ALL_VERDICTS = {VERDICT_CHECKED, VERDICT_VACUOUS, VERDICT_VIOLATION, VERDICT_NOT_EVALUATED}
@@ -149,16 +151,39 @@ def test_conjecture_agrees_with_iota2_bound():
                     == by["iota2-bound"].verdict == VERDICT_CHECKED)
 
 
-def _patching_graphs():
-    graphs = [g for n in range(7) for g in all_graphs(n)]
-    rng = random.Random(1109)
-    for n in range(7, 11):
+def _gnm_graphs(ns, per_cell, seed):
+    """``per_cell`` seeded G(n, M) graphs per (n, p), M = round(p * n(n-1)/2)
+    for p = .2, .5, .8."""
+    rng = random.Random(seed)
+    graphs = []
+    for n in ns:
         pairs = n * (n - 1) // 2
         for frac in (0.2, 0.5, 0.8):
-            for _ in range(10):
+            for _ in range(per_cell):
                 edges = rng.sample(range(pairs), round(frac * pairs))
                 graphs.append(graph_from_mask(n, sum(1 << i for i in edges)))
     return graphs
+
+
+def _patching_graphs():
+    return [g for n in range(7) for g in all_graphs(n)] + _gnm_graphs(range(7, 11), 10, 1109)
+
+
+def test_rest_of_m_r_witness_read_not_searched():
+    # gen-stinginess-patching reads chi_r(G - H) as chi_r - M_r and takes
+    # iota_r(G - H) from the iota-only search; the searches they replace
+    # must agree, on H = the size-r classes of the M_r witness.
+    graphs = [g for n in range(7) for g in all_graphs(n)] + _gnm_graphs(range(7, 10), 10, 2207)
+    for g in graphs:
+        for r in (1, 2, 3):
+            bs = bounded_stats(g, r)
+            assert bounded_iota(g, r) == (bs.chi_r, bs.iota_r, bs.iota_masks)
+            rest = g.without(v for m in bs.m_masks if m.bit_count() == r for v in bits(m))
+            chi_rest = _color_bb(rest.adj, rest.n, r)[0]
+            assert chi_rest == bs.chi_r - bs.m_r
+            iota_rest = _best_partition_score(rest.adj, rest.n, chi_rest, r, "singletons")[0]
+            assert bounded_iota(rest, r)[:2] == (chi_rest, iota_rest)
+            assert iota_rest == bounded_stats(rest, r).iota_r
 
 
 def test_patching_h_side_matches_search_on_induced_subgraph():
@@ -182,6 +207,22 @@ def test_patching_h_side_matches_search_on_induced_subgraph():
             seen.add((r, min(sub.n, 1)))
     assert {("iota_H", 0), ("iota_H", 1), ("iota_H", 2)} <= seen
     assert {(r, h) for r in (1, 2, 3, 4) for h in (0, 1)} <= seen
+
+
+# sha256 of the JSON lines (bound-claims' format: the evaluate_bounds report
+# plus the evaluate_generalized reports for r = 1..3) on seeded G(n, M) graphs
+# at n = 7..10, past the n <= 6 the sweep digest covers.
+BOUND_CLAIMS_GNM_SHA256 = "9c12c327fc910566076369828fe248dcdd11021e21f19b1af52156b9672f98ca"
+
+
+def test_bound_claims_gnm_n7_to_n10_pin():
+    text = "".join(
+        json.dumps({"bounds": evaluate_bounds(g, PARAMS).to_dict(),
+                    "generalized": [evaluate_generalized(g, r, PARAMS).to_dict()
+                                    for r in (1, 2, 3)]},
+                   sort_keys=True, separators=(",", ":")) + "\n"
+        for g in _gnm_graphs(range(7, 11), 8, 1313))
+    assert hashlib.sha256(text.encode()).hexdigest() == BOUND_CLAIMS_GNM_SHA256
 
 
 def test_serialization_round_trip(c5):

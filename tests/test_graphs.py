@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -131,6 +132,7 @@ def test_derived_graphs_pass_validation():
     for g in graphs:
         n = g.n
         comp = g.complement()
+        assert g.complement() is comp  # built once per instance
         assert comp == _checked_copy(comp) and hash(comp) == hash(_checked_copy(comp))
         assert comp == Graph.from_edges(
             n, [(u, v) for v in range(n) for u in range(v) if not g.has_edge(u, v)])
@@ -144,9 +146,51 @@ def test_derived_graphs_pass_validation():
             dropped = g.without((a, b))
             assert dropped == _checked_copy(dropped)
             assert dropped == g.induced(v for v in range(n) if v not in (a, b))
+        drop = rng.sample(range(n), rng.randint(0, n))
+        dropped = g.without(drop)
+        assert dropped == _checked_copy(dropped)
+        assert dropped == g.induced(v for v in range(n) if v not in drop)
+        with pytest.raises(ValueError, match="outside"):
+            g.induced([n])
         rebuilt = graph_from_mask(n, graph_to_mask(g))
         assert rebuilt == _checked_copy(rebuilt) == g
         assert hash(rebuilt) == hash(g)
+
+
+def test_equal_graphs_hash_alike_and_share_one_memo_entry():
+    # Each instance keeps its hash; graphs equal in value, however built,
+    # must hash alike, print alike and land in one lru_cache entry.
+    misses = []
+
+    @functools.lru_cache(maxsize=None)
+    def memo(g):
+        misses.append(g)
+        return len(misses)
+
+    rng = random.Random(5150)
+    graphs = [petersen(), cycle(5), empty(0), complete(1)]
+    graphs += [er_random(n, p, seed=rng.getrandbits(32)) for n in (6, 8, 10) for p in (0.3, 0.7)]
+    for g in graphs:
+        n = g.n
+        drop = rng.sample(range(n), n // 3)
+        rest = [v for v in range(n) if v not in drop]
+        sub = Graph(len(rest), tuple(sum(1 << i for i, u in enumerate(rest) if g.has_edge(v, u))
+                                     for v in rest))
+        for want, twins in (
+            (g, [Graph(n, tuple(g.adj)), Graph._unchecked(n, tuple(g.adj)),
+                 parse_graph6(emit_graph6(g)), g.complement().complement(),
+                 g.induced(range(n)), g.without(()), graph_from_mask(n, graph_to_mask(g))]),
+            (g.complement(), [Graph(n, g.complement().adj), g.complement().induced(range(n))]),
+            (sub, [g.induced(rest), g.without(drop), _checked_copy(sub)]),
+        ):
+            memo.cache_clear()
+            misses.clear()
+            for twin in twins:
+                assert twin is not want and twin == want
+                assert hash(twin) == hash(want) == hash((want.n, want.adj))
+                assert repr(twin) == repr(want) == f"Graph(n={want.n}, adj={want.adj!r})"
+                assert memo(twin) == 1
+            assert memo(want) == 1 and misses == [twins[0]]
 
 
 def test_complete_k4():

@@ -12,7 +12,7 @@ from stingycolor import (
     recheck_counterexample,
 )
 from stingycolor import bounds, lonely
-from stingycolor.coloring import GuardExceededError
+from stingycolor.coloring import DEFAULT_GUARDS, GuardExceededError, Guards
 from stingycolor.bounds import CLAIMS, GEN_LONELY_REFUSED, LONELY_REFUSED, base_name
 from stingycolor.suites import (
     UnknownClaimError,
@@ -70,8 +70,30 @@ def test_suite_replete():
     assert result.vacuous > 0  # most small graphs fail the hypotheses
 
 
-def test_suite_identities():
-    assert suite_identities(4).passed
+def test_suite_identities(monkeypatch):
+    result = suite_identities(4)
+    assert result.passed and result.checked == 2 * len(list(exhaustive_graphs(0, 4)))
+    with pytest.raises(GuardExceededError,
+                       match=r"^r-bounded stats guarded at n <= 3 \(graph has 4\)$"):
+        suite_identities(4, Guards(optimal=3))
+    # The suite reads the rows of bounds.CLAIMS: an iota_2 one too large breaks
+    # both; each payload is the record's witness plus g6 and claim.
+    real = bounds.bounded_stats
+
+    def off_by_one(g, r, guards=DEFAULT_GUARDS):
+        bs = real(g, r, guards)
+        return replace(bs, iota_r=bs.iota_r + 1)
+
+    monkeypatch.setattr(bounds, "bounded_stats", off_by_one)
+    bad = suite_identities(1)
+    assert bad.checked == 4
+    assert [(v["claim"], v["g6"]) for v in bad.violations] == [
+        ("iota2-matching-identity", "?"), ("chi2-identity", "?"),
+        ("iota2-matching-identity", "@"), ("chi2-identity", "@")]
+    assert bad.violations[2] == {"iota_2": 2, "n": 1, "nu_complement": 0,
+                                 "g6": "@", "claim": "iota2-matching-identity"}
+    assert bad.violations[3] == {"r": 2, "n": 1, "omega": 1, "max_deg": 0, "chi_r": 1,
+                                 "m_r": 0, "iota_r": 2, "g6": "@", "claim": "chi2-identity"}
 
 
 def test_suite_properties_structure():
