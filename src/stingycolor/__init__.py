@@ -58,9 +58,6 @@ from .lonely import (
     is_lonely,
     lonely_digraph,
     swap,
-    verify_lonely_path_lemma,
-    verify_replete_lemma,
-    verify_touches_lemma,
 )
 from .bounds import (
     BoundsReport,

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from .graphs import (
     Graph,
@@ -65,7 +66,7 @@ class VerificationParams:
             raise ValueError("max_path_len must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClaimRecord:
     name: str
     hyp: bool | None
@@ -96,18 +97,6 @@ def _claim(name: str, hyp: bool, concl: bool | None, witness: dict) -> ClaimReco
 
 def _not_evaluated(name: str, reason: str) -> ClaimRecord:
     return ClaimRecord(name, None, None, VERDICT_NOT_EVALUATED, {"reason": reason})
-
-
-def _from_report(rep: lonely.LemmaReport, extra: dict | None = None) -> ClaimRecord:
-    witness = {
-        "colorings_checked": rep.colorings_checked,
-        "checks": rep.checks,
-    }
-    if extra:
-        witness.update(extra)
-    if rep.violations:
-        witness["violations"] = rep.violations
-    return _claim(rep.name, rep.hypothesis_holds, not rep.violations, witness)
 
 
 @dataclass(frozen=True)
@@ -463,6 +452,66 @@ def recheck_counterexample(artifact: dict,
 # ---------------------------------------------------------------------------
 
 
+_ALL_OPTIMAL = {"scope": "all optimal colorings"}
+
+
+def format_t(t2: int) -> str:
+    """Half-integer slack rendered exactly, e.g. 0, 1/2, 1."""
+    return str(Fraction(t2, 2))
+
+
+def stream_record(name: str, views: Iterable[lonely.ColoredGraph],
+                  check: Callable[[lonely.ColoredGraph], tuple[int, list[dict]]],
+                  hyp: bool = True, extra: dict | None = None) -> ClaimRecord:
+    """One lonely claim's record: the per-coloring ``check`` (checks made,
+    violation payloads) run on every coloring of the stream, which is read
+    only when the hypothesis holds. The witness counts the colorings and
+    checks, then ``extra``, then any violations."""
+    colorings = checks = 0
+    violations: list[dict] = []
+    if hyp:
+        for cg in views:
+            made, bad = check(cg)
+            colorings += 1
+            checks += made
+            violations.extend(bad)
+    witness = {"colorings_checked": colorings, "checks": checks}
+    if extra:
+        witness.update(extra)
+    if violations:
+        witness["violations"] = violations
+    return _claim(name, hyp, not violations, witness)
+
+
+def stream_claims(g: Graph, r: int | None, views: Sequence[lonely.ColoredGraph],
+                  t2_list: Iterable[int], guards: Guards) -> list[ClaimRecord]:
+    """The touches and lonely-out-degree records of one stream: the optimal
+    colorings (``r`` None) or the optimal r-bounded ones, read once per claim.
+
+    classic: every class of every optimal coloring holds a vertex meeting all
+    other classes; and, under 2*chi > omega + max_deg + 1 + t2, every class
+    holds a vertex v with |L_C(v)| >= omega + t2. With ``r``: every singleton
+    of every optimal r-bounded coloring meets all other classes of size below
+    r; and, under 2*(chi_r - M_r) > omega + max_deg + 1 + t2, every singleton
+    {v} has |L_C(v)| >= omega + t2. The slack t = t2/2 stays doubled."""
+    inv = invariants(g)
+    if r is None:
+        out = [stream_record("class-meets-all-classes", views, lonely.touches_failures,
+                             extra=_ALL_OPTIMAL)]
+        degree, gap = "lonely-degree-bound[t=", chromatic_number(g)
+    else:
+        out = [stream_record(f"singleton-meets-small-classes[r={r}]", views,
+                             lambda cg: lonely.touches_failures(cg, r))]
+        bs = bounded_stats(g, r, guards)
+        degree, gap = f"gen-lonely-degree-bound[r={r},t=", bs.chi_r - bs.m_r
+    for t2 in t2_list:
+        need = inv.omega + t2
+        out.append(stream_record(f"{degree}{format_t(t2)}]", views,
+                                 lambda cg: lonely.replete_failures(cg, r, need),
+                                 2 * gap > inv.omega + inv.max_deg + 1 + t2))
+    return out
+
+
 def _lonely_claims(g: Graph, params: VerificationParams) -> list[ClaimRecord]:
     """The lonely-edge lemma records. Each optimal-coloring stream (uncapped,
     then capped at each r) is built once and feeds every claim on it (see
@@ -480,14 +529,11 @@ def _lonely_claims(g: Graph, params: VerificationParams) -> list[ClaimRecord]:
         return found
 
     out: list[ClaimRecord] = []
-    scope = {"scope": "all optimal colorings"}
     try:
         optimal = lonely.optimal_views(g, None, guards, views)
-        out.append(_from_report(lonely.path_join_report(optimal, join), scope))
-        out.append(_from_report(lonely.touches_report(optimal), scope))
-        for t2 in params.t2_list:
-            out.append(_from_report(lonely.replete_report(g, optimal, t2=t2, guards=guards)))
-        out.append(_from_report(lonely.swap_report(optimal)))
+        out.append(stream_record("lonely-path-join", optimal, join, extra=_ALL_OPTIMAL))
+        out.extend(stream_claims(g, None, optimal, params.t2_list, guards))
+        out.append(stream_record("swap-preserves-frame", optimal, lonely.swap_failures))
         dc = lonely.doubly_critical_edges(g, guards)
         out.append(_claim(
             "doubly-critical-iff-two-singletons", True, dc.consistent,
@@ -498,10 +544,7 @@ def _lonely_claims(g: Graph, params: VerificationParams) -> list[ClaimRecord]:
     for r in params.r_list:
         try:
             bounded = lonely.optimal_views(g, r, guards, views)
-            out.append(_from_report(lonely.touches_report(bounded, r)))
-            for t2 in params.t2_list:
-                out.append(_from_report(
-                    lonely.replete_report(g, bounded, r, t2, guards)))
+            out.extend(stream_claims(g, r, bounded, params.t2_list, guards))
         except GuardExceededError as exc:
             out.append(_not_evaluated(f"{GEN_LONELY_REFUSED}[r={r}]", str(exc)))
             continue
@@ -511,7 +554,7 @@ def _lonely_claims(g: Graph, params: VerificationParams) -> list[ClaimRecord]:
             # passes both property checks without enumerating for r >= 2.
             prop = b_r(r)
             lonely.check_path_join_property(g, prop, guards)
-            out.append(_from_report(lonely.path_join_report(bounded, join, prop)))
+            out.append(stream_record(f"lonely-path-join[{prop.name}]", bounded, join))
     return out
 
 

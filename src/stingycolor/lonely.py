@@ -1,21 +1,23 @@
-"""Frames, lonely edges, frame-preserving swaps, and the lemma verifiers.
+"""Lonely edges, frame-preserving swaps, and the per-coloring lemma checks.
 
 A directed edge (v, w) is lonely under a coloring when w is the only neighbor
-of v inside w's class. The verifiers here re-check, by exhaustive or sampled
-search, every structural statement built on that notion: swap safety, the
-joined-path property of lonely paths out of singleton classes, the
-touches-everybody facts, and the lonely-out-degree lower bounds. All
-inequality arithmetic works on doubled integers so half-integer slacks never
-touch floating point.
+of v inside w's class. A ``ColoredGraph`` view holds one coloring as class
+masks, and each structural statement built on lonely edges is a check of one
+view returning (checks made, violation payloads): swap safety
+(``swap_failures``), the joined-path property of lonely paths out of
+singleton classes (``join_failures``), the touches-everybody facts
+(``touches_failures``) and the lonely-out-degree lower bounds
+(``replete_failures``). ``bounds`` names each claim, states its hypothesis
+and runs its check over a coloring stream; ``optimal_views`` builds those
+streams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
-from .graphs import Graph, bits, independence_number, invariants, max_clique_mask
+from .graphs import Graph, bits, independence_number, max_clique_mask
 from .coloring import (
     Coloring,
     ColoringProperty,
@@ -23,11 +25,9 @@ from .coloring import (
     Guards,
     DEFAULT_GUARDS,
     _partition_error,
-    bounded_stats,
     check_optimal_guard,
     chromatic_number,
     enumerate_optimal_masks,
-    enumerate_p_optimal,
     is_frame_property,
     is_singleton_friendly,
     stats,
@@ -76,32 +76,18 @@ class LonelyDigraph:
 
 
 class ColoredGraph:
-    """One proper coloring of a graph with what the per-coloring lemma checks
-    read from it: the class masks in ``Coloring`` order, the class of each
-    vertex, and per class the mask of the vertices with a neighbour in it
-    (``reach``, the OR of ``adj`` over its members). ``from_masks`` builds it
-    from class masks; ``ColoredGraph(g, c)`` converts ``c`` to masks once and
-    builds the same way. The masks are checked to partition the vertex set
-    (else PartitionError) and to be independent in one pass over each
-    class's members. The lonely digraph ``ld`` and the coloring ``c`` are
-    built only when read."""
+    """One proper coloring of a graph, given by its class masks in
+    ``Coloring`` order (popcount, lowest bit; ``Coloring.class_masks`` gives
+    them), with what the per-coloring lemma checks read from it: the class of
+    each vertex, and per class the mask of the vertices with a neighbour in it
+    (``reach``, the OR of ``adj`` over its members). The masks are checked to
+    partition the vertex set (else PartitionError) and to be independent in
+    one pass over each class's members. The lonely digraph ``ld`` and the
+    coloring ``c`` are built only when read."""
 
     __slots__ = ("g", "masks", "by_vertex", "reach", "_ld", "_c")
 
-    def __init__(self, g: Graph, c: Coloring):
-        self._build(g, c.class_masks())
-        self._c = c
-
-    @classmethod
-    def from_masks(cls, g: Graph, masks: tuple[int, ...]) -> "ColoredGraph":
-        """The view of the coloring whose class masks, in ``Coloring`` order
-        (popcount, lowest bit), are ``masks``."""
-        cg = object.__new__(cls)
-        cg._build(g, masks)
-        cg._c = None
-        return cg
-
-    def _build(self, g: Graph, masks: tuple[int, ...]):
+    def __init__(self, g: Graph, masks: tuple[int, ...]):
         n = g.n
         full = (1 << n) - 1
         covered = 0
@@ -129,6 +115,7 @@ class ColoredGraph:
         self.by_vertex = by_vertex
         self.reach = reach
         self._ld = None
+        self._c = None
 
     @property
     def ld(self) -> LonelyDigraph:
@@ -159,7 +146,7 @@ class ColoredGraph:
 
 
 def lonely_digraph(g: Graph, c: Coloring) -> LonelyDigraph:
-    return ColoredGraph(g, c).ld
+    return ColoredGraph(g, c.class_masks()).ld
 
 
 @dataclass
@@ -195,7 +182,7 @@ def optimal_views(g: Graph, cap: int | None, guards: Guards,
     for masks in stream:
         cg = by_masks.get(masks)
         if cg is None:
-            cg = by_masks[masks] = ColoredGraph.from_masks(g, masks)
+            cg = by_masks[masks] = ColoredGraph(g, masks)
         out.append(cg)
     if cap is None:
         seen.optimal = out
@@ -258,7 +245,7 @@ def enumerate_lonely_path_pairs(g: Graph, c: Coloring | None, max_len: int = 3,
     lexicographically smaller of the two singleton roots. ``view``, if given,
     is the coloring's view already built: its digraph and singletons are
     used, and ``c`` is not read."""
-    cg = view or ColoredGraph(g, c)
+    cg = view or ColoredGraph(g, c.class_masks())
     singles = cg.singletons()
     if len(singles) < 2:
         return
@@ -281,33 +268,6 @@ def _join_violations(g: Graph, pair: LonelyPathPair) -> list[tuple[int, int]]:
         for w in pair.pb
         if not g.has_edge(u, w)
     ]
-
-
-# A per-coloring check returns (checks made, violation payloads).
-Check = Callable[[ColoredGraph], tuple[int, list[dict]]]
-
-
-@dataclass
-class LemmaReport:
-    """Outcome of one verifier run on one graph."""
-
-    name: str
-    hypothesis_holds: bool
-    colorings_checked: int = 0
-    checks: int = 0
-    violations: list[dict] = field(default_factory=list)
-
-    @staticmethod
-    def over(name: str, views: Iterable[ColoredGraph], check: Check,
-             hypothesis_holds: bool = True) -> "LemmaReport":
-        """Run a per-coloring check on every coloring of a stream."""
-        report = LemmaReport(name, hypothesis_holds)
-        for cg in views:
-            checks, bad = check(cg)
-            report.colorings_checked += 1
-            report.checks += checks
-            report.violations.extend(bad)
-        return report
 
 
 def join_failures(cg: ColoredGraph, max_len: int = 3) -> tuple[int, list[dict]]:
@@ -413,95 +373,6 @@ def check_path_join_property(g: Graph, prop: ColoringProperty | FrameProperty,
         raise PropertyNotApplicableError(
             f"{prop.name!r} is not singleton-friendly on this graph"
         )
-
-
-def path_join_report(views: Iterable[ColoredGraph], join: Check,
-                     prop: ColoringProperty | FrameProperty | None = None) -> LemmaReport:
-    """Joined-paths check over optimal (or, with ``prop``, P-optimal)
-    colorings; ``join`` is ``join_failures`` at the chosen path length."""
-    name = "lonely-path-join" if prop is None else f"lonely-path-join[{prop.name}]"
-    return LemmaReport.over(name, views, join)
-
-
-def touches_report(views: Iterable[ColoredGraph], r: int | None = None) -> LemmaReport:
-    """classic: every class of every optimal coloring holds a vertex meeting
-    all other classes. With ``r``: every singleton of every optimal r-bounded
-    coloring meets all other classes of size below r."""
-    name = "class-meets-all-classes" if r is None else f"singleton-meets-small-classes[r={r}]"
-    return LemmaReport.over(name, views, lambda cg: touches_failures(cg, r))
-
-
-def format_t(t2: int) -> str:
-    """Half-integer slack rendered exactly, e.g. 0, 1/2, 1."""
-    return str(Fraction(t2, 2))
-
-
-def replete_report(g: Graph, views: Iterable[ColoredGraph], r: int | None = None,
-                   t2: int = 0, guards: Guards = DEFAULT_GUARDS) -> LemmaReport:
-    """Lonely-out-degree lower bounds, slack t = t2/2 (doubled arithmetic).
-
-    classic (r None): under 2*chi > omega + max_deg + 1 + t2, every class of
-    every optimal coloring holds a vertex v with |L_C(v)| >= omega + t2.
-    With ``r``: under 2*(chi_r - M_r) > omega + max_deg + 1 + t2, every
-    singleton {v} of every optimal r-bounded coloring has
-    |L_C(v)| >= omega + t2. ``views`` is read only when the hypothesis holds.
-    """
-    if t2 < 0:
-        raise ValueError("slack must be nonnegative")
-    inv = invariants(g)
-    if r is None:
-        name = f"lonely-degree-bound[t={format_t(t2)}]"
-        hyp = 2 * chromatic_number(g) > inv.omega + inv.max_deg + 1 + t2
-    else:
-        name = f"gen-lonely-degree-bound[r={r},t={format_t(t2)}]"
-        bs = bounded_stats(g, r, guards)
-        hyp = 2 * (bs.chi_r - bs.m_r) > inv.omega + inv.max_deg + 1 + t2
-    need = inv.omega + t2
-    return LemmaReport.over(name, views if hyp else (),
-                            lambda cg: replete_failures(cg, r, need), hyp)
-
-
-def swap_report(views: Iterable[ColoredGraph]) -> LemmaReport:
-    """Swap safety over a coloring stream."""
-    return LemmaReport.over("swap-preserves-frame", views, swap_failures)
-
-
-def verify_lonely_path_lemma(g: Graph, mode: str = "classic",
-                             prop: ColoringProperty | FrameProperty | None = None,
-                             max_len: int = 3,
-                             guards: Guards = DEFAULT_GUARDS) -> LemmaReport:
-    """Joined-paths check over every optimal (classic) or P-optimal coloring.
-
-    Property mode refuses predicates that fail the frame-property or
-    singleton-friendliness checks, since the statement assumes both.
-    """
-    if mode == "classic":
-        prop = None
-        views = (ColoredGraph.from_masks(g, m) for m in enumerate_optimal_masks(g, guards=guards))
-    elif mode == "property":
-        if prop is None:
-            raise ValueError("property mode needs a ColoringProperty")
-        check_path_join_property(g, prop, guards)
-        views = (ColoredGraph(g, c) for c in enumerate_p_optimal(g, prop, guards))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return path_join_report(views, lambda cg: join_failures(cg, max_len), prop)
-
-
-def verify_touches_lemma(g: Graph, r: int | None = None,
-                         guards: Guards = DEFAULT_GUARDS) -> LemmaReport:
-    """``touches_report`` over the optimal (with ``r``: optimal r-bounded)
-    colorings."""
-    masks = enumerate_optimal_masks(g, cap=r, guards=guards)
-    return touches_report((ColoredGraph.from_masks(g, m) for m in masks), r)
-
-
-def verify_replete_lemma(g: Graph, r: int | None = None, t2: int = 0,
-                         guards: Guards = DEFAULT_GUARDS) -> LemmaReport:
-    """``replete_report`` over the optimal (with ``r``: optimal r-bounded)
-    colorings, enumerated only when the hypothesis holds."""
-    masks = enumerate_optimal_masks(g, cap=r, guards=guards)
-    return replete_report(g, (ColoredGraph.from_masks(g, m) for m in masks), r, t2, guards)
 
 
 @dataclass(frozen=True)

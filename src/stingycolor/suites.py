@@ -32,6 +32,7 @@ from .coloring import (
     enumerate_colorings,
     enumerate_coloring_masks,
     enumerate_optimal_masks,
+    enumerate_p_optimal,
     is_frame_property,
     is_singleton_friendly,
     one_optimal_masks,
@@ -40,11 +41,14 @@ from . import lonely
 from .bounds import (  # UnknownClaimError: what claim_records_for raises, kept importable here
     VERDICT_NOT_EVALUATED,
     VERDICT_VIOLATION,
+    ClaimRecord,
     UnknownClaimError,
     VerificationParams,
     claim_records_for,
     evaluate_generalized,
     full_report,
+    stream_claims,
+    stream_record,
     verify_matching_corollary,
 )
 
@@ -100,19 +104,28 @@ def sample_specs(total: int, ns: tuple[int, ...],
 # ---------------------------------------------------------------------------
 
 
+def _absorb(result: SuiteResult, rec: ClaimRecord, **tags) -> int:
+    """Count one lonely-claim record into ``result``: a vacuous record as one
+    vacuous case, else its checks and its violations, each with ``tags``
+    added. Returns the colorings it checked."""
+    if not rec.hyp:
+        result.vacuous += 1
+        return 0
+    result.checked += rec.witness["checks"]
+    for bad in rec.witness.get("violations", ()):
+        result.violations.append({**bad, **tags})
+    return rec.witness["colorings_checked"]
+
+
 def suite_swap(max_n: int, guards: Guards = DEFAULT_GUARDS) -> SuiteResult:
     """Every mutually-lonely swap in every proper coloring of every graph up
     to max_n must stay proper on the same frame."""
     result = SuiteResult("swap", {"max_n": max_n})
     colorings = 0
     for g in exhaustive_graphs(0, max_n):
-        rep = lonely.swap_report(
-            lonely.ColoredGraph.from_masks(g, m) for m in enumerate_coloring_masks(g, guards))
-        colorings += rep.colorings_checked
-        result.checked += rep.checks
-        for bad in rep.violations:
-            bad["g6"] = emit_graph6(g)
-            result.violations.append(bad)
+        views = (lonely.ColoredGraph(g, m) for m in enumerate_coloring_masks(g, guards))
+        rec = stream_record("swap-preserves-frame", views, lonely.swap_failures)
+        colorings += _absorb(result, rec, g6=emit_graph6(g))
     result.details["colorings"] = colorings
     return result
 
@@ -131,14 +144,14 @@ def suite_lonely_path(max_n: int, max_len: int = 3, samples: int = 0,
     def views() -> Iterator[lonely.ColoredGraph]:
         for g in exhaustive_graphs(0, max_n):
             for masks in enumerate_optimal_masks(g, guards=guards):
-                yield lonely.ColoredGraph.from_masks(g, masks)
+                yield lonely.ColoredGraph(g, masks)
         if not samples:
             return
         rng = random.Random(seed)
         for n, p, count in sample_specs(samples, sample_ns, densities):
             for _ in range(count):
                 g = er_random(n, p, seed=rng.getrandbits(32))
-                yield lonely.ColoredGraph.from_masks(g, one_optimal_masks(g, rng=rng))
+                yield lonely.ColoredGraph(g, one_optimal_masks(g, rng=rng))
 
     def join(cg: lonely.ColoredGraph) -> tuple[int, list[dict]]:
         checks, failures = lonely.join_failures(cg, max_len)
@@ -146,29 +159,28 @@ def suite_lonely_path(max_n: int, max_len: int = 3, samples: int = 0,
             bad["g6"] = emit_graph6(cg.g)
         return checks, failures
 
-    rep = lonely.path_join_report(views(), join)
-    result.checked = rep.checks
-    result.violations = rep.violations
-    result.details["colorings"] = rep.colorings_checked
+    rec = stream_record("lonely-path-join", views(), join)
+    result.details["colorings"] = _absorb(result, rec)
     return result
 
 
 def suite_gen_lonely_path(max_n: int, rs: tuple[int, ...] = (2, 3),
                           max_len: int = 3,
                           guards: Guards = DEFAULT_GUARDS) -> SuiteResult:
-    """Joined-paths property for size-capped colorings (properties B_r)."""
+    """Joined-paths property for size-capped colorings (properties B_r),
+    over the P-optimal colorings of each B_r."""
     result = SuiteResult("generalized-lonely-path",
                          {"max_n": max_n, "rs": list(rs), "max_len": max_len})
     for g in exhaustive_graphs(0, max_n):
         g6 = emit_graph6(g)
         for r in rs:
-            rep = lonely.verify_lonely_path_lemma(
-                g, mode="property", prop=b_r(r), max_len=max_len, guards=guards)
-            result.checked += rep.checks
-            for bad in rep.violations:
-                bad = dict(bad)
-                bad.update({"g6": g6, "r": r})
-                result.violations.append(bad)
+            prop = b_r(r)
+            lonely.check_path_join_property(g, prop, guards)
+            views = (lonely.ColoredGraph(g, c.class_masks())
+                     for c in enumerate_p_optimal(g, prop, guards))
+            rec = stream_record(f"lonely-path-join[{prop.name}]", views,
+                                lambda cg: lonely.join_failures(cg, max_len))
+            _absorb(result, rec, g6=g6, r=r)
     return result
 
 
@@ -178,25 +190,13 @@ def suite_replete(max_n: int, t2s: tuple[int, ...] = (0, 1),
     """Lonely-out-degree lower bounds plus the touches-everybody checks,
     classic and r-bounded."""
     result = SuiteResult("replete", {"max_n": max_n, "t2s": list(t2s), "rs": list(rs)})
-
-    def absorb(g6: str, rep: lonely.LemmaReport):
-        if not rep.hypothesis_holds:
-            result.vacuous += 1
-            return
-        result.checked += rep.checks
-        for bad in rep.violations:
-            bad = dict(bad)
-            bad.update({"g6": g6, "claim": rep.name})
-            result.violations.append(bad)
-
     for g in exhaustive_graphs(0, max_n):
         g6 = emit_graph6(g)
         views = lonely.ViewCache()
         for r in (None, *rs):
             stream = lonely.optimal_views(g, r, guards, views)
-            absorb(g6, lonely.touches_report(stream, r))
-            for t2 in t2s:
-                absorb(g6, lonely.replete_report(g, stream, r, t2, guards))
+            for rec in stream_claims(g, r, stream, t2s, guards):
+                _absorb(result, rec, g6=g6, claim=rec.name)
     return result
 
 

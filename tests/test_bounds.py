@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -31,10 +32,7 @@ from stingycolor import (
     recheck_counterexample,
     stats,
     swap,
-    verify_lonely_path_lemma,
     verify_matching_corollary,
-    verify_replete_lemma,
-    verify_touches_lemma,
 )
 from stingycolor.bounds import (
     VERDICT_CHECKED,
@@ -44,8 +42,21 @@ from stingycolor.bounds import (
     _lonely_claims,
     report_violations,
 )
-from stingycolor.coloring import _best_partition_score, _color_bb, bounded_iota
-from stingycolor.graphs import bits, graph_from_mask
+from stingycolor.coloring import (
+    _best_partition_score,
+    _color_bb,
+    bounded_iota,
+    enumerate_optimal_masks,
+    enumerate_p_optimal,
+)
+from stingycolor.graphs import bits, graph_from_mask, invariants
+from stingycolor.lonely import (
+    ColoredGraph,
+    check_path_join_property,
+    join_failures,
+    replete_failures,
+    touches_failures,
+)
 
 PARAMS = VerificationParams()
 ALL_VERDICTS = {VERDICT_CHECKED, VERDICT_VACUOUS, VERDICT_VIOLATION, VERDICT_NOT_EVALUATED}
@@ -290,18 +301,29 @@ def test_b_r_path_join_evaluated_up_to_optimal_guard(g):
 # --- one pass per coloring stream ----------------------------------------------
 
 
-def _lemma_record(rep, extra=None):
-    witness = {"colorings_checked": rep.colorings_checked, "checks": rep.checks}
-    witness.update(extra or {})
-    if rep.violations:
-        witness["violations"] = rep.violations
-    hyp = rep.hypothesis_holds
+def _tally(name, views, check, hyp=True, extra=None):
+    """One lonely claim's record as a dict: ``check`` run on every view of
+    the stream when the hypothesis holds, counted here."""
+    colorings = checks = 0
+    violations = []
+    for cg in views if hyp else ():
+        made, bad = check(cg)
+        colorings += 1
+        checks += made
+        violations.extend(bad)
+    witness = {"colorings_checked": colorings, "checks": checks, **(extra or {})}
+    if violations:
+        witness["violations"] = violations
     if not hyp:
-        verdict = VERDICT_VACUOUS
-    else:
-        verdict = VERDICT_VIOLATION if rep.violations else VERDICT_CHECKED
-    return {"name": rep.name, "hyp": hyp, "concl": not rep.violations if hyp else None,
-            "verdict": verdict, "witness": witness}
+        return {"name": name, "hyp": False, "concl": None, "verdict": VERDICT_VACUOUS,
+                "witness": witness}
+    return {"name": name, "hyp": True, "concl": not violations,
+            "verdict": VERDICT_VIOLATION if violations else VERDICT_CHECKED,
+            "witness": witness}
+
+
+def _optimal_stream(g, cap, guards):
+    return (ColoredGraph(g, m) for m in enumerate_optimal_masks(g, cap, guards))
 
 
 def _swap_record_by_vertex_pairs(g, guards):
@@ -332,17 +354,30 @@ def _not_evaluated_record(name, exc):
 
 
 def _lonely_records_per_lemma(g, params):
-    """The lonely-claim records with each lemma run by its own verifier on its
-    own coloring stream, B_r through enumerate_p_optimal."""
+    """The lonely-claim records with each lemma run on its own coloring stream
+    (B_r through enumerate_p_optimal), its hypothesis stated here and its
+    record tallied here."""
     guards, max_len = params.guards, params.max_path_len
+    inv = invariants(g)
     scope = {"scope": "all optimal colorings"}
+
+    def join(cg):
+        return join_failures(cg, max_len)
+
+    def degree_bound(name, cap, gap, t2):
+        need = inv.omega + t2
+        return _tally(f"{name}t={Fraction(t2, 2)}]", _optimal_stream(g, cap, guards),
+                      lambda cg: replete_failures(cg, cap, need),
+                      2 * gap > inv.omega + inv.max_deg + 1 + t2)
+
     out = []
     try:
-        out.append(_lemma_record(verify_lonely_path_lemma(g, max_len=max_len, guards=guards),
-                                 scope))
-        out.append(_lemma_record(verify_touches_lemma(g, guards=guards), scope))
+        out.append(_tally("lonely-path-join", _optimal_stream(g, None, guards), join,
+                          extra=scope))
+        out.append(_tally("class-meets-all-classes", _optimal_stream(g, None, guards),
+                          touches_failures, extra=scope))
         for t2 in params.t2_list:
-            out.append(_lemma_record(verify_replete_lemma(g, t2=t2, guards=guards)))
+            out.append(degree_bound("lonely-degree-bound[", None, chromatic_number(g), t2))
         out.append(_swap_record_by_vertex_pairs(g, guards))
         dc = doubly_critical_edges(g, guards)
         out.append({"name": "doubly-critical-iff-two-singletons", "hyp": True,
@@ -353,16 +388,22 @@ def _lonely_records_per_lemma(g, params):
         return out + [_not_evaluated_record("lonely-claims", exc)]
     for r in params.r_list:
         try:
-            out.append(_lemma_record(verify_touches_lemma(g, r=r, guards=guards)))
+            out.append(_tally(f"singleton-meets-small-classes[r={r}]",
+                              _optimal_stream(g, r, guards),
+                              lambda cg: touches_failures(cg, r)))
             for t2 in params.t2_list:
-                out.append(_lemma_record(verify_replete_lemma(g, r=r, t2=t2, guards=guards)))
+                bs = bounded_stats(g, r, guards)
+                out.append(degree_bound(f"gen-lonely-degree-bound[r={r},", r,
+                                        bs.chi_r - bs.m_r, t2))
         except GuardExceededError as exc:
             out.append(_not_evaluated_record(f"gen-lonely-claims[r={r}]", exc))
             continue
         if r >= 2:
             try:
-                out.append(_lemma_record(verify_lonely_path_lemma(
-                    g, mode="property", prop=b_r(r), max_len=max_len, guards=guards)))
+                check_path_join_property(g, b_r(r), guards)
+                views = (ColoredGraph(g, c.class_masks())
+                         for c in enumerate_p_optimal(g, b_r(r), guards))
+                out.append(_tally(f"lonely-path-join[B_{r}]", views, join))
             except GuardExceededError as exc:
                 out.append(_not_evaluated_record(f"lonely-path-join[B_{r}]", exc))
     return out

@@ -135,10 +135,15 @@ def test_sweep_n6_guards_5_4_golden_digest(capsys, monkeypatch):
 
 # sha256 of the stdout of `verify --suite <suite> --max-n 6` (default options),
 # with the number of checks it reports: every swap of every proper coloring,
-# and every touches and lonely-degree record, on the 209 classes with n <= 6.
+# every touches and lonely-degree record, and every lonely path pair of every
+# optimal (and, for B_2 and B_3, P-optimal) coloring, on the 209 classes with
+# n <= 6.
 VERIFY_N6_SHA256 = {
     "swap": ("98a98738bfa74be87219bcfb7b84d823344a9689fdaa963739fc46ba805b74b7", 15680),
     "replete": ("266f9def041b0e330c1af713070843b2a41186e77e817eeb35698717afed098d", 5505),
+    "lonely-path": ("185051ffa678f320a311809824358fa68682357d0c57827bd9e25072a71919d5", 6373),
+    "generalized-lonely-path": (
+        "58ec8cc0269e38609ed63545d5cbcab91ff5b4779a584083e1ebf37e40753934", 12720),
 }
 
 
@@ -149,6 +154,14 @@ def test_verify_n6_golden_digest(capsys, suite):
     assert code == 0
     assert json.loads(out)["checked"] == checked
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_gen_lonely_path_reads_p_optimal_stream(capsys, monkeypatch):
+    # generalized-lonely-path enumerates the B_r-optimal colorings through
+    # chi_P, so the guard that refuses it is chi_P's.
+    monkeypatch.setenv("STINGYCOLOR_OPTIMAL_GUARD", "4")
+    assert run(capsys, "verify", "--suite", "generalized-lonely-path", "--max-n", "5") == (
+        2, "", "error: chi_P guarded at n <= 4 (graph has 5)\n")
 
 
 def test_sweep_corpus_with_bad_line(capsys, tmp_path):

@@ -21,14 +21,26 @@ from stingycolor import (
     lonely_digraph,
     path,
     swap,
-    verify_lonely_path_lemma,
-    verify_replete_lemma,
-    verify_touches_lemma,
     doubly_critical_edges,
 )
-from stingycolor.coloring import chromatic_number
+from stingycolor.bounds import (
+    VERDICT_CHECKED,
+    VERDICT_VACUOUS,
+    VERDICT_VIOLATION,
+    format_t,
+    stream_claims,
+    stream_record,
+)
+from stingycolor.coloring import DEFAULT_GUARDS, chromatic_number, enumerate_p_optimal
 from stingycolor.graphs import EXHAUSTIVE_MAX_N, er_random, max_clique_mask
-from stingycolor.lonely import ColoredGraph, PropertyNotApplicableError, format_t
+from stingycolor.lonely import (
+    ColoredGraph,
+    PropertyNotApplicableError,
+    ViewCache,
+    check_path_join_property,
+    join_failures,
+    optimal_views,
+)
 
 
 # --- frames ------------------------------------------------------------------
@@ -108,9 +120,9 @@ def test_lonely_digraph_rejects_improper(c5):
 def test_colored_graph_rejects_non_partition(c5):
     # missing vertex 4, then a vertex outside 0..4: structural, not "improper"
     with pytest.raises(PartitionError, match=r"missing \[4\]"):
-        ColoredGraph(c5, Coloring.of([[0, 2], [1, 3]]))
+        ColoredGraph(c5, Coloring.of([[0, 2], [1, 3]]).class_masks())
     with pytest.raises(PartitionError, match=r"extra \[5\]"):
-        ColoredGraph(c5, Coloring.of([[0, 2], [1, 3], [4, 5]]))
+        ColoredGraph(c5, Coloring.of([[0, 2], [1, 3], [4, 5]]).class_masks())
 
 
 def test_lonely_digraph_agrees_with_is_lonely():
@@ -196,63 +208,71 @@ def test_pairs_respect_constraints():
                     assert pair.pa[0] < pair.pb[0]
 
 
-# --- lemma verifiers -------------------------------------------------------------
+# --- lemma records over coloring streams ----------------------------------------
+
+
+def _path_join(g, views=None):
+    if views is None:
+        views = optimal_views(g, None, DEFAULT_GUARDS, ViewCache())
+    return stream_record("lonely-path-join", views, lambda cg: join_failures(cg, 3))
+
+
+def _stream_claims(g, r=None, t2s=(0,)):
+    views = optimal_views(g, r, DEFAULT_GUARDS, ViewCache())
+    return stream_claims(g, r, views, t2s, DEFAULT_GUARDS)
 
 
 def test_lonely_path_lemma_k3():
-    rep = verify_lonely_path_lemma(complete(3))
-    assert rep.hypothesis_holds and not rep.violations
-    assert rep.checks == 9  # three root pairs, paths up to three vertices
+    rec = _path_join(complete(3))
+    assert rec.verdict == VERDICT_CHECKED
+    assert rec.witness["checks"] == 9  # three root pairs, paths up to three vertices
 
 
 def test_lonely_path_lemma_small_graphs():
     for n in range(0, 5):
         for g in all_graphs(n):
-            rep = verify_lonely_path_lemma(g)
-            assert not (rep.hypothesis_holds and rep.violations)
+            assert _path_join(g).verdict == VERDICT_CHECKED
 
 
 def test_generalized_lonely_path_b2(c5):
-    rep = verify_lonely_path_lemma(c5, mode="property", prop=b_r(2))
-    assert rep.hypothesis_holds and not rep.violations
-    assert rep.colorings_checked == 5
+    views = [ColoredGraph(c5, c.class_masks()) for c in enumerate_p_optimal(c5, b_r(2))]
+    rec = _path_join(c5, views)
+    assert rec.verdict == VERDICT_CHECKED
+    assert rec.witness["colorings_checked"] == 5
 
 
 def test_property_mode_refuses_bad_property(c5):
     pin = ColoringProperty(lambda c: any(cls == (0,) for cls in c.classes), "v0")
     with pytest.raises(PropertyNotApplicableError, match="frame property"):
-        verify_lonely_path_lemma(c5, mode="property", prop=pin)
+        check_path_join_property(c5, pin)
     with pytest.raises(PropertyNotApplicableError, match="singleton-friendly"):
-        verify_lonely_path_lemma(path(3), mode="property", prop=b_r(1))
+        check_path_join_property(path(3), b_r(1))
+    check_path_join_property(c5, b_r(2))
 
 
 def test_replete_c5_detail(c5):
     # hypothesis 2*3 > 2+2+1: every class of every optimal coloring has a
     # vertex with at least omega = 2 lonely out-edges
-    rep = verify_replete_lemma(c5, t2=0)
-    assert rep.hypothesis_holds
-    assert not rep.violations
-    assert rep.colorings_checked == 5
-    assert rep.checks == 15
+    touches, rec = _stream_claims(c5)
+    assert rec.name == "lonely-degree-bound[t=0]"
+    assert rec.hyp and rec.verdict == VERDICT_CHECKED
+    assert rec.witness == {"colorings_checked": 5, "checks": 15}
+    assert touches.witness == {"colorings_checked": 5, "checks": 15,
+                               "scope": "all optimal colorings"}
 
 
 def test_replete_vacuous_on_k4():
-    rep = verify_replete_lemma(complete(4), t2=0)
-    assert not rep.hypothesis_holds  # vacuous
+    _, rec = _stream_claims(complete(4))
+    assert not rec.hyp and rec.verdict == VERDICT_VACUOUS  # vacuous
+    assert rec.witness == {"colorings_checked": 0, "checks": 0}
 
 
 def test_replete_exhaustive_small():
     for n in range(0, 5):
         for g in all_graphs(n):
-            for t2 in (0, 1):
-                for r in (None, 2, 3):
-                    rep = verify_replete_lemma(g, r=r, t2=t2)
-                    assert not (rep.hypothesis_holds and rep.violations)
-
-
-def test_replete_rejects_negative_slack(c5):
-    with pytest.raises(ValueError):
-        verify_replete_lemma(c5, t2=-1)
+            for r in (None, 2, 3):
+                for rec in _stream_claims(g, r, (0, 1)):
+                    assert rec.verdict != VERDICT_VIOLATION
 
 
 def test_format_t():
@@ -263,8 +283,10 @@ def test_touches_everybody_small():
     for n in range(0, 5):
         for g in all_graphs(n):
             for r in (None, 2, 3):
-                rep = verify_touches_lemma(g, r=r)
-                assert rep.hypothesis_holds and not rep.violations
+                touches = _stream_claims(g, r)[0]
+                assert touches.name == ("class-meets-all-classes" if r is None
+                                        else f"singleton-meets-small-classes[r={r}]")
+                assert touches.verdict == VERDICT_CHECKED
 
 
 # --- doubly critical edges ---------------------------------------------------------

@@ -111,17 +111,18 @@ def _small_graphs():
 @pytest.mark.parametrize("route", ["masks", "coloring"])
 def test_violation_payload_pin(route):
     if route == "masks":
-        views = (ColoredGraph.from_masks(g, m)
+        views = (ColoredGraph(g, m)
                  for g in _small_graphs() for m in enumerate_coloring_masks(g))
     else:
-        views = (ColoredGraph(g, c) for g in _small_graphs() for c in enumerate_colorings(g))
+        views = (ColoredGraph(g, c.class_masks())
+                 for g in _small_graphs() for c in enumerate_colorings(g))
     lines = list(_payload_lines(views))
     assert (len(lines), sum(len(bad) for *_, bad in lines)) == (3654, 10054)
     assert _digest(lines) == PAYLOADS_SHA256
 
 
 def test_violation_payloads_on_path3_discrete():
-    cg = ColoredGraph.from_masks(path(3), (0b001, 0b010, 0b100))
+    cg = ColoredGraph(path(3), (0b001, 0b010, 0b100))
     got = dict(_checks(cg))
     coloring = [[0], [1], [2]]
     assert got["touches-None"] == (3, [{"coloring": coloring, "class": [0]},
@@ -138,10 +139,10 @@ def test_violation_payloads_on_path3_discrete():
 def test_mask_view_builds_coloring_only_for_payloads():
     g = cycle(5)
     for masks in enumerate_optimal_masks(g):
-        cg = ColoredGraph.from_masks(g, masks)
+        cg = ColoredGraph(g, masks)
         for _, (_, bad) in _checks(cg):
             assert not bad or cg._c is not None
-        cg = ColoredGraph.from_masks(g, masks)
+        cg = ColoredGraph(g, masks)
         lonely.touches_failures(cg)
         lonely.swap_failures(cg)
         assert cg._c is None
@@ -154,7 +155,7 @@ def test_mask_view_builds_digraph_only_when_read():
     # digraph, so none of them builds it. The swap check reads it.
     g = cycle(5)
     for masks in enumerate_optimal_masks(g):
-        cg = ColoredGraph.from_masks(g, masks)
+        cg = ColoredGraph(g, masks)
         for r in (None, 2, 3):
             lonely.touches_failures(cg, r)
         assert lonely.join_failures(cg, 3) == (0, [])
@@ -220,7 +221,7 @@ def test_mask_views_match_coloring_views():
         for cap in (None, 2, 3):
             pairs = zip(enumerate_optimal_masks(g, cap), enumerate_optimal_colorings(g, cap))
             for masks, c in pairs:
-                a, b = ColoredGraph.from_masks(g, masks), ColoredGraph(g, c)
+                a, b = ColoredGraph(g, masks), ColoredGraph(g, c.class_masks())
                 assert a.masks == b.masks == c.class_masks()
                 assert a.by_vertex == b.by_vertex
                 assert a.ld == b.ld == LonelyDigraph(g.n, tuple(
@@ -247,7 +248,8 @@ def test_mask_view_errors_match_coloring_view():
         ((0b00011, 0b01100, 0b10000), ValueError, "coloring is not proper"),
     ):
         c = Coloring(tuple(tuple(v for v in range(6) if m >> v & 1) for m in masks))
-        for build in (lambda: ColoredGraph.from_masks(g, masks), lambda: ColoredGraph(g, c)):
+        for build in (lambda: ColoredGraph(g, masks),
+                      lambda: ColoredGraph(g, c.class_masks())):
             with pytest.raises(error, match=message):
                 build()
 

@@ -70,6 +70,24 @@ def test_suite_replete():
     assert result.vacuous > 0  # most small graphs fail the hypotheses
 
 
+@pytest.mark.parametrize("suite, check, tags", [
+    (lambda: suite_swap(3), "swap_failures", ["g6"]),
+    (lambda: suite_lonely_path(3), "join_failures", ["g6"]),
+    (lambda: suite_gen_lonely_path(3, rs=(2,)), "join_failures", ["g6", "r"]),
+    (lambda: suite_replete(3, t2s=(0,), rs=(2,)), "touches_failures", ["g6", "claim"]),
+], ids=["swap", "lonely-path", "generalized-lonely-path", "replete"])
+def test_suite_violations_carry_their_tags(monkeypatch, suite, check, tags):
+    # Each violation is the check's payload followed by the suite's tags.
+    monkeypatch.setattr(lonely, check, _one_violation_per_coloring)
+    result = suite()
+    assert result.violations and not result.passed
+    for bad in result.violations:
+        assert list(bad) == ["coloring", *tags]
+    if "claim" in tags:
+        assert {bad["claim"] for bad in result.violations} == {
+            "class-meets-all-classes", "singleton-meets-small-classes[r=2]"}
+
+
 def test_suite_identities(monkeypatch):
     result = suite_identities(4)
     assert result.passed and result.checked == 2 * len(list(exhaustive_graphs(0, 4)))
