@@ -7,9 +7,11 @@ view returning (checks made, violation payloads): swap safety
 (``swap_failures``), the joined-path property of lonely paths out of
 singleton classes (``join_failures``), the touches-everybody facts
 (``touches_failures``) and the lonely-out-degree lower bounds
-(``replete_failures``). ``bounds`` names each claim, states its hypothesis
-and runs its check over a coloring stream; ``optimal_views`` builds those
-streams.
+(``replete_failures``). The join check tests each pair of paths with one
+mask: pb is joined to pa iff every w in pb is adjacent to every u in pa, iff
+pb's vertex mask lies inside N(pa), the AND of ``adj[u]`` over u in pa.
+``bounds`` names each claim, states its hypothesis and runs its check over a
+coloring stream; ``optimal_views`` builds those streams.
 """
 
 from __future__ import annotations
@@ -239,12 +241,19 @@ def _paths_from(ld: LonelyDigraph, by_vertex: list[int], start: int,
         yield from extend([start], 1 << start, 1 << by_vertex[start])
 
 
+def check_max_len(max_len: int) -> None:
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
+
+
 def enumerate_lonely_path_pairs(g: Graph, c: Coloring | None, max_len: int = 3,
                                 view: ColoredGraph | None = None) -> Iterator[LonelyPathPair]:
     """All valid path pairs, deterministically ordered; pa starts at the
     lexicographically smaller of the two singleton roots. ``view``, if given,
     is the coloring's view already built: its digraph and singletons are
-    used, and ``c`` is not read."""
+    used, and ``c`` is not read. The reference route to the pairs that
+    ``join_failures`` checks."""
+    check_max_len(max_len)
     cg = view or ColoredGraph(g, c.class_masks())
     singles = cg.singletons()
     if len(singles) < 2:
@@ -261,31 +270,42 @@ def enumerate_lonely_path_pairs(g: Graph, c: Coloring | None, max_len: int = 3,
                     yield LonelyPathPair(pa, pb)
 
 
-def _join_violations(g: Graph, pair: LonelyPathPair) -> list[tuple[int, int]]:
-    return [
-        (u, w)
-        for u in pair.pa
-        for w in pair.pb
-        if not g.has_edge(u, w)
-    ]
-
-
 def join_failures(cg: ColoredGraph, max_len: int = 3) -> tuple[int, list[dict]]:
     """Every pair of lonely paths out of two singleton classes is completely
-    joined: (pairs checked, join failures)."""
-    g = cg.g
+    joined: (pairs checked, join failures), over the pairs of
+    ``enumerate_lonely_path_pairs`` in its order. pb is joined to pa iff every
+    w in pb is adjacent to every u in pa, iff pb's vertex mask lies inside
+    N(pa), the AND of ``adj[u]`` over u in pa; so each pa's N(pa) is built
+    once and each pb is one mask test. A failing pair's payload lists its
+    missing edges, u over pa, then w over pb."""
+    check_max_len(max_len)
+    singles = cg.singletons()
+    if len(singles) < 2:
+        return 0, []
+    adj, ld, by_vertex = cg.g.adj, cg.ld, cg.by_vertex
     checks = 0
     bad = []
-    for pair in enumerate_lonely_path_pairs(g, None, max_len, view=cg):
-        checks += 1
-        missing = _join_violations(g, pair)
-        if missing:
-            bad.append({
-                "coloring": cg.c.as_lists(),
-                "pa": list(pair.pa),
-                "pb": list(pair.pb),
-                "missing_edges": missing,
-            })
+    for ia, a in enumerate(singles):
+        for b in singles[ia + 1:]:
+            for pa in _paths_from(ld, by_vertex, a, max_len, 0):
+                pa_mask = 0
+                common = -1
+                for u in pa:
+                    pa_mask |= 1 << u
+                    common &= adj[u]
+                for pb in _paths_from(ld, by_vertex, b, max_len, pa_mask):
+                    checks += 1
+                    pb_mask = 0
+                    for w in pb:
+                        pb_mask |= 1 << w
+                    if pb_mask & ~common:
+                        bad.append({
+                            "coloring": cg.c.as_lists(),
+                            "pa": list(pa),
+                            "pb": list(pb),
+                            "missing_edges": [(u, w) for u in pa for w in pb
+                                              if not adj[u] >> w & 1],
+                        })
     return checks, bad
 
 

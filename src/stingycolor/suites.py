@@ -136,6 +136,7 @@ def suite_lonely_path(max_n: int, max_len: int = 3, samples: int = 0,
                       guards: Guards = DEFAULT_GUARDS) -> SuiteResult:
     """Joined-paths property over all optimal colorings exhaustively up to
     max_n, then over seeded random (graph, optimal coloring) samples."""
+    lonely.check_max_len(max_len)
     result = SuiteResult("lonely-path", {
         "max_n": max_n, "max_len": max_len, "samples": samples,
         "sample_ns": list(sample_ns), "seed": seed, "densities": list(densities),
@@ -169,6 +170,7 @@ def suite_gen_lonely_path(max_n: int, rs: tuple[int, ...] = (2, 3),
                           guards: Guards = DEFAULT_GUARDS) -> SuiteResult:
     """Joined-paths property for size-capped colorings (properties B_r),
     over the P-optimal colorings of each B_r."""
+    lonely.check_max_len(max_len)
     result = SuiteResult("generalized-lonely-path",
                          {"max_n": max_n, "rs": list(rs), "max_len": max_len})
     for g in exhaustive_graphs(0, max_n):

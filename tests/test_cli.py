@@ -156,6 +156,30 @@ def test_verify_n6_golden_digest(capsys, suite):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of the lonely-path routes the digests above miss, with
+# the number of checks each reports: seeded samples at n = 7, 8 (the route of
+# `verify --samples`) and the path lengths other than the default 3.
+VERIFY_LONELY_PATH_SHA256 = {
+    ("--max-n", "3", "--samples", "300", "--sample-ns", "7,8", "--seed", "5"): (
+        "2d6074ace0025fb65807b00a6a50ff7b2bd0fb20d51c245931e0eda98d9e872e", 28773),
+    ("--max-n", "6", "--max-path-len", "1"): (
+        "b449b6583a72fbd08d162055c07ccfa96cd213a7c4b9a4562a8896505e70f46a", 401),
+    ("--max-n", "6", "--max-path-len", "2"): (
+        "080ef417116f28e5f17bee065495e7203896b9d7f27f935a84b3ef44713a2b71", 2663),
+    ("--max-n", "6", "--max-path-len", "4"): (
+        "cbd23740caaeb9badb16dff06e978421772f16be06279972f1e1b9333fbd5493", 8653),
+}
+
+
+@pytest.mark.parametrize("options", sorted(VERIFY_LONELY_PATH_SHA256), ids=" ".join)
+def test_verify_lonely_path_golden_digest(capsys, options):
+    digest, checked = VERIFY_LONELY_PATH_SHA256[options]
+    code, out, _ = run(capsys, "verify", "--suite", "lonely-path", *options)
+    assert code == 0
+    assert json.loads(out)["checked"] == checked
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_gen_lonely_path_reads_p_optimal_stream(capsys, monkeypatch):
     # generalized-lonely-path enumerates the B_r-optimal colorings through
     # chi_P, so the guard that refuses it is chi_P's.

@@ -208,6 +208,20 @@ def test_pairs_respect_constraints():
                     assert pair.pa[0] < pair.pb[0]
 
 
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_path_length_below_1_is_refused(max_len):
+    # A path has at least its root, so a length below 1 is an error, not
+    # "unbounded": K5's discrete coloring has 490 pairs at length 5.
+    discrete = tuple(1 << v for v in range(5))
+    cg = ColoredGraph(complete(5), discrete)
+    with pytest.raises(ValueError, match="max_len must be at least 1"):
+        join_failures(cg, max_len)
+    assert cg._ld is None
+    with pytest.raises(ValueError, match="max_len must be at least 1"):
+        list(enumerate_lonely_path_pairs(complete(5), Coloring.from_masks(discrete), max_len))
+    assert join_failures(cg, 5)[0] == 490
+
+
 # --- lemma records over coloring streams ----------------------------------------
 
 

@@ -136,6 +136,39 @@ def test_violation_payloads_on_path3_discrete():
         "coloring": coloring, "pa": [0], "pb": [1, 2], "missing_edges": [(0, 2)]}
 
 
+def _join_reference(cg, max_len):
+    """join_failures as the pair enumerator and per-edge adjacency give it:
+    every pair counts as a check, and a pair with a missing edge u-w (u over
+    pa, then w over pb) is a failure."""
+    g = cg.g
+    checks = 0
+    bad = []
+    for pair in lonely.enumerate_lonely_path_pairs(g, None, max_len, view=cg):
+        checks += 1
+        missing = [(u, w) for u in pair.pa for w in pair.pb if not g.has_edge(u, w)]
+        if missing:
+            bad.append({"coloring": cg.c.as_lists(), "pa": list(pair.pa),
+                        "pb": list(pair.pb), "missing_edges": missing})
+    return checks, bad
+
+
+def test_join_failures_match_pair_reference():
+    # The mask-tested join check gives the reference's checks count and
+    # payloads, in order, at every path length: on every proper coloring of
+    # the classes with n <= 5 (where colorings that are not optimal fail),
+    # and on every optimal coloring at n = 6 and of the G(n, M) graphs.
+    views = [ColoredGraph(g, m) for g in _small_graphs() for m in enumerate_coloring_masks(g)]
+    views += [ColoredGraph(g, m) for g in [*all_graphs(6), *_gnm_graphs()]
+              for m in enumerate_optimal_masks(g)]
+    failures = 0
+    for max_len in (1, 2, 3, 4):
+        for cg in views:
+            want = _join_reference(cg, max_len)
+            assert lonely.join_failures(cg, max_len) == want, (cg.g.adj, cg.masks, max_len)
+            failures += len(want[1])
+    assert failures
+
+
 def test_mask_view_builds_coloring_only_for_payloads():
     g = cycle(5)
     for masks in enumerate_optimal_masks(g):

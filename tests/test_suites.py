@@ -11,7 +11,7 @@ from stingycolor import (
     petersen,
     recheck_counterexample,
 )
-from stingycolor import bounds, lonely
+from stingycolor import bounds, lonely, suites
 from stingycolor.coloring import DEFAULT_GUARDS, GuardExceededError, Guards
 from stingycolor.bounds import CLAIMS, GEN_LONELY_REFUSED, LONELY_REFUSED, base_name
 from stingycolor.suites import (
@@ -62,6 +62,17 @@ def test_suite_lonely_path_with_samples():
 
 def test_suite_gen_lonely_path():
     assert suite_gen_lonely_path(4, rs=(2, 3)).passed
+
+
+@pytest.mark.parametrize("suite", [suite_lonely_path, suite_gen_lonely_path])
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_lonely_path_suites_refuse_path_length_below_1(monkeypatch, suite, max_len):
+    def enumerated(*_args):
+        raise AssertionError("enumerated graphs before checking max_len")
+
+    monkeypatch.setattr(suites, "exhaustive_graphs", enumerated)
+    with pytest.raises(ValueError, match="max_len must be at least 1"):
+        suite(3, max_len=max_len)
 
 
 def test_suite_replete():
