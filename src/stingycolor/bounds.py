@@ -32,8 +32,8 @@ from .coloring import (
     Guards,
     DEFAULT_GUARDS,
     GuardExceededError,
+    _best_partition_score,
     b_r,
-    bounded_iota,
     bounded_stats,
     chromatic_number,
     stats,
@@ -62,6 +62,11 @@ class VerificationParams:
             raise ValueError("r values must be positive")
         if any(t2 < 0 for t2 in self.t2_list):
             raise ValueError("slacks must be nonnegative")
+        # a repeated value would repeat every record named after it
+        if len(set(self.r_list)) < len(self.r_list):
+            raise ValueError("r values must be distinct")
+        if len(set(self.t2_list)) < len(self.t2_list):
+            raise ValueError("slacks must be distinct")
         if self.max_path_len < 1:
             raise ValueError("max_path_len must be at least 1")
 
@@ -197,8 +202,9 @@ def _patching_claim(row: Claim, g: Graph, guards: Guards) -> list[ClaimRecord]:
     iota(G) >= iota(G - H) + iota(H). H is independent, so the one class H
     is the only optimal coloring of G[H]: chi(H) is 1 (0 for H empty) and
     iota(H) is 1 only when |H| = 1."""
-    h = sorted(bits(max_independent_set_mask(g)))
-    rest = g.without(h)
+    h_mask = max_independent_set_mask(g)
+    h = list(bits(h_mask))
+    rest = g._induced_mask(((1 << g.n) - 1) ^ h_mask)
     chi_g = stats(g, guards).chi
     chi_rest = chromatic_number(rest)
     chi_h = 1 if h else 0
@@ -243,15 +249,23 @@ def _gen_patching_claim(name: str, g: Graph, bs, guards: Guards) -> ClaimRecord:
     r-bounded coloring of it has fewer than |H| / r classes, so its optimal
     r-bounded colorings have only size-r classes: chi_r(H) = |H| / r = M_r,
     and iota_r(H) is |H| for r = 1 and 0 otherwise. chi_r(G - H) is
-    chi_r - M_r: the witness restricted to G - H gives <=, and adding its M_r
-    classes back to any r-bounded coloring of G - H gives >=. So the
-    hypothesis chi_r(G) = chi_r(G - H) + chi_r(H) always holds, and only
-    iota_r(G - H) is searched."""
+    k = chi_r - M_r: the witness restricted to G - H gives <=, and adding its
+    M_r classes back to any r-bounded coloring of G - H gives >=. So the
+    hypothesis chi_r(G) = chi_r(G - H) + chi_r(H) always holds. When k is
+    |G - H| (always at r = 1, 2) the discrete partition is the only one, and
+    iota_r(G - H) = |G - H| is read; otherwise one singleton search at k
+    gives it. G - H is within the guard that ``bounded_stats`` passed."""
     r = bs.r
-    h = sorted(v for m in bs.m_masks if m.bit_count() == r for v in bits(m))
-    _, iota_rest, _ = bounded_iota(g.without(h), r, guards)
-    iota_h = len(h) if r == 1 else 0
-    witness = {"r": r, "H": h, "chi_r": bs.chi_r, "chi_r_rest": bs.chi_r - bs.m_r,
+    h_mask = sum(m for m in bs.m_masks if m.bit_count() == r)  # disjoint classes
+    k_rest = bs.chi_r - bs.m_r
+    n_rest = g.n - r * bs.m_r
+    if k_rest == n_rest:
+        iota_rest = n_rest
+    else:
+        rest = g._induced_mask(((1 << g.n) - 1) ^ h_mask)
+        iota_rest = _best_partition_score(rest.adj, n_rest, k_rest, r, "singletons")[0]
+    iota_h = h_mask.bit_count() if r == 1 else 0
+    witness = {"r": r, "H": list(bits(h_mask)), "chi_r": bs.chi_r, "chi_r_rest": k_rest,
                "chi_r_H": bs.m_r, "iota_r": bs.iota_r, "iota_r_rest": iota_rest,
                "iota_r_H": iota_h}
     return _claim(name, True, bs.iota_r >= iota_rest + iota_h, witness)

@@ -104,8 +104,11 @@ def _reports_to_csv(reports: list[dict]) -> str:
 
 def _write_output(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="ascii", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

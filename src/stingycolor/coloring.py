@@ -9,15 +9,16 @@ admissible score bound. Enumeration-based routes exist alongside the direct
 searches so the two can cross-check each other.
 
 The chromatic search returns the discrete partition at once when its lower
-bound (clique number, or ceil(n / cap)) is n. Otherwise greedy DSATUR, which
-picks each vertex by one integer key sat*n^2 + deg*n + (n-1-v), gives the
-first incumbent, and most calls end there, at the lower bound. ``stats`` and
-``bounded_stats`` keep their witnesses as the searches' class masks; the
-witness properties build the ``Coloring`` when read. The score search returns
-the discrete partition at once when k = n, and at a cap r >= alpha
-``bounded_stats`` reads chi_r, iota_r and the iota_r witness from ``stats``.
-``bounded_iota`` is ``bounded_stats`` without the M_r search; both share its
-memo.
+bound (ceil(n / cap), or the clique number) is n. Otherwise greedy DSATUR,
+which picks each vertex by one integer key sat*n^2 + deg*n + (n-1-v), gives
+the first incumbent, and most calls end there, at the lower bound. chi_2 is
+not searched: it is n - nu(complement). ``stats`` and ``bounded_stats`` keep
+their witnesses as the searches' class masks; the witness properties build
+the ``Coloring`` when read. The score search returns the discrete partition
+at once when k = n, and caps its classes at alpha, which only tightens its
+ceiling. At a cap r >= alpha ``bounded_stats`` reads chi_r, iota_r and the
+iota_r witness from ``stats``; at r = 2 it reads M_2 = n - chi_2 and reuses
+the iota_2 witness for it.
 
 The full and optimal partition streams and the sampled optimal coloring
 also come as class masks in ``Coloring`` order (``enumerate_coloring_masks``,
@@ -36,7 +37,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterator
 
-from .graphs import Graph, bits, clique_number, independence_number
+from .graphs import Graph, bits, clique_number, independence_number, matching_number
 
 
 class PartitionError(ValueError):
@@ -222,15 +223,16 @@ def _greedy_dsatur(adj: tuple[int, ...], n: int, cap: int | None) -> list[int]:
 def _color_bb(adj: tuple[int, ...], n: int, cap: int | None) -> tuple[int, list[int]]:
     """Exact minimum class count (size cap optional) with one witness.
 
-    The lower bound is the clique number, or ceil(n / cap) if larger. At
-    lower == n the discrete partition is the only witness; otherwise DSATUR's
-    greedy coloring is the first incumbent, and the search runs only when it
-    uses more classes than the bound."""
+    The lower bound is ceil(n / cap), or the clique number if larger; the
+    clique is not looked up when ceil(n / cap) is already n (every cap = 1
+    call). At lower == n the discrete partition is the only witness;
+    otherwise DSATUR's greedy coloring is the first incumbent, and the search
+    runs only when it uses more classes than the bound."""
     if n == 0:
         return 0, []
-    lower = clique_number(Graph._unchecked(n, adj))
-    if cap is not None:
-        lower = max(lower, -(-n // cap))
+    lower = 0 if cap is None else -(-n // cap)
+    if lower < n:
+        lower = max(lower, clique_number(Graph._unchecked(n, adj)))
     if lower == n:
         return n, [1 << v for v in range(n)]
     best_masks = _greedy_dsatur(adj, n, cap)
@@ -287,6 +289,10 @@ def _color_bb(adj: tuple[int, ...], n: int, cap: int | None) -> tuple[int, list[
 
 @functools.lru_cache(maxsize=65536)
 def _chi_cached(g: Graph, cap: int | None) -> int:
+    if cap == 2:
+        # A 2-bounded coloring is a matching of the complement (its pairs)
+        # plus singletons, so the fewest classes is n - nu(complement).
+        return g.n - matching_number(g.complement())
     return _color_bb(g.adj, g.n, cap)[0]
 
 
@@ -438,6 +444,8 @@ def enumerate_optimal_masks(g: Graph, cap: int | None = None,
 def _score_ceiling(n: int, k: int, cap: int | None, target: int) -> int:
     """Counting ceiling on the number of classes of size ``target`` in any
     partition of n vertices into exactly k nonempty classes of size <= cap."""
+    if cap is not None and cap < target:
+        return 0
     if target == 1:
         # s singletons; the other k - s classes hold at most c vertices each.
         c = n - k + 1 if cap is None else min(cap, n - k + 1)
@@ -462,7 +470,10 @@ def _best_partition_score(adj: tuple[int, ...], n: int, k: int, cap: int | None,
       s <= (c*k - n) // (c - 1) for c >= 2, and s <= k for c = 1. For
       iota_2 this is 2k - n, always attained, so the first partition ends it.
     - exact, r >= 2: the other k - M classes are nonempty, so
-      M <= min(k, n // r, (n - k) // (r - 1)).
+      M <= min(k, n // r, (n - k) // (r - 1)); and M = 0 when cap < r, so
+      the first partition ends the search.
+    A cap of alpha leaves the partitions and their order unchanged (no
+    class of alpha vertices admits another) and only tightens the ceiling.
     At k = n the discrete partition is the only one; its score is n when
     singletons count, else 0. Returns (-1, []) when no such partition
     exists."""
@@ -550,7 +561,8 @@ def _stats_cached(g: Graph, optimal_guard: int) -> ColoringStats:
             f"stinginess guarded at n <= {optimal_guard} (graph has {g.n})"
         )
     chi = chromatic_number(g)
-    iota, masks = _best_partition_score(g.adj, g.n, chi, None, "singletons")
+    iota, masks = _best_partition_score(g.adj, g.n, chi, independence_number(g),
+                                        "singletons")
     return ColoringStats(chi, iota, tuple(masks))
 
 
@@ -583,36 +595,27 @@ class BoundedStats:
 
 
 @functools.lru_cache(maxsize=65536)
-def _bounded_iota_cached(g: Graph, r: int, optimal_guard: int
-                         ) -> tuple[int, int, tuple[int, ...]]:
+def _bounded_cached(g: Graph, r: int, optimal_guard: int) -> BoundedStats:
     if g.n > optimal_guard:
         raise GuardExceededError(
             f"r-bounded stats guarded at n <= {optimal_guard} (graph has {g.n})"
         )
-    if r >= independence_number(g):
+    alpha = independence_number(g)
+    if r >= alpha:
         # No independent set exceeds the cap, so the capped partitions are
         # the uncapped ones, in the same order: chi_r and iota_r are chi and
         # iota, with the same witness.
         st = _stats_cached(g, optimal_guard)
-        return st.chi, st.iota, st.stingy_masks
-    chi_r = chromatic_number(g, cap=r)
-    iota_r, masks = _best_partition_score(g.adj, g.n, chi_r, r, "singletons")
-    return chi_r, iota_r, tuple(masks)
-
-
-def bounded_iota(g: Graph, r: int, guards: Guards = DEFAULT_GUARDS
-                 ) -> tuple[int, int, tuple[int, ...]]:
-    """(chi_r, iota_r, the iota_r witness's class masks): ``bounded_stats``
-    without the M_r search, with the same values, witness and guard."""
-    if r < 1:
-        raise ValueError("r must be positive")
-    return _bounded_iota_cached(g, r, guards.optimal)
-
-
-@functools.lru_cache(maxsize=65536)
-def _bounded_cached(g: Graph, r: int, optimal_guard: int) -> BoundedStats:
-    chi_r, iota_r, i_masks = _bounded_iota_cached(g, r, optimal_guard)
-    m_r, m_masks = _best_partition_score(g.adj, g.n, chi_r, r, "exact", r)
+        chi_r, iota_r, i_masks = st.chi, st.iota, st.stingy_masks
+    else:
+        chi_r = chromatic_number(g, cap=r)
+        iota_r, masks = _best_partition_score(g.adj, g.n, chi_r, r, "singletons")
+        i_masks = tuple(masks)
+    if r == 2:
+        # Every 2-bounded chi_2-partition has n - chi_2 pairs and 2*chi_2 - n
+        # singletons, so both searches stop at the stream's first partition.
+        return BoundedStats(r, chi_r, g.n - chi_r, iota_r, i_masks, i_masks)
+    m_r, m_masks = _best_partition_score(g.adj, g.n, chi_r, min(r, alpha), "exact", r)
     return BoundedStats(r, chi_r, m_r, iota_r, tuple(m_masks), i_masks)
 
 

@@ -45,7 +45,6 @@ from stingycolor.bounds import (
 from stingycolor.coloring import (
     _best_partition_score,
     _color_bb,
-    bounded_iota,
     enumerate_optimal_masks,
     enumerate_p_optimal,
 )
@@ -181,20 +180,32 @@ def _patching_graphs():
 
 
 def test_rest_of_m_r_witness_read_not_searched():
-    # gen-stinginess-patching reads chi_r(G - H) as chi_r - M_r and takes
-    # iota_r(G - H) from the iota-only search; the searches they replace
+    # gen-stinginess-patching reads chi_r(G - H) as chi_r - M_r and
+    # iota_r(G - H) as |G - H| when that is the class count (always at
+    # r = 1, 2), else from one singleton search; the searches they replace
     # must agree, on H = the size-r classes of the M_r witness.
-    graphs = [g for n in range(7) for g in all_graphs(n)] + _gnm_graphs(range(7, 10), 10, 2207)
+    graphs = [g for n in range(7) for g in all_graphs(n)] + _gnm_graphs(range(7, 11), 10, 2207)
+    read = {True: 0, False: 0}
     for g in graphs:
-        for r in (1, 2, 3):
+        for r in (1, 2, 3, 4):
             bs = bounded_stats(g, r)
-            assert bounded_iota(g, r) == (bs.chi_r, bs.iota_r, bs.iota_masks)
+            chi_r = _color_bb(g.adj, g.n, r)[0]
+            iota_r, i_masks = _best_partition_score(g.adj, g.n, chi_r, r, "singletons")
+            assert (bs.chi_r, bs.iota_r, bs.iota_masks) == (chi_r, iota_r, tuple(i_masks))
             rest = g.without(v for m in bs.m_masks if m.bit_count() == r for v in bits(m))
             chi_rest = _color_bb(rest.adj, rest.n, r)[0]
             assert chi_rest == bs.chi_r - bs.m_r
             iota_rest = _best_partition_score(rest.adj, rest.n, chi_rest, r, "singletons")[0]
-            assert bounded_iota(rest, r)[:2] == (chi_rest, iota_rest)
-            assert iota_rest == bounded_stats(rest, r).iota_r
+            rest_bs = bounded_stats(rest, r)
+            assert (rest_bs.chi_r, rest_bs.iota_r) == (chi_rest, iota_rest)
+            rec = claims_by_name(evaluate_generalized(g, r, PARAMS))[
+                f"gen-stinginess-patching[r={r}]"]
+            assert (rec.witness["chi_r_rest"], rec.witness["iota_r_rest"]) == (
+                chi_rest, iota_rest)
+            discrete = chi_rest == rest.n
+            assert discrete or r > 2
+            read[discrete] += 1
+    assert read[True] and read[False], read
 
 
 def test_patching_h_side_matches_search_on_induced_subgraph():
@@ -286,6 +297,10 @@ def test_params_validation():
         VerificationParams(t2_list=(-1,))
     with pytest.raises(ValueError):
         VerificationParams(max_path_len=0)
+    with pytest.raises(ValueError, match="r values must be distinct"):
+        VerificationParams(r_list=(2, 3, 2))
+    with pytest.raises(ValueError, match="slacks must be distinct"):
+        VerificationParams(t2_list=(1, 1))
 
 
 @pytest.mark.parametrize("g", [petersen(), cycle(9)], ids=["petersen", "C9"])

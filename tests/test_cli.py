@@ -349,12 +349,31 @@ def test_bad_guard_env_is_usage_error(capsys, monkeypatch, var, value):
     ("verify", "--suite", "properties", "--max-n", "2", "--predicates", "-2"),
     ("verify", "--suite", "swap", "--max-n", "1"),
     ("verify", "--suite", "lonely-path", "--max-n", "1"),
+    ("analyze", "--gen", "cycle:5", "--r", "2,2"),
+    ("analyze", "--gen", "cycle:5", "--t", "0,0"),
+    ("sweep", "--exhaustive", "--max-n", "3", "--t", "1/2,0.5"),
+    ("search", "--claim", "simple-bound", "--max-n", "3", "--r", "3,1,3"),
 ], ids=" ".join)
 def test_bad_option_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--gen", "cycle:5"),
+    ("analyze", "--gen", "cycle:5", "--format", "csv"),
+    ("sweep", "--exhaustive", "--max-n", "3"),
+    ("verify", "--suite", "identities", "--max-n", "3"),
+    ("search", "--claim", "simple-bound", "--max-n", "3"),
+], ids=" ".join)
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: cannot write ") and str(target) in err
 
 
 def test_sweep_missing_input_is_usage_error(capsys, tmp_path):

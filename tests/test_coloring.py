@@ -40,6 +40,7 @@ from stingycolor.coloring import (
     _color_bb,
     _enum_partitions,
     _greedy_dsatur,
+    _score_ceiling,
     enumerate_p_optimal,
     merge_singletons,
 )
@@ -348,6 +349,64 @@ def test_bounded_stats_at_cap_from_alpha_on_matches_capped_searches():
             iota_r, i_masks = _best_partition_score(g.adj, g.n, chi_r, r, "singletons")
             assert bounded_stats(g, r) == BoundedStats(
                 r, chi_r, m_r, iota_r, tuple(m_masks), tuple(i_masks)), (g.adj, r)
+
+
+def _derived_value_graphs():
+    """Every class with n <= 6 and seeded G(n, M) graphs at n = 7..10."""
+    graphs = list(exhaustive_graphs(0, 6))
+    rng = random.Random(1616)
+    for n in range(7, 11):
+        pairs = n * (n - 1) // 2
+        for frac in (0.2, 0.5, 0.8):
+            graphs += [_gnm(n, round(frac * pairs), rng) for _ in range(4)]
+    return graphs
+
+
+def test_chi_2_read_from_complement_matching():
+    # chi_2 is read as n - nu(complement), not searched; it must equal the
+    # capped branch and bound and, up to n = 7, the brute-force oracle.
+    for g in _derived_value_graphs():
+        chi_2 = chromatic_number(g, cap=2)
+        assert chi_2 == _color_bb(g.adj, g.n, 2)[0], g.adj
+        if g.n <= 7:
+            assert chi_2 == oracles.bounded_oracle(g, 2)[0], g.adj
+
+
+def test_alpha_capped_searches_match_uncapped():
+    # stats caps the stinginess search at alpha, and bounded_stats caps the
+    # M_r search at min(r, alpha) and reads M_2 = n - chi_2 with the iota_2
+    # witness. Values and witnesses must be those of the searches without
+    # these caps, also at a k above the optimum, and up to n = 7 the
+    # brute-force oracle's values.
+    for g in _derived_value_graphs():
+        alpha = independence_number(g)
+        st = stats(g)
+        assert (st.iota, list(st.stingy_masks)) == _best_partition_score(
+            g.adj, g.n, st.chi, None, "singletons"), g.adj
+        for k in range(st.chi, min(g.n, st.chi + 1) + 1):
+            assert (_best_partition_score(g.adj, g.n, k, alpha, "singletons")
+                    == _best_partition_score(g.adj, g.n, k, None, "singletons")), (g.adj, k)
+        for r in (1, 2, 3, 4):
+            bs = bounded_stats(g, r)
+            assert (bs.m_r, list(bs.m_masks)) == _best_partition_score(
+                g.adj, g.n, bs.chi_r, r, "exact", r), (g.adj, r)
+            if g.n <= 7:
+                assert (bs.chi_r, bs.m_r, bs.iota_r) == oracles.bounded_oracle(g, r)
+            for k in range(bs.chi_r, min(g.n, bs.chi_r + 1) + 1):
+                assert (_best_partition_score(g.adj, g.n, k, min(r, alpha), "exact", r)
+                        == _best_partition_score(g.adj, g.n, k, r, "exact", r)), (g.adj, r, k)
+
+
+def test_score_ceiling_is_zero_below_target():
+    # No class of a partition with classes of at most cap < target vertices
+    # has target vertices.
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            for target in (2, 3, 4):
+                for cap in range(1, target):
+                    assert _score_ceiling(n, k, cap, target) == 0
+                assert _score_ceiling(n, k, target, target) == min(
+                    k, n // target, (n - k) // (target - 1))
 
 
 def test_chi_r_monotonicity():
