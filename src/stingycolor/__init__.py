@@ -51,10 +51,8 @@ from .coloring import (
 from .lonely import (
     DoublyCriticalResult,
     LonelyDigraph,
-    LonelyPathPair,
     SwapError,
     doubly_critical_edges,
-    enumerate_lonely_path_pairs,
     is_lonely,
     lonely_digraph,
     swap,

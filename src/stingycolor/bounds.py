@@ -312,6 +312,8 @@ CLAIMS = (
     Claim("r1-sanity", GENERALIZED, rs=(1,), concl=lambda q: q.chi_r == q.n and q.m_r == q.n),
     Claim("iota2-bound", GENERALIZED, rs=(2,),
           concl=lambda q: 2 * q.iota_r <= q.omega + q.max_deg + 1),
+    # Holds by construction (M_2 is read as n - chi_2, iota_2 is 2 chi_2 - n); the
+    # tests check chi_2 and M_2 independently (test_chi_2_read_from_complement_matching).
     Claim("chi2-identity", GENERALIZED, rs=(2,), concl=lambda q: q.gap == q.iota_r),
     # lonely-path-join[B_R] reads the cap = R stream
     Claim("lonely-path-join", LONELY, placeholder=GEN_LONELY_REFUSED),

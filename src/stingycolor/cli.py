@@ -61,8 +61,10 @@ def _parse_t_list(text: str) -> tuple[int, ...]:
         tok = tok.strip()
         if not tok:
             continue
-        frac = Fraction(tok)
-        doubled = frac * 2
+        try:
+            doubled = Fraction(tok) * 2
+        except ZeroDivisionError:
+            raise argparse.ArgumentTypeError(f"t has a zero denominator: {tok!r}") from None
         if doubled.denominator != 1 or doubled < 0:
             raise argparse.ArgumentTypeError(
                 f"t must be a nonnegative half-integer, got {tok!r}")

@@ -7,9 +7,13 @@ view returning (checks made, violation payloads): swap safety
 (``swap_failures``), the joined-path property of lonely paths out of
 singleton classes (``join_failures``), the touches-everybody facts
 (``touches_failures``) and the lonely-out-degree lower bounds
-(``replete_failures``). The join check tests each pair of paths with one
-mask: pb is joined to pa iff every w in pb is adjacent to every u in pa, iff
-pb's vertex mask lies inside N(pa), the AND of ``adj[u]`` over u in pa.
+(``replete_failures``). The join check walks each singleton root's lonely
+paths once into a list of (path, vertex mask, N(path)), N(path) the AND of
+``adj[u]`` over u in the path. For roots a < b, the paths pb of b that avoid
+a path pa are b's list filtered by ``pb_mask & pa_mask == 0``, in walk order:
+exactly the paths a walk from b that never enters pa visits, since a path
+avoids pa iff all its prefixes do. pb is joined to pa iff
+``pb_mask & ~N(pa) == 0``.
 ``bounds`` names each claim, states its hypothesis and runs its check over a
 coloring stream; ``optimal_views`` builds those streams.
 """
@@ -210,19 +214,10 @@ def swap(g: Graph, c: Coloring, v: int, w: int) -> Coloring:
     return Coloring.from_masks(_swapped_masks(masks, by_vertex, v, w))
 
 
-@dataclass(frozen=True)
-class LonelyPathPair:
-    """Two vertex-disjoint directed lonely paths rooted at distinct singleton
-    classes, each visiting at most one vertex per color class."""
-
-    pa: tuple[int, ...]
-    pb: tuple[int, ...]
-
-
 def _paths_from(ld: LonelyDigraph, by_vertex: list[int], start: int,
-                max_len: int, forbidden: int) -> Iterator[tuple[int, ...]]:
+                max_len: int) -> Iterator[tuple[int, ...]]:
     """Directed paths from ``start`` with at most max_len vertices, at most one
-    vertex per class, avoiding the ``forbidden`` vertex mask. Lex order."""
+    vertex per class. Lex order."""
 
     def extend(pathv: list[int], used_vertices: int, used_classes: int):
         yield tuple(pathv)
@@ -231,14 +226,29 @@ def _paths_from(ld: LonelyDigraph, by_vertex: list[int], start: int,
         for w in bits(ld.out[pathv[-1]]):
             wbit = 1 << w
             cbit = 1 << by_vertex[w]
-            if used_vertices & wbit or used_classes & cbit or forbidden & wbit:
+            if used_vertices & wbit or used_classes & cbit:
                 continue
             pathv.append(w)
             yield from extend(pathv, used_vertices | wbit, used_classes | cbit)
             pathv.pop()
 
-    if not forbidden >> start & 1:
-        yield from extend([start], 1 << start, 1 << by_vertex[start])
+    yield from extend([start], 1 << start, 1 << by_vertex[start])
+
+
+def _root_paths(cg: ColoredGraph, start: int,
+                max_len: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """The paths of ``_paths_from``, in its order, each as (path, vertex
+    mask, N(path)), N(path) the AND of ``adj[u]`` over u in the path."""
+    adj = cg.g.adj
+    out = []
+    for path in _paths_from(cg.ld, cg.by_vertex, start, max_len):
+        mask = 0
+        common = -1
+        for u in path:
+            mask |= 1 << u
+            common &= adj[u]
+        out.append((path, mask, common))
+    return out
 
 
 def check_max_len(max_len: int) -> None:
@@ -246,58 +256,33 @@ def check_max_len(max_len: int) -> None:
         raise ValueError("max_len must be at least 1")
 
 
-def enumerate_lonely_path_pairs(g: Graph, c: Coloring | None, max_len: int = 3,
-                                view: ColoredGraph | None = None) -> Iterator[LonelyPathPair]:
-    """All valid path pairs, deterministically ordered; pa starts at the
-    lexicographically smaller of the two singleton roots. ``view``, if given,
-    is the coloring's view already built: its digraph and singletons are
-    used, and ``c`` is not read. The reference route to the pairs that
-    ``join_failures`` checks."""
-    check_max_len(max_len)
-    cg = view or ColoredGraph(g, c.class_masks())
-    singles = cg.singletons()
-    if len(singles) < 2:
-        return
-    ld, by_vertex = cg.ld, cg.by_vertex
-    for ia in range(len(singles)):
-        for ib in range(ia + 1, len(singles)):
-            a, b = singles[ia], singles[ib]
-            for pa in _paths_from(ld, by_vertex, a, max_len, 0):
-                pa_mask = 0
-                for v in pa:
-                    pa_mask |= 1 << v
-                for pb in _paths_from(ld, by_vertex, b, max_len, pa_mask):
-                    yield LonelyPathPair(pa, pb)
-
-
 def join_failures(cg: ColoredGraph, max_len: int = 3) -> tuple[int, list[dict]]:
     """Every pair of lonely paths out of two singleton classes is completely
-    joined: (pairs checked, join failures), over the pairs of
-    ``enumerate_lonely_path_pairs`` in its order. pb is joined to pa iff every
-    w in pb is adjacent to every u in pa, iff pb's vertex mask lies inside
-    N(pa), the AND of ``adj[u]`` over u in pa; so each pa's N(pa) is built
-    once and each pb is one mask test. A failing pair's payload lists its
-    missing edges, u over pa, then w over pb."""
+    joined: (pairs checked, join failures). A pair is a path pa from the
+    smaller root a and a path pb from the larger root b that avoids pa's
+    vertices; pairs come ordered by (a, b), then pa, then pb, paths in lex
+    order. Each root's paths are listed once (``_root_paths``). The paths of
+    b that avoid pa are exactly b's list filtered by ``pb_mask & pa_mask ==
+    0``, in the same order: a path avoiding pa has every prefix avoiding it,
+    and every extension of a path through pa meets pa too. pb is joined to
+    pa iff every w in pb is adjacent to every u in pa, iff ``pb_mask`` lies
+    inside N(pa), so each pair costs two mask tests. A failing pair's
+    payload lists its missing edges, u over pa, then w over pb."""
     check_max_len(max_len)
     singles = cg.singletons()
     if len(singles) < 2:
         return 0, []
-    adj, ld, by_vertex = cg.g.adj, cg.ld, cg.by_vertex
+    adj = cg.g.adj
+    lists = [_root_paths(cg, s, max_len) for s in singles]
     checks = 0
     bad = []
-    for ia, a in enumerate(singles):
-        for b in singles[ia + 1:]:
-            for pa in _paths_from(ld, by_vertex, a, max_len, 0):
-                pa_mask = 0
-                common = -1
-                for u in pa:
-                    pa_mask |= 1 << u
-                    common &= adj[u]
-                for pb in _paths_from(ld, by_vertex, b, max_len, pa_mask):
+    for ia, a_paths in enumerate(lists):
+        for b_paths in lists[ia + 1:]:
+            for pa, pa_mask, common in a_paths:
+                for pb, pb_mask, _ in b_paths:
+                    if pb_mask & pa_mask:
+                        continue
                     checks += 1
-                    pb_mask = 0
-                    for w in pb:
-                        pb_mask |= 1 << w
                     if pb_mask & ~common:
                         bad.append({
                             "coloring": cg.c.as_lists(),

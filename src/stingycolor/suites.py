@@ -209,7 +209,10 @@ def suite_identities(max_n: int, guards: Guards = DEFAULT_GUARDS) -> SuiteResult
     """The identity rows of ``bounds.CLAIMS``, iota_2 = n - 2 nu(complement)
     and chi_2 - M_2 = iota_2, exhaustively. A violation payload is the
     record's witness plus ``g6`` and ``claim``; a refused record raises
-    ``GuardExceededError`` with its reason."""
+    ``GuardExceededError`` with its reason. ``chi2-identity`` holds by
+    construction (M_2 = n - chi_2 and iota_2 = 2 chi_2 - n), so it cannot
+    fail here; ``test_chi_2_read_from_complement_matching`` and
+    ``test_bounded_matches_oracle`` check chi_2 and M_2 independently."""
     result = SuiteResult("identities", {"max_n": max_n})
     params = VerificationParams(guards=guards)
     for g in exhaustive_graphs(0, max_n):

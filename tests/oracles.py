@@ -8,10 +8,12 @@ enumeration. Slow and obviously correct.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
 from stingycolor import Graph
+from stingycolor.lonely import check_max_len
 
 
 def subsets(items):
@@ -214,3 +216,72 @@ def enum_partitions_oracle(adj: tuple[int, ...], n: int, k: int | None,
             sizes.pop()
 
     yield from rec(0)
+
+
+@dataclass(frozen=True)
+class LonelyPathPair:
+    """Two vertex-disjoint directed lonely paths rooted at distinct singleton
+    classes, each visiting at most one vertex per color class."""
+
+    pa: tuple[int, ...]
+    pb: tuple[int, ...]
+
+
+def class_of(blocks) -> dict[int, int]:
+    """Each vertex's class index under the coloring ``blocks``."""
+    return {v: i for i, block in enumerate(blocks) for v in block}
+
+
+def lonely_arcs_oracle(g: Graph, blocks) -> list[list[int]]:
+    """Per vertex v, the heads w of the lonely arcs v -> w under the coloring
+    ``blocks`` (lists of vertices), in increasing order: v and w lie in
+    different classes and w is v's only neighbour in w's class."""
+    home = class_of(blocks)
+    return [[w for w in range(g.n) if home[v] != home[w]
+             and [u for u in blocks[home[w]] if g.has_edge(v, u)] == [w]]
+            for v in range(g.n)]
+
+
+def lonely_paths_oracle(arcs, home, start: int, max_len: int,
+                        forbidden=frozenset()) -> list[tuple[int, ...]]:
+    """Directed paths from ``start`` along ``arcs`` (``lonely_arcs_oracle``)
+    with at most max_len vertices, at most one vertex per class (``home``
+    maps a vertex to its class) and none in ``forbidden``, in lex order: a
+    depth-first walk over the arcs in increasing head order that prunes at
+    every forbidden, repeated vertex or repeated class."""
+    found = []
+
+    def walk(path):
+        found.append(tuple(path))
+        if len(path) == max_len:
+            return
+        for w in arcs[path[-1]]:
+            if w in forbidden or w in path or home[w] in {home[u] for u in path}:
+                continue
+            walk(path + [w])
+
+    if start not in forbidden:
+        walk([start])
+    return found
+
+
+def enumerate_lonely_path_pairs(g: Graph, c, max_len: int = 3,
+                                view=None) -> list[LonelyPathPair]:
+    """Every path pair the join lemma speaks of, in ``join_failures``'s
+    order: for singleton roots a < b, each lonely path pa from a, then each
+    lonely path pb from b that avoids pa's vertices. The coloring is ``c``,
+    or the class masks of ``view`` if given (``c`` is then not read)."""
+    check_max_len(max_len)
+    if view is not None:
+        blocks = [[v for v in range(g.n) if m >> v & 1] for m in view.masks]
+    else:
+        blocks = [list(cls) for cls in c.classes]
+    singles = sorted(block[0] for block in blocks if len(block) == 1)
+    arcs, home = lonely_arcs_oracle(g, blocks), class_of(blocks)
+    pairs = []
+    for ia, a in enumerate(singles):
+        for b in singles[ia + 1:]:
+            for pa in lonely_paths_oracle(arcs, home, a, max_len):
+                for pb in lonely_paths_oracle(arcs, home, b, max_len, frozenset(pa)):
+                    pairs.append(LonelyPathPair(pa, pb))
+    return pairs

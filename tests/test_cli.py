@@ -362,6 +362,21 @@ def test_bad_option_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("analyze", "--gen", "cycle:5", "--t", "1/0"),
+    ("verify", "--suite", "swap", "--max-n", "2", "--t", "0,1/0"),
+], ids=" ".join)
+def test_zero_denominator_t_is_usage_error(capsys, argv):
+    # argparse rejects a slack with a zero denominator while it parses the
+    # argv, so the run exits 2 with its usage line, not 1 through a traceback.
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert err.endswith("error: argument --t: t has a zero denominator: '1/0'\n")
+
+
+@pytest.mark.parametrize("argv", [
     ("analyze", "--gen", "cycle:5"),
     ("analyze", "--gen", "cycle:5", "--format", "csv"),
     ("sweep", "--exhaustive", "--max-n", "3"),
@@ -436,7 +451,7 @@ def _fuzz_argv(rng):
     if rng.random() < 0.3:
         argv += ["--r", pick(("1,2,3", "2", "1,,3"), ("0", "-1", "x"))]
     if rng.random() < 0.3:
-        argv += ["--t", pick(("0,1/2", "1"), ("1/3", "-1", "x"))]
+        argv += ["--t", pick(("0,1/2", "1"), ("1/3", "-1", "x", "1/0"))]
     if rng.random() < 0.2:
         argv += ["--max-path-len", pick(("1", "3"), ("-1", "0", "x"))]
     return argv

@@ -14,7 +14,6 @@ from stingycolor import (
     cycle,
     empty,
     enumerate_colorings,
-    enumerate_lonely_path_pairs,
     enumerate_optimal_colorings,
     is_lonely,
     is_proper,
@@ -41,6 +40,8 @@ from stingycolor.lonely import (
     join_failures,
     optimal_views,
 )
+
+from oracles import enumerate_lonely_path_pairs
 
 
 # --- frames ------------------------------------------------------------------

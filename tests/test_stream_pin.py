@@ -7,8 +7,10 @@ graphs with n = 7, 8, and every violation payload of the per-coloring checks
 on every proper coloring (optimal or not) of the classes with n <= 5.
 """
 
+import functools
 import hashlib
 import json
+import operator
 import random
 
 import pytest
@@ -17,6 +19,7 @@ from stingycolor import (
     Coloring,
     PartitionError,
     all_graphs,
+    complete,
     cycle,
     emit_graph6,
     enumerate_colorings,
@@ -34,7 +37,7 @@ from stingycolor.coloring import (
     one_optimal_coloring,
     one_optimal_masks,
 )
-from stingycolor.graphs import graph_from_mask
+from stingycolor.graphs import bits, graph_from_mask
 from stingycolor.lonely import (
     ColoredGraph,
     LonelyDigraph,
@@ -143,7 +146,7 @@ def _join_reference(cg, max_len):
     g = cg.g
     checks = 0
     bad = []
-    for pair in lonely.enumerate_lonely_path_pairs(g, None, max_len, view=cg):
+    for pair in oracles.enumerate_lonely_path_pairs(g, None, max_len, view=cg):
         checks += 1
         missing = [(u, w) for u in pair.pa for w in pair.pb if not g.has_edge(u, w)]
         if missing:
@@ -152,21 +155,62 @@ def _join_reference(cg, max_len):
     return checks, bad
 
 
-def test_join_failures_match_pair_reference():
-    # The mask-tested join check gives the reference's checks count and
-    # payloads, in order, at every path length: on every proper coloring of
-    # the classes with n <= 5 (where colorings that are not optimal fail),
-    # and on every optimal coloring at n = 6 and of the G(n, M) graphs.
+def _join_views():
+    """Every proper coloring of the classes with n <= 5 (where colorings that
+    are not optimal fail), then every optimal coloring at n = 6 and of the
+    G(n, M) graphs."""
     views = [ColoredGraph(g, m) for g in _small_graphs() for m in enumerate_coloring_masks(g)]
     views += [ColoredGraph(g, m) for g in [*all_graphs(6), *_gnm_graphs()]
               for m in enumerate_optimal_masks(g)]
+    return views
+
+
+def test_join_failures_match_pair_reference():
+    # The join check over per-root path lists gives the reference's checks
+    # count and payloads, in order, at every path length: on _join_views(),
+    # at length 5 too for n <= 5, and on the discrete colorings of K7 and K8,
+    # where every vertex is a singleton root.
+    k8 = ColoredGraph(complete(8), tuple(1 << v for v in range(8)))
+    views = [*_join_views(), ColoredGraph(complete(7), tuple(1 << v for v in range(7))), k8]
+    cases = [(cg, max_len) for max_len in (1, 2, 3, 4) for cg in views]
+    cases += [(cg, 5) for cg in views if cg.g.n <= 5]
     failures = 0
-    for max_len in (1, 2, 3, 4):
-        for cg in views:
-            want = _join_reference(cg, max_len)
-            assert lonely.join_failures(cg, max_len) == want, (cg.g.adj, cg.masks, max_len)
-            failures += len(want[1])
+    for cg, max_len in cases:
+        want = _join_reference(cg, max_len)
+        assert lonely.join_failures(cg, max_len) == want, (cg.g.adj, cg.masks, max_len)
+        failures += len(want[1])
     assert failures
+    assert lonely.join_failures(k8, 3)[0] == 19684
+
+
+def test_root_path_lists_filtered_match_pruned_walk():
+    # Each singleton root's path list, filtered by pb_mask & forbidden == 0,
+    # is the oracle's walk that prunes at the forbidden vertices, path for
+    # path and in order, for every forbidden vertex mask. Every other root's
+    # full list is the oracle's walk too: from a root in a larger class a path
+    # can come back to that class, which the one-vertex-per-class rule
+    # refuses. Each entry carries the path's vertex mask and N(path), the AND
+    # of adj over its vertices.
+    walked = 0
+    for cg in _join_views():
+        g = cg.g
+        blocks = [list(bits(m)) for m in cg.masks]
+        arcs, home = oracles.lonely_arcs_oracle(g, blocks), oracles.class_of(blocks)
+        singles = cg.singletons()
+        for max_len in (1, 2, 3, 4):
+            for root in range(g.n):
+                listed = lonely._root_paths(cg, root, max_len)
+                for path, mask, common in listed:
+                    assert mask == sum(1 << v for v in path)
+                    assert common == functools.reduce(operator.and_,
+                                                      (g.adj[v] for v in path))
+                for forbidden in range(1 << g.n) if root in singles else (0,):
+                    got = [p for p, mask, _ in listed if not mask & forbidden]
+                    want = oracles.lonely_paths_oracle(arcs, home, root, max_len,
+                                                       frozenset(bits(forbidden)))
+                    assert got == want, (g.adj, cg.masks, root, max_len, forbidden)
+                    walked += len(want)
+    assert walked
 
 
 def test_mask_view_builds_coloring_only_for_payloads():
@@ -192,7 +236,7 @@ def test_mask_view_builds_digraph_only_when_read():
         for r in (None, 2, 3):
             lonely.touches_failures(cg, r)
         assert lonely.join_failures(cg, 3) == (0, [])
-        assert list(lonely.enumerate_lonely_path_pairs(g, None, 3, view=cg)) == []
+        assert list(oracles.enumerate_lonely_path_pairs(g, None, 3, view=cg)) == []
         assert cg._ld is None
         lonely.swap_failures(cg)
         assert cg._ld is not None
