@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
@@ -472,8 +471,8 @@ _ALL_OPTIMAL = {"scope": "all optimal colorings"}
 
 
 def format_t(t2: int) -> str:
-    """Half-integer slack rendered exactly, e.g. 0, 1/2, 1."""
-    return str(Fraction(t2, 2))
+    """Half-integer slack t2/2 rendered exactly, e.g. 0, 1/2, 1, 3/2."""
+    return f"{t2}/2" if t2 & 1 else str(t2 // 2)
 
 
 def stream_record(name: str, views: Iterable[lonely.ColoredGraph],

@@ -37,6 +37,15 @@ class UsageError(Exception):
     """Bad options or unreadable input; ``main`` reports it and exits 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a rejected argv as ``UsageError``
+    rather than printing its usage block and exiting. Its subparsers are of
+    the same class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _guard_from_env(var: str, default: int) -> int:
     text = os.environ.get(var)
     if text is None:
@@ -247,7 +256,7 @@ def cmd_verify(args, params: VerificationParams) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stingycolor",
         description="Exact chromatic analysis: frames, lonely edges, stingy "
                     "and r-bounded colorings, Reed-type bounds.",
@@ -312,11 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "samples", 0) and args.seed is None:
-        parser.error("--samples requires an explicit --seed")
     try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "samples", 0) and args.seed is None:
+            raise UsageError("--samples requires an explicit --seed")
         return args.func(args, _params(args))
     except (UsageError, GuardExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -652,11 +652,16 @@ class FrameProperty:
     """A predicate on the frame alone, applied to a coloring as
     ``frame_predicate(c.frame())``. No predicate on the coloring itself can be
     given, so it is a frame property by construction; singleton-friendliness
-    is still checked, and ``declared_singleton_friendly`` is never trusted."""
+    is still checked, and ``declared_singleton_friendly`` is never trusted.
+    ``_merge_closed`` memoizes ``_frames_merge_closed`` per n for this object
+    alone: equality and hashing ignore the predicate, so two properties with
+    the same name must not share an answer."""
 
     frame_predicate: Callable[[tuple[int, ...]], bool] = field(compare=False)
     name: str
     declared_singleton_friendly: bool = False
+    _merge_closed: dict[int, bool] = field(default_factory=dict, init=False,
+                                          repr=False, compare=False)
 
     declared_frame_property: ClassVar[bool] = True
 
@@ -686,10 +691,12 @@ def _frames(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rec(n, 1))
 
 
+@functools.lru_cache(maxsize=None)
 def b_r(r: int) -> FrameProperty:
     """B_r: all classes of size at most r, i.e. the largest frame entry is at
     most r. Singleton-friendly only for r >= 2 (merging two singletons makes a
-    doubleton, which leaves B_1)."""
+    doubleton, which leaves B_1). One object per r, so its merge-closure memo
+    is computed once per (r, n)."""
     if r < 1:
         raise ValueError("r must be positive")
     return FrameProperty(
@@ -808,12 +815,16 @@ def _frames_merge_closed(p: FrameProperty, n: int) -> bool:
     """True iff merging two 1s of any satisfying frame of ``n`` vertices into a
     2 gives a satisfying frame. Merging two singleton classes changes the
     frame exactly so, hence this proves p singleton-friendly on every graph of
-    order n. Frames are nondecreasing, so the 1s lead."""
-    return all(
-        p.frame_predicate(tuple(sorted(f[2:] + (2,))))
-        for f in p.frames(n)
-        if f[:2] == (1, 1)
-    )
+    order n. Frames are nondecreasing, so the 1s lead. The answer depends
+    only on (p, n) and is kept in ``p._merge_closed``."""
+    closed = p._merge_closed.get(n)
+    if closed is None:
+        closed = p._merge_closed[n] = all(
+            p.frame_predicate(tuple(sorted(f[2:] + (2,))))
+            for f in p.frames(n)
+            if f[:2] == (1, 1)
+        )
+    return closed
 
 
 def is_singleton_friendly(g: Graph, p: ColoringProperty | FrameProperty,

@@ -162,14 +162,6 @@ def _pair_order(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for j in range(1, n) for i in range(j))
 
 
-def graph_to_mask(g: Graph) -> int:
-    mask = 0
-    for t, (i, j) in enumerate(_pair_order(g.n)):
-        if g.has_edge(i, j):
-            mask |= 1 << t
-    return mask
-
-
 def graph_from_mask(n: int, mask: int) -> Graph:
     rows = [0] * n
     for t in bits(mask):

@@ -86,12 +86,13 @@ class ColoredGraph:
     ``Coloring`` order (popcount, lowest bit; ``Coloring.class_masks`` gives
     them), with what the per-coloring lemma checks read from it: the class of
     each vertex, and per class the mask of the vertices with a neighbour in it
-    (``reach``, the OR of ``adj`` over its members). The masks are checked to
-    partition the vertex set (else PartitionError) and to be independent in
-    one pass over each class's members. The lonely digraph ``ld`` and the
-    coloring ``c`` are built only when read."""
+    (``reach``, the OR of ``adj`` over its members) and of those with at least
+    two (``twice``). The masks are checked to partition the vertex set (else
+    PartitionError) and to be independent in one pass over each class's
+    members, which also builds ``reach`` and ``twice``. The lonely digraph
+    ``ld`` and the coloring ``c`` are built only when read."""
 
-    __slots__ = ("g", "masks", "by_vertex", "reach", "_ld", "_c")
+    __slots__ = ("g", "masks", "by_vertex", "reach", "twice", "_ld", "_c")
 
     def __init__(self, g: Graph, masks: tuple[int, ...]):
         n = g.n
@@ -104,38 +105,39 @@ class ColoredGraph:
         adj = g.adj
         by_vertex = [0] * n
         reach = []
+        twice = []
         for j, mask in enumerate(masks):
-            near = 0
+            near = more = 0
             rest = mask
             while rest:
                 low = rest & -rest
                 v = low.bit_length() - 1
                 by_vertex[v] = j
+                more |= near & adj[v]
                 near |= adj[v]
                 rest ^= low
             if near & mask:
                 raise ValueError("coloring is not proper")
             reach.append(near)
+            twice.append(more)
         self.g = g
         self.masks = masks
         self.by_vertex = by_vertex
         self.reach = reach
+        self.twice = twice
         self._ld = None
         self._c = None
 
     @property
     def ld(self) -> LonelyDigraph:
         """The lonely digraph: each vertex with exactly one neighbour in a
-        class (met once but not twice) has an arc to that neighbour."""
+        class (in ``reach`` but not in ``twice``) has an arc to that
+        neighbour."""
         if self._ld is None:
             adj = self.g.adj
             out = [0] * self.g.n
-            for mask in self.masks:
-                once = twice = 0
-                for u in bits(mask):
-                    twice |= once & adj[u]
-                    once |= adj[u]
-                for v in bits(once & ~twice):
+            for mask, near, more in zip(self.masks, self.reach, self.twice):
+                for v in bits(near & ~more):
                     out[v] |= adj[v] & mask
             self._ld = LonelyDigraph(self.g.n, tuple(out))
         return self._ld
@@ -346,22 +348,29 @@ def swap_failures(cg: ColoredGraph) -> tuple[int, list[dict]]:
     """Every mutually lonely pair v < w swaps to a proper coloring on the same
     frame: both changed classes stay independent and the sorted class sizes
     are unchanged. The pairs are the mutual arcs of the lonely digraph. The
-    view is proper, so v's class A stays independent with w in place of v
-    iff ``adj[w] & (A ^ 1 << v)`` is 0, and likewise for w's class."""
-    g, out = cg.g, cg.ld.out
-    adj, masks, by_vertex = g.adj, cg.masks, cg.by_vertex
-    frame = tuple(m.bit_count() for m in masks)
+    exchange changes only v's class A and w's class B. The view is proper, so
+    A stays independent with w in place of v iff ``adj[w] & (A ^ 1 << v)`` is
+    0, and likewise for B; the other classes keep their sizes, so the sorted
+    frame is unchanged iff the sizes of A and B after the exchange are those
+    before it, as a multiset."""
+    out = cg.ld.out
+    adj, masks, by_vertex = cg.g.adj, cg.masks, cg.by_vertex
     checks = 0
     bad = []
-    for v in range(g.n):
-        for w in bits(out[v] >> (v + 1) << (v + 1)):
+    for v in range(cg.g.n):
+        rest = out[v] >> (v + 1) << (v + 1)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
             if not out[w] >> v & 1:
                 continue
             checks += 1
-            swapped = _swapped_masks(masks, by_vertex, v, w)
-            if (adj[w] & (masks[by_vertex[v]] ^ 1 << v)
-                    or adj[v] & (masks[by_vertex[w]] ^ 1 << w)
-                    or tuple(sorted(m.bit_count() for m in swapped)) != frame):
+            a, b = masks[by_vertex[v]], masks[by_vertex[w]]
+            flip = 1 << v | low
+            if (adj[w] & (a ^ 1 << v) or adj[v] & (b ^ 1 << w)
+                    or sorted(((a ^ flip).bit_count(), (b ^ flip).bit_count()))
+                    != sorted((a.bit_count(), b.bit_count()))):
                 bad.append({"coloring": cg.c.as_lists(), "pair": [v, w]})
     return checks, bad
 

@@ -12,13 +12,37 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from stingycolor import Graph
+from stingycolor import Coloring, Graph, is_lonely, is_proper, swap
 from stingycolor.lonely import check_max_len
 
 
 def subsets(items):
     for k in range(len(items) + 1):
         yield from combinations(items, k)
+
+
+def graph_to_mask(g: Graph) -> int:
+    """The edge mask of ``g``: bit t is the t-th pair (i, j), i < j, in
+    graph6 packing order (columns j = 1..n-1, then rows i = 0..j-1)."""
+    pairs = [(i, j) for j in range(1, g.n) for i in range(j)]
+    return sum(1 << t for t, (i, j) in enumerate(pairs) if g.has_edge(i, j))
+
+
+def swap_failures_oracle(g: Graph, c: Coloring) -> tuple[int, list[dict]]:
+    """The swap check by testing every vertex pair v < w with ``is_lonely``
+    both ways, then swapping the pair and comparing properness and the whole
+    frame."""
+    checks = 0
+    bad = []
+    for v in range(g.n):
+        for w in range(v + 1, g.n):
+            if not (is_lonely(g, c, v, w) and is_lonely(g, c, w, v)):
+                continue
+            checks += 1
+            swapped = swap(g, c, v, w)
+            if not is_proper(g, swapped) or swapped.frame() != c.frame():
+                bad.append({"coloring": c.as_lists(), "pair": [v, w]})
+    return checks, bad
 
 
 def clique_number_oracle(g: Graph) -> int:

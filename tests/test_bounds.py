@@ -26,12 +26,9 @@ from stingycolor import (
     evaluate_bounds,
     evaluate_generalized,
     full_report,
-    is_lonely,
-    is_proper,
     petersen,
     recheck_counterexample,
     stats,
-    swap,
     verify_matching_corollary,
 )
 from stingycolor.bounds import (
@@ -40,6 +37,7 @@ from stingycolor.bounds import (
     VERDICT_VACUOUS,
     VERDICT_VIOLATION,
     _lonely_claims,
+    format_t,
     report_violations,
 )
 from stingycolor.coloring import (
@@ -303,6 +301,11 @@ def test_params_validation():
         VerificationParams(t2_list=(1, 1))
 
 
+def test_format_t_matches_fraction():
+    for t2 in range(201):
+        assert format_t(t2) == str(Fraction(t2, 2))
+
+
 @pytest.mark.parametrize("g", [petersen(), cycle(9)], ids=["petersen", "C9"])
 def test_b_r_path_join_evaluated_up_to_optimal_guard(g):
     claims = {c["name"]: c for c in full_report(g, PARAMS)["claims"]}
@@ -347,14 +350,9 @@ def _swap_record_by_vertex_pairs(g, guards):
     violations = []
     for c in enumerate_optimal_colorings(g, guards=guards):
         colorings += 1
-        for v in range(g.n):
-            for w in range(v + 1, g.n):
-                if not (is_lonely(g, c, v, w) and is_lonely(g, c, w, v)):
-                    continue
-                checks += 1
-                swapped = swap(g, c, v, w)
-                if not is_proper(g, swapped) or swapped.frame() != c.frame():
-                    violations.append({"coloring": c.as_lists(), "pair": [v, w]})
+        made, bad = oracles.swap_failures_oracle(g, c)
+        checks += made
+        violations.extend(bad)
     witness = {"colorings_checked": colorings, "checks": checks}
     if violations:
         witness["violations"] = violations

@@ -714,6 +714,20 @@ def test_b_r_p_optimal_is_optimal_bounded_stream():
                     == list(enumerate_optimal_colorings(g, cap=r)))
 
 
+def test_merge_closure_memo_is_kept_per_property():
+    # Equality and hashing ignore the predicate, so these two properties
+    # named "P" compare equal; each must keep its own answer at the same n,
+    # whichever is asked first.
+    g = empty(4)
+    for order in (slice(None), slice(None, None, -1)):
+        pairs = [(FrameProperty(lambda f: not f or f[-1] <= 3, "P"), True),
+                 (FrameProperty(lambda f: 2 not in f, "P"), False)]
+        assert pairs[0][0] == pairs[1][0] and hash(pairs[0][0]) == hash(pairs[1][0])
+        for _ in range(2):
+            for p, friendly in pairs[order]:
+                assert is_singleton_friendly(g, p) is friendly
+
+
 def test_b1_friendly_on_complete_graphs_only_by_enumeration():
     # The frame check fails for B_1 (two 1s merge into a 2), so the colorings
     # decide: on K_n no two singletons can merge.

@@ -317,6 +317,16 @@ def test_mask_views_match_coloring_views():
         assert masks == Coloring.from_masks(masks).class_masks()
 
 
+def test_swap_failures_match_vertex_pair_reference():
+    # The two-class swap test (both changed classes independent, their sizes
+    # unchanged as a multiset) agrees with swapping each mutually lonely pair
+    # and comparing properness and the whole frame.
+    for g in list(all_graphs(6)) + _cross_check_graphs():
+        for masks in enumerate_optimal_masks(g):
+            assert (lonely.swap_failures(ColoredGraph(g, masks))
+                    == oracles.swap_failures_oracle(g, Coloring.from_masks(masks))), g.adj
+
+
 def test_mask_view_errors_match_coloring_view():
     g = cycle(5)
     for masks, error, message in (
