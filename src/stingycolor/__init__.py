@@ -16,7 +16,6 @@ from .graphs import (
     emit_graph6,
     empty,
     er_random,
-    generate,
     independence_number,
     invariants,
     matching_number,

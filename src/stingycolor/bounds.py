@@ -318,6 +318,10 @@ CLAIMS = (
     Claim("lonely-path-join", LONELY, placeholder=GEN_LONELY_REFUSED),
     Claim("class-meets-all-classes", LONELY, placeholder=LONELY_REFUSED),
     Claim("lonely-degree-bound", LONELY, placeholder=LONELY_REFUSED),
+    # Holds by construction: (w, v) lonely makes adj[w] & (A ^ 1 << v) zero, likewise
+    # for B, and a 1-for-1 exchange keeps both class sizes, so it can fail only through
+    # a wrong lonely digraph; the tests check swap_failures against the vertex-pair
+    # oracle (test_swap_failures_match_vertex_pair_reference).
     Claim("swap-preserves-frame", LONELY, placeholder=LONELY_REFUSED),
     Claim("doubly-critical-iff-two-singletons", LONELY, placeholder=LONELY_REFUSED),
     Claim("singleton-meets-small-classes", LONELY, placeholder=GEN_LONELY_REFUSED),

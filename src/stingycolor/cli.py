@@ -23,7 +23,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .graphs import Graph, GraphFormatError, EXHAUSTIVE_MAX_N, generate, parse_graph6
+from .graphs import (EXHAUSTIVE_MAX_N, Graph, GraphFormatError, complete, cycle, empty,
+                     er_random, parse_graph6, path, petersen)
 from .coloring import Guards, GuardExceededError
 from .bounds import VerificationParams, full_report, report_violations
 from . import suites as suites_mod
@@ -84,17 +85,17 @@ def _parse_t_list(text: str) -> tuple[int, ...]:
 def _parse_gen_spec(spec: str) -> Graph:
     family, _, rest = spec.partition(":")
     args = [tok for tok in rest.split(",") if tok] if rest else []
-    if family in ("complete", "cycle", "path", "empty"):
+    sized = {"complete": complete, "cycle": cycle, "path": path, "empty": empty}
+    if family in sized:
         if len(args) != 1:
             raise ValueError(f"{family} takes one size, e.g. {family}:5")
-        return generate(family, n=int(args[0]))
+        return sized[family](int(args[0]))
     if family == "petersen":
-        return generate("petersen")
+        return petersen()
     if family in ("er", "er_random"):
         if len(args) != 3:
             raise ValueError("er takes n,p,seed, e.g. er:8,0.5,42")
-        return generate("er_random", n=int(args[0]), p=float(args[1]),
-                        seed=int(args[2]))
+        return er_random(int(args[0]), float(args[1]), int(args[2]))
     raise ValueError(f"unknown generator family {family!r}")
 
 

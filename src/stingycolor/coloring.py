@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterator
+from typing import Callable, Iterator
 
 from .graphs import Graph, bits, clique_number, independence_number, matching_number
 
@@ -62,6 +62,12 @@ class Guards:
 
 
 DEFAULT_GUARDS = Guards()
+
+
+def _check_guard(g: Graph, limit: int, what: str) -> None:
+    """Refuse ``what`` on a graph of more than ``limit`` vertices."""
+    if g.n > limit:
+        raise GuardExceededError(f"{what} guarded at n <= {limit} (graph has {g.n})")
 
 
 def _coloring_order(masks) -> tuple[int, ...]:
@@ -406,10 +412,7 @@ def enumerate_colorings(g: Graph, guards: Guards = DEFAULT_GUARDS) -> Iterator[C
 def enumerate_coloring_masks(g: Graph, guards: Guards = DEFAULT_GUARDS
                              ) -> Iterator[tuple[int, ...]]:
     """``enumerate_colorings`` as class masks in ``Coloring`` order."""
-    if g.n > guards.full:
-        raise GuardExceededError(
-            f"full coloring enumeration guarded at n <= {guards.full} (graph has {g.n})"
-        )
+    _check_guard(g, guards.full, "full coloring enumeration")
     yield from _ordered_partitions(g.adj, g.n, None, None)
 
 
@@ -422,10 +425,7 @@ def enumerate_optimal_colorings(g: Graph, cap: int | None = None,
 
 def check_optimal_guard(g: Graph, guards: Guards) -> None:
     """Refuse optimal-coloring enumeration beyond ``guards.optimal`` vertices."""
-    if g.n > guards.optimal:
-        raise GuardExceededError(
-            f"optimal coloring enumeration guarded at n <= {guards.optimal} (graph has {g.n})"
-        )
+    _check_guard(g, guards.optimal, "optimal coloring enumeration")
 
 
 def enumerate_optimal_masks(g: Graph, cap: int | None = None,
@@ -556,10 +556,7 @@ class ColoringStats:
 
 @functools.lru_cache(maxsize=65536)
 def _stats_cached(g: Graph, optimal_guard: int) -> ColoringStats:
-    if g.n > optimal_guard:
-        raise GuardExceededError(
-            f"stinginess guarded at n <= {optimal_guard} (graph has {g.n})"
-        )
+    _check_guard(g, optimal_guard, "stinginess")
     chi = chromatic_number(g)
     iota, masks = _best_partition_score(g.adj, g.n, chi, independence_number(g),
                                         "singletons")
@@ -596,10 +593,7 @@ class BoundedStats:
 
 @functools.lru_cache(maxsize=65536)
 def _bounded_cached(g: Graph, r: int, optimal_guard: int) -> BoundedStats:
-    if g.n > optimal_guard:
-        raise GuardExceededError(
-            f"r-bounded stats guarded at n <= {optimal_guard} (graph has {g.n})"
-        )
+    _check_guard(g, optimal_guard, "r-bounded stats")
     alpha = independence_number(g)
     if r >= alpha:
         # No independent set exceeds the cap, so the capped partitions are
@@ -634,14 +628,11 @@ def bounded_stats(g: Graph, r: int, guards: Guards = DEFAULT_GUARDS) -> BoundedS
 
 @dataclass(frozen=True)
 class ColoringProperty:
-    """A decidable predicate on colorings. The declared flags are claims made
-    by the constructor; the verification operations below test them, nothing
-    ever assumes them."""
+    """A decidable predicate on colorings. Whether it is a frame property or
+    singleton-friendly is decided by the checks below, graph by graph."""
 
     predicate: Callable[[Coloring], bool] = field(compare=False)
     name: str
-    declared_frame_property: bool = False
-    declared_singleton_friendly: bool = False
 
     def __call__(self, c: Coloring) -> bool:
         return bool(self.predicate(c))
@@ -652,18 +643,14 @@ class FrameProperty:
     """A predicate on the frame alone, applied to a coloring as
     ``frame_predicate(c.frame())``. No predicate on the coloring itself can be
     given, so it is a frame property by construction; singleton-friendliness
-    is still checked, and ``declared_singleton_friendly`` is never trusted.
-    ``_merge_closed`` memoizes ``_frames_merge_closed`` per n for this object
-    alone: equality and hashing ignore the predicate, so two properties with
-    the same name must not share an answer."""
+    is still checked. ``_merge_closed`` memoizes ``_frames_merge_closed`` per
+    n for this object alone: equality and hashing ignore the predicate, so two
+    properties with the same name must not share an answer."""
 
     frame_predicate: Callable[[tuple[int, ...]], bool] = field(compare=False)
     name: str
-    declared_singleton_friendly: bool = False
     _merge_closed: dict[int, bool] = field(default_factory=dict, init=False,
                                           repr=False, compare=False)
-
-    declared_frame_property: ClassVar[bool] = True
 
     def __call__(self, c: Coloring) -> bool:
         return bool(self.frame_predicate(c.frame()))
@@ -702,20 +689,25 @@ def b_r(r: int) -> FrameProperty:
     return FrameProperty(
         frame_predicate=lambda f: not f or f[-1] <= r,
         name=f"B_{r}",
-        declared_singleton_friendly=r >= 2,
     )
 
 
-def _frame_p_optimal(g: Graph, p: FrameProperty, guards: Guards) -> Iterator[Coloring]:
-    """The P-optimal colorings of a frame property, by bounded search: every
-    satisfying coloring has classes of at most ``cap`` vertices, the largest
-    entry of any satisfying frame, so chi_P is the first class count from
-    chi_cap up that has a satisfying coloring."""
-    if g.n > guards.optimal:
-        raise GuardExceededError(
-            f"chi_P guarded at n <= {guards.optimal} (graph has {g.n})"
-        )
-    cap = max((f[-1] for f in p.frames(g.n) if f), default=1)
+def enumerate_p_optimal(g: Graph, p: ColoringProperty | FrameProperty,
+                        guards: Guards = DEFAULT_GUARDS) -> Iterator[Coloring]:
+    """Every coloring satisfying ``p`` with exactly chi_P classes: the
+    satisfying partitions of the first class count k from chi_cap up that has
+    any. A FrameProperty is optimal-coloring work, with cap the largest entry
+    of any satisfying frame, since no satisfying coloring has a larger class;
+    any other property scans uncapped partitions under the full guard. No
+    proper partition has fewer than chi_cap classes, so the search is exact.
+    For P = B_r this is enumerate_optimal_colorings(g, cap=r), in the same
+    order."""
+    if isinstance(p, FrameProperty):
+        _check_guard(g, guards.optimal, "chi_P")
+        cap = max((f[-1] for f in p.frames(g.n) if f), default=1)
+    else:
+        _check_guard(g, guards.full, "chi_P")
+        cap = None
     for k in range(chromatic_number(g, cap), g.n + 1):
         found = False
         for masks in _enum_partitions(g.adj, g.n, k, cap):
@@ -730,49 +722,21 @@ def _frame_p_optimal(g: Graph, p: FrameProperty, guards: Guards) -> Iterator[Col
 
 def chi_p(g: Graph, p: ColoringProperty | FrameProperty,
           guards: Guards = DEFAULT_GUARDS) -> tuple[int, Coloring]:
-    """Minimum class count among colorings satisfying ``p``, with witness.
-    A FrameProperty is optimal-coloring work; any other property scans every
-    partition under the full guard."""
-    if isinstance(p, FrameProperty):
-        c = next(_frame_p_optimal(g, p, guards))
-        return len(c), c
-    if g.n > guards.full:
-        raise GuardExceededError(
-            f"chi_P guarded at n <= {guards.full} (graph has {g.n})"
-        )
-    if g.n == 0:
-        c = Coloring(())
-        if p(c):
-            return 0, c
-        raise PropertyUnsatisfiableError(f"property {p.name!r} unsatisfiable on this graph")
-    for k in range(1, g.n + 1):
-        for masks in _enum_partitions(g.adj, g.n, k, None):
-            c = Coloring.from_masks(masks)
-            if p(c):
-                return k, c
-    raise PropertyUnsatisfiableError(f"property {p.name!r} unsatisfiable on this graph")
+    """Minimum class count among colorings satisfying ``p``, with witness:
+    the first coloring of ``enumerate_p_optimal``."""
+    c = next(enumerate_p_optimal(g, p, guards))
+    return len(c), c
 
 
-def enumerate_p_optimal(g: Graph, p: ColoringProperty | FrameProperty,
-                        guards: Guards = DEFAULT_GUARDS) -> Iterator[Coloring]:
-    """Every coloring satisfying ``p`` with exactly chi_P classes. For a
-    FrameProperty P = B_r this is enumerate_optimal_colorings(g, cap=r), in
-    the same order."""
-    if isinstance(p, FrameProperty):
-        yield from _frame_p_optimal(g, p, guards)
-        return
-    k, _ = chi_p(g, p, guards)
-    for masks in _enum_partitions(g.adj, g.n, k, None):
-        c = Coloring.from_masks(masks)
-        if p(c):
-            yield c
-
-
-def _grouped_memberships(g: Graph, p: ColoringProperty, key, guards: Guards):
-    groups: dict[object, set[bool]] = {}
+def _constant_on(g: Graph, p: ColoringProperty, key, guards: Guards) -> bool:
+    """True iff ``p`` takes one value on the colorings of ``g`` with equal
+    ``key``; stops at the first disagreement."""
+    seen: dict[object, bool] = {}
     for c in enumerate_colorings(g, guards):
-        groups.setdefault(key(c), set()).add(p(c))
-    return groups
+        value = p(c)
+        if seen.setdefault(key(c), value) != value:
+            return False
+    return True
 
 
 def is_frame_property(g: Graph, p: ColoringProperty | FrameProperty,
@@ -781,16 +745,14 @@ def is_frame_property(g: Graph, p: ColoringProperty | FrameProperty,
     A FrameProperty is one by construction."""
     if isinstance(p, FrameProperty):
         return True
-    groups = _grouped_memberships(g, p, lambda c: c.frame(), guards)
-    return all(len(vals) == 1 for vals in groups.values())
+    return _constant_on(g, p, lambda c: c.frame(), guards)
 
 
 def check_frame3_sufficiency(g: Graph, p: ColoringProperty,
                              guards: Guards = DEFAULT_GUARDS) -> bool:
     """True iff membership in ``p`` depends only on the frame entries >= 3.
     Whenever true, both is_frame_property and is_singleton_friendly hold."""
-    groups = _grouped_memberships(g, p, lambda c: c.frame_m(3), guards)
-    return all(len(vals) == 1 for vals in groups.values())
+    return _constant_on(g, p, lambda c: c.frame_m(3), guards)
 
 
 def check_complete_condition(g: Graph, p: ColoringProperty,
@@ -799,8 +761,7 @@ def check_complete_condition(g: Graph, p: ColoringProperty,
     equivalence classes. Compared elsewhere against
     is_frame_property AND is_singleton_friendly; a disagreement is reported as
     a lemma violation, never silently resolved."""
-    groups = _grouped_memberships(g, p, lambda c: (c.small(), c.frame_m(3)), guards)
-    return all(len(vals) == 1 for vals in groups.values())
+    return _constant_on(g, p, lambda c: (c.small(), c.frame_m(3)), guards)
 
 
 def merge_singletons(c: Coloring, a: int, b: int) -> Coloring:

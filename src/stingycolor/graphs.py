@@ -334,32 +334,6 @@ def er_random(n: int, p: float, seed: int) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def generate(family: str, *, n: int | None = None, p: float | None = None,
-             seed: int | None = None) -> Graph:
-    """Dispatch on family name; used by the CLI's ``--gen`` specs."""
-    if family == "complete":
-        return complete(_need(n, "n"))
-    if family == "cycle":
-        return cycle(_need(n, "n"))
-    if family == "path":
-        return path(_need(n, "n"))
-    if family == "empty":
-        return empty(_need(n, "n"))
-    if family == "petersen":
-        return petersen()
-    if family == "er_random":
-        if seed is None:
-            raise ValueError("er_random requires an explicit seed")
-        return er_random(_need(n, "n"), _need(p, "p"), seed)
-    raise ValueError(f"unknown graph family {family!r}")
-
-
-def _need(value, name):
-    if value is None:
-        raise ValueError(f"missing parameter {name}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Exact invariants
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from stingycolor.cli import main
+from stingycolor import complete, cycle, empty, er_random, path, petersen
+from stingycolor.cli import _parse_gen_spec, main
 from stingycolor.suites import SUITES
 
 
@@ -180,6 +181,21 @@ def test_verify_lonely_path_golden_digest(capsys, options):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of `verify --suite properties --max-n 5` (default
+# options): the B_2 and B_3 checks on the 53 classes with n <= 5, plus two
+# checks for each of the 100 seeded predicates on K3, P4 and C5. It exits 1:
+# those predicates include the known counterexamples to the claimed
+# complete-condition equivalence (criterion 08a).
+VERIFY_PROPERTIES_N5_SHA256 = "c71c92c6dc846580abc3a84c257f481f155067ad48bc84ffa60440b73096b05f"
+
+
+def test_verify_properties_golden_digest(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "properties", "--max-n", "5")
+    assert code == 1
+    assert json.loads(out)["checked"] == 706
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PROPERTIES_N5_SHA256
+
+
 def test_verify_gen_lonely_path_reads_p_optimal_stream(capsys, monkeypatch):
     # generalized-lonely-path enumerates the B_r-optimal colorings through
     # chi_P, so the guard that refuses it is chi_P's.
@@ -348,6 +364,7 @@ def test_bad_guard_env_is_usage_error(capsys, monkeypatch, var, value):
     ("verify", "--suite", "swap", "--max-n", "2", "--t", "0,1/0"),
     ("analyze", "--gen", "cycle:5", "--t", "x"),
     ("analyze", "--gen", "cycle:5", "--max-path-len", "x"),
+    ("analyze", "--gen", "hypercube:3"),
     ("search", "--claim", "reed-disjunct", "--max-n", "3", "--samples", "2"),
     ("verify", "--suite", "lonely-path", "--max-n", "2", "--samples", "2"),
 ], ids=" ".join)
@@ -358,6 +375,19 @@ def test_bad_option_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("spec, graph", [
+    ("complete:4", complete(4)),
+    ("cycle:5", cycle(5)),
+    ("path:3", path(3)),
+    ("empty:2", empty(2)),
+    ("petersen", petersen()),
+    ("er:8,0.5,42", er_random(8, 0.5, seed=42)),
+    ("er_random:6,0.3,1", er_random(6, 0.3, seed=1)),
+])
+def test_gen_spec_builds_its_family(spec, graph):
+    assert _parse_gen_spec(spec) == graph
 
 
 @pytest.mark.parametrize("argv", [

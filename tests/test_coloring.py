@@ -41,6 +41,8 @@ from stingycolor.coloring import (
     _enum_partitions,
     _greedy_dsatur,
     _score_ceiling,
+    enumerate_coloring_masks,
+    enumerate_optimal_masks,
     enumerate_p_optimal,
     merge_singletons,
 )
@@ -467,9 +469,12 @@ def test_chi_p_agrees_with_bounded_stats():
 
 
 def test_b_r_flags():
-    assert b_r(1).declared_frame_property
-    assert not b_r(1).declared_singleton_friendly
-    assert b_r(2).declared_singleton_friendly
+    # B_r carries no declared flags: it is a frame property by construction,
+    # and the check finds it singleton-friendly only for r >= 2.
+    two = empty(2)
+    assert is_frame_property(two, b_r(1))
+    assert not is_singleton_friendly(two, b_r(1))
+    assert is_singleton_friendly(two, b_r(2))
     with pytest.raises(ValueError):
         b_r(0)
 
@@ -652,6 +657,59 @@ def test_stats_guard():
         chi_p(er_random(11, 0.5, seed=3), b_r(2))
     with pytest.raises(GuardExceededError):
         chi_p(er_random(9, 0.5, seed=3), ColoringProperty(b_r(2), "B_2 as coloring predicate"))
+
+
+@pytest.mark.parametrize("refuse, message", [
+    (stats, "stinginess guarded at n <= 10 (graph has 11)"),
+    (lambda g: bounded_stats(g, 2), "r-bounded stats guarded at n <= 10 (graph has 11)"),
+    (lambda g: list(enumerate_optimal_masks(g)),
+     "optimal coloring enumeration guarded at n <= 10 (graph has 11)"),
+    (lambda g: list(enumerate_coloring_masks(g)),
+     "full coloring enumeration guarded at n <= 8 (graph has 11)"),
+    (lambda g: chi_p(g, b_r(2)), "chi_P guarded at n <= 10 (graph has 11)"),
+    (lambda g: chi_p(g, ColoringProperty(lambda c: True, "all")),
+     "chi_P guarded at n <= 8 (graph has 11)"),
+], ids=["stats", "bounded_stats", "enumerate_optimal_masks", "enumerate_coloring_masks",
+        "chi_p-frame", "chi_p-coloring"])
+def test_guard_messages(refuse, message):
+    # The messages reach not-evaluated records and the CLI's stderr verbatim.
+    with pytest.raises(GuardExceededError) as exc:
+        refuse(er_random(11, 0.5, seed=3))
+    assert str(exc.value) == message
+
+
+# --- the P-optimal route against brute force ---------------------------------
+
+
+def test_p_optimal_route_against_brute_force():
+    # Each predicate picks a subset of the oracle's proper colorings, so its
+    # P-optimal colorings are the members of that subset with fewest classes.
+    rng = random.Random(2020)
+    above_chi = unsatisfiable = 0
+    for g in exhaustive_graphs(0, 5):
+        proper = sorted((Coloring.of(b) for b in oracles.partitions_up_to_k(g.n, g.n)
+                         if oracles.is_proper_blocks(g, b)), key=lambda c: c.classes)
+        chi = min(len(c) for c in proper)
+        chosen = [frozenset(proper), frozenset(),
+                  frozenset(c for c in proper if len(c) > chi)]
+        chosen += [frozenset(c for c in proper if rng.random() < 0.5) for _ in range(4)]
+        for i, subset in enumerate(chosen):
+            prop = ColoringProperty(lambda c, s=subset: c in s, f"subset-{i}")
+            if not subset:
+                unsatisfiable += 1
+                message = f"property 'subset-{i}' unsatisfiable on this graph"
+                with pytest.raises(PropertyUnsatisfiableError, match=f"^{message}$"):
+                    chi_p(g, prop)
+                with pytest.raises(PropertyUnsatisfiableError, match=f"^{message}$"):
+                    list(enumerate_p_optimal(g, prop))
+                continue
+            k = min(len(c) for c in subset)
+            above_chi += k > chi
+            got = list(enumerate_p_optimal(g, prop))
+            assert len(got) == len(set(got)), (g.adj, i)
+            assert set(got) == {c for c in subset if len(c) == k}, (g.adj, i)
+            assert chi_p(g, prop) == (k, got[0]), (g.adj, i)
+    assert above_chi > 0 and unsatisfiable > 0
 
 
 # --- frame properties against the generic enumeration route -----------------

@@ -14,7 +14,6 @@ from stingycolor import (
     emit_graph6,
     empty,
     er_random,
-    generate,
     invariants,
     matching_number,
     parse_graph6,
@@ -237,14 +236,7 @@ def test_er_random_validation():
     with pytest.raises(ValueError):
         er_random(-1, 0.5, seed=1)
     with pytest.raises(ValueError, match="seed"):
-        generate("er_random", n=5, p=0.5)
-
-
-def test_generate_dispatch():
-    assert generate("cycle", n=5) == cycle(5)
-    assert generate("petersen") == petersen()
-    with pytest.raises(ValueError, match="unknown graph family"):
-        generate("hypercube", n=3)
+        er_random(5, 0.5, seed=None)
 
 
 # --- complement -------------------------------------------------------------
