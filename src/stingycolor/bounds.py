@@ -161,11 +161,9 @@ class GeneralizedReport:
 
 CLASSIC, GENERALIZED, LONELY = "classic", "generalized", "lonely"
 
-# What a refused lonely stream leaves in place of its records: the uncapped
-# stream's refusal ends every lonely claim; a capped stream's is tagged [r=R]
-# and stands for the rows that read the capped streams.
+# The one record a refused lonely stream leaves: every stream refuses at the
+# same optimal guard, so it stands for every lonely claim.
 LONELY_REFUSED = "lonely-claims"
-GEN_LONELY_REFUSED = "gen-lonely-claims"
 
 
 @dataclass(frozen=True)
@@ -184,7 +182,6 @@ class Claim:
     also: tuple[str, ...] = ()  # the further records of a classic compute row
     rs: tuple[int, ...] = ()  # generalized: only these r, and the bare name
     counterexample: bool = False  # generalized: a violation yields an artifact
-    placeholder: str | None = None  # lonely: the record left when refused
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -314,18 +311,17 @@ CLAIMS = (
     # Holds by construction (M_2 is read as n - chi_2, iota_2 is 2 chi_2 - n); the
     # tests check chi_2 and M_2 independently (test_chi_2_read_from_complement_matching).
     Claim("chi2-identity", GENERALIZED, rs=(2,), concl=lambda q: q.gap == q.iota_r),
-    # lonely-path-join[B_R] reads the cap = R stream
-    Claim("lonely-path-join", LONELY, placeholder=GEN_LONELY_REFUSED),
-    Claim("class-meets-all-classes", LONELY, placeholder=LONELY_REFUSED),
-    Claim("lonely-degree-bound", LONELY, placeholder=LONELY_REFUSED),
+    Claim("lonely-path-join", LONELY),
+    Claim("class-meets-all-classes", LONELY),
+    Claim("lonely-degree-bound", LONELY),
     # Holds by construction: (w, v) lonely makes adj[w] & (A ^ 1 << v) zero, likewise
     # for B, and a 1-for-1 exchange keeps both class sizes, so it can fail only through
     # a wrong lonely digraph; the tests check swap_failures against the vertex-pair
     # oracle (test_swap_failures_match_vertex_pair_reference).
-    Claim("swap-preserves-frame", LONELY, placeholder=LONELY_REFUSED),
-    Claim("doubly-critical-iff-two-singletons", LONELY, placeholder=LONELY_REFUSED),
-    Claim("singleton-meets-small-classes", LONELY, placeholder=GEN_LONELY_REFUSED),
-    Claim("gen-lonely-degree-bound", LONELY, placeholder=GEN_LONELY_REFUSED),
+    Claim("swap-preserves-frame", LONELY),
+    Claim("doubly-critical-iff-two-singletons", LONELY),
+    Claim("singleton-meets-small-classes", LONELY),
+    Claim("gen-lonely-degree-bound", LONELY),
 )
 CLASSIC_ROWS = tuple(row for row in CLAIMS if row.family == CLASSIC)
 GENERALIZED_ROWS = tuple(row for row in CLAIMS if row.family == GENERALIZED)
@@ -334,13 +330,6 @@ _ROW_BY_NAME = {name: row for row in CLAIMS for name in row.names}
 
 def base_name(claim: str) -> str:
     return claim.split("[", 1)[0]
-
-
-def _r_tag(claim: str) -> str | None:
-    """The R of a name tagged ``[r=R]``, ``[r=R,...]`` or ``[B_R]`` (a claim
-    read from the cap = R stream), else None."""
-    tag = claim.partition("[")[2]
-    return tag[2:].rstrip("]").split(",")[0] if tag[:2] in ("r=", "B_") else None
 
 
 def evaluate_bounds(g: Graph, params: VerificationParams = VerificationParams()) -> BoundsReport:
@@ -428,10 +417,8 @@ class UnknownClaimError(ValueError):
 def claim_records_for(g: Graph, query: str, params: VerificationParams) -> list[ClaimRecord]:
     """The claim records on ``g`` whose name matches ``query`` (exact name or
     base name, in which case every parameterization in params is covered),
-    and the placeholders a refused stream left in place of a lonely claim's:
-    ``lonely-claims`` always, and a capped stream's ``[r=R]`` placeholder
-    for a base-name query or a query tagged with the same r (``[B_R]``
-    counts as r = R)."""
+    and ``lonely-claims``, which a refused lonely stream leaves in their
+    place."""
     base = base_name(query)
     row = _ROW_BY_NAME.get(base)
     if row is None:
@@ -444,11 +431,8 @@ def claim_records_for(g: Graph, query: str, params: VerificationParams) -> list[
     else:
         records = _lonely_claims(g, params)
     return [rec for rec in records
-            if rec.name == query or (query == base and base_name(rec.name) == base)
-            or (rec.verdict == VERDICT_NOT_EVALUATED
-                and (rec.name == LONELY_REFUSED
-                     or (base_name(rec.name) == row.placeholder
-                         and (query == base or _r_tag(rec.name) == _r_tag(query)))))]
+            if rec.name in (query, LONELY_REFUSED)
+            or (query == base and base_name(rec.name) == base)]
 
 
 def recheck_counterexample(artifact: dict,
@@ -547,26 +531,20 @@ def _lonely_claims(g: Graph, params: VerificationParams) -> list[ClaimRecord]:
             found = joins[cg.masks] = lonely.join_failures(cg, params.max_path_len)
         return found
 
-    out: list[ClaimRecord] = []
     try:
         optimal = lonely.optimal_views(g, None, guards, views)
-        out.append(stream_record("lonely-path-join", optimal, join, extra=_ALL_OPTIMAL))
-        out.extend(stream_claims(g, None, optimal, params.t2_list, guards))
-        out.append(stream_record("swap-preserves-frame", optimal, lonely.swap_failures))
-        dc = lonely.doubly_critical_edges(g, guards)
-        out.append(_claim(
-            "doubly-critical-iff-two-singletons", True, dc.consistent,
-            {"edges": [list(e) for e in dc.edges], "iota": dc.iota}))
     except GuardExceededError as exc:
-        out.append(_not_evaluated(LONELY_REFUSED, str(exc)))
-        return out
+        return [_not_evaluated(LONELY_REFUSED, str(exc))]
+    out = [stream_record("lonely-path-join", optimal, join, extra=_ALL_OPTIMAL)]
+    out.extend(stream_claims(g, None, optimal, params.t2_list, guards))
+    out.append(stream_record("swap-preserves-frame", optimal, lonely.swap_failures))
+    dc = lonely.doubly_critical_edges(g, guards)
+    out.append(_claim(
+        "doubly-critical-iff-two-singletons", True, dc.consistent,
+        {"edges": [list(e) for e in dc.edges], "iota": dc.iota}))
     for r in params.r_list:
-        try:
-            bounded = lonely.optimal_views(g, r, guards, views)
-            out.extend(stream_claims(g, r, bounded, params.t2_list, guards))
-        except GuardExceededError as exc:
-            out.append(_not_evaluated(f"{GEN_LONELY_REFUSED}[r={r}]", str(exc)))
-            continue
+        bounded = lonely.optimal_views(g, r, guards, views)
+        out.extend(stream_claims(g, r, bounded, params.t2_list, guards))
         if r >= 2:
             # The optimal r-bounded colorings are the B_r-optimal ones, in the
             # same order, so B_r's path claim reads the same stream. B_r

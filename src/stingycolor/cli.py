@@ -185,6 +185,8 @@ def cmd_sweep(args, params: VerificationParams) -> int:
             entries, errors = suites_mod.load_graph6_lines(args.input)
         except OSError as exc:
             raise UsageError(f"cannot read {args.input}: {exc.strerror}") from exc
+        if not (entries or errors):
+            raise UsageError(f"{args.input} holds no graph6 line: nothing to sweep")
         for lineno, message in errors:
             print(f"{args.input}:{lineno}: {message}", file=sys.stderr)
             structural = True

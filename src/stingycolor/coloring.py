@@ -302,17 +302,22 @@ def _chi_cached(g: Graph, cap: int | None) -> int:
     return _color_bb(g.adj, g.n, cap)[0]
 
 
+def _check_cap(cap: int | None) -> None:
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be positive")
+
+
 def chromatic_number(g: Graph, cap: int | None = None) -> int:
     """Exact chi(g); with ``cap`` set, the minimum class count among colorings
     whose classes all have size at most cap. chi of the empty graph is 0."""
-    if cap is not None and cap < 1:
-        raise ValueError("cap must be positive")
+    _check_cap(cap)
     return _chi_cached(g, cap)
 
 
 def one_optimal_masks(g: Graph, cap: int | None = None,
                       rng: random.Random | None = None) -> tuple[int, ...]:
     """``one_optimal_coloring`` as class masks in ``Coloring`` order."""
+    _check_cap(cap)
     if rng is None:
         return _coloring_order(_color_bb(g.adj, g.n, cap)[1])
     perm = list(range(g.n))

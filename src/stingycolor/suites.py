@@ -95,6 +95,8 @@ def sample_specs(total: int, ns: tuple[int, ...],
                  densities: tuple[float, ...] = DENSITIES) -> list[tuple[int, float, int]]:
     """(n, p, count) triples covering ``total`` samples across the grid."""
     combos = [(n, p) for n in ns for p in densities]
+    if not combos:
+        raise ValueError("samples need at least one vertex count and one density")
     counts = split_counts(total, len(combos))
     return [(n, p, c) for (n, p), c in zip(combos, counts)]
 

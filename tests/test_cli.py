@@ -251,6 +251,7 @@ def test_search_clean_claim(capsys):
 
 
 NOT_EVALUATED_N11 = ["--max-n", "0", "--samples", "3", "--sample-ns", "11", "--seed", "1"]
+LONELY_SOME = ["--max-n", "5", *NOT_EVALUATED_N11[2:]]
 
 
 @pytest.mark.parametrize("argv, env, code, err", [
@@ -270,8 +271,22 @@ NOT_EVALUATED_N11 = ["--max-n", "0", "--samples", "3", "--sample-ns", "11", "--s
      "searched 208 graphs (208 claim records), 0 counterexamples, 201 not evaluated\n"),
     (["--claim", "lonely-path-join", *NOT_EVALUATED_N11[2:], "--max-n", "2"], {}, 0,
      "searched 6 graphs (12 claim records), 0 counterexamples, 3 not evaluated\n"),
+    # A refused lonely stream leaves one lonely-claims record, which every
+    # lonely query counts: a tagged, a per-r and a base-name query alike.
+    (["--claim", "lonely-path-join[B_3]", *LONELY_SOME], {}, 0,
+     "searched 55 graphs (55 claim records), 0 counterexamples, 3 not evaluated\n"),
+    (["--claim", "singleton-meets-small-classes", *LONELY_SOME], {}, 0,
+     "searched 55 graphs (159 claim records), 0 counterexamples, 3 not evaluated\n"),
+    (["--claim", "gen-lonely-degree-bound[r=2,t=1/2]", *LONELY_SOME], {}, 0,
+     "searched 55 graphs (55 claim records), 0 counterexamples, 3 not evaluated\n"),
+    (["--claim", "lonely-path-join", "--max-n", "6"], {"STINGYCOLOR_OPTIMAL_GUARD": "4"}, 0,
+     "searched 208 graphs (244 claim records), 0 counterexamples, 190 not evaluated\n"),
+    (["--claim", "gen-lonely-degree-bound", "--max-n", "6"],
+     {"STINGYCOLOR_OPTIMAL_GUARD": "4"}, 0,
+     "searched 208 graphs (298 claim records), 0 counterexamples, 190 not evaluated\n"),
 ], ids=["all-evaluated", "classic-none", "lonely-none", "guard-3-none", "guard-3-some",
-        "lonely-some"])
+        "lonely-some", "lonely-b3", "lonely-per-r", "lonely-r-and-t", "guard-4-join",
+        "guard-4-degree"])
 def test_search_not_evaluated(capsys, monkeypatch, argv, env, code, err):
     # A search that evaluated none of its records checked nothing: exit 2. A
     # search that evaluated some says how many it did not.
@@ -411,6 +426,15 @@ def test_sweep_missing_input_is_usage_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and str(missing) in err
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank-only"])
+def test_sweep_corpus_without_graphs_is_usage_error(capsys, tmp_path, text):
+    # A sweep that checked nothing must not report clean.
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(text)
+    assert run(capsys, "sweep", "--input", str(corpus)) == (
+        2, "", f"error: {corpus} holds no graph6 line: nothing to sweep\n")
 
 
 def test_search_samples_only_mode(capsys):

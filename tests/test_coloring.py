@@ -45,6 +45,7 @@ from stingycolor.coloring import (
     enumerate_optimal_masks,
     enumerate_p_optimal,
     merge_singletons,
+    one_optimal_masks,
 )
 from stingycolor.graphs import Graph, bits, clique_number, graph_from_mask
 from stingycolor.suites import exhaustive_graphs
@@ -433,6 +434,17 @@ def test_one_optimal_coloring_seeded(c5):
     capped = one_optimal_coloring(petersen(), cap=2, rng=random.Random(1))
     assert max(len(cls) for cls in capped.classes) <= 2
     assert len(capped) == chromatic_number(petersen(), cap=2)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+@pytest.mark.parametrize("seed", [None, 1])
+@pytest.mark.parametrize("fn", [one_optimal_coloring, one_optimal_masks])
+def test_one_optimal_rejects_nonpositive_cap(c5, fn, cap, seed):
+    # The same refusal as chromatic_number's, not a ZeroDivisionError (cap 0)
+    # or a coloring that ignores the cap (cap -1).
+    rng = None if seed is None else random.Random(seed)
+    with pytest.raises(ValueError, match="cap must be positive"):
+        fn(c5, cap, rng)
 
 
 # --- chi_P ------------------------------------------------------------------

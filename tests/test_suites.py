@@ -13,7 +13,7 @@ from stingycolor import (
 )
 from stingycolor import bounds, lonely, suites
 from stingycolor.coloring import DEFAULT_GUARDS, GuardExceededError, Guards
-from stingycolor.bounds import CLAIMS, GEN_LONELY_REFUSED, LONELY_REFUSED, base_name
+from stingycolor.bounds import CLAIMS, LONELY_REFUSED, base_name
 from stingycolor.suites import (
     UnknownClaimError,
     claim_records_for,
@@ -45,6 +45,18 @@ def test_sample_specs_cover_total():
     assert sum(c for _, _, c in specs) == 100
     assert [(n, p) for n, p, _ in specs] == [
         (7, 0.2), (7, 0.5), (7, 0.8), (8, 0.2), (8, 0.5), (8, 0.8)]
+
+
+@pytest.mark.parametrize("sample", [
+    lambda: sample_specs(5, ()),
+    lambda: sample_specs(5, (7,), densities=()),
+    lambda: suite_lonely_path(2, samples=5, sample_ns=()),
+    lambda: search_claim("simple-bound", VerificationParams(), max_n=2, samples=5,
+                         sample_ns=()),
+], ids=["sample_specs", "no-density", "suite_lonely_path", "search_claim"])
+def test_samples_need_a_grid(sample):
+    with pytest.raises(ValueError, match="at least one vertex count and one density"):
+        sample()
 
 
 def test_suite_swap_passes():
@@ -165,33 +177,25 @@ def test_claim_records_for(c5):
         claim_records_for(c5, "nope", PARAMS)
 
 
-def test_claim_records_for_counts_only_its_own_r_placeholder(c5, monkeypatch):
-    # Refuse only the cap = 3 stream: an [r=2] or [B_2] query must not count
-    # the r = 3 placeholder, an [r=3] or [B_3] query counts it alone, a
-    # base-name query both.
-    real = lonely.optimal_views
+INVARIANT_GRAPHS = (*exhaustive_graphs(1, 5),
+                    *(er_random(n, p, seed=n) for n in (7, 8, 9) for p in (0.2, 0.5, 0.8)))
+NOT_LONELY = {name for row in CLAIMS if row.family != bounds.LONELY for name in row.names}
 
-    def refuse_cap_3(g, cap, guards, seen):
-        if cap == 3:
-            raise GuardExceededError("cap-3 stream refused")
-        return real(g, cap, guards, seen)
 
-    monkeypatch.setattr(lonely, "optimal_views", refuse_cap_3)
-    refused = f"{GEN_LONELY_REFUSED}[r=3]"
-    for query, want in (
-        ("singleton-meets-small-classes[r=2]", ["singleton-meets-small-classes[r=2]"]),
-        ("gen-lonely-degree-bound[r=2,t=1/2]", ["gen-lonely-degree-bound[r=2,t=1/2]"]),
-        ("singleton-meets-small-classes[r=3]", [refused]),
-        ("singleton-meets-small-classes", ["singleton-meets-small-classes[r=1]",
-                                           "singleton-meets-small-classes[r=2]", refused]),
-        # lonely-path-join[B_R] is read from the cap = R stream
-        ("lonely-path-join[B_2]", ["lonely-path-join[B_2]"]),
-        ("lonely-path-join[B_3]", [refused]),
-        ("lonely-path-join", ["lonely-path-join", "lonely-path-join[B_2]", refused]),
-    ):
-        assert [rec.name for rec in claim_records_for(c5, query, PARAMS)] == want, query
-    result = search_claim("singleton-meets-small-classes[r=2]", PARAMS, max_n=3)
-    assert result["not_evaluated"] == 0 and result["records"] == 7
+@pytest.mark.parametrize("full", [0, 3, 8])
+def test_lonely_streams_refuse_together(full):
+    # Every lonely stream, bounded_stats and the B_r checks refuse at the one
+    # optimal guard, so a report is wholly refused or wholly evaluated, and
+    # lonely-claims is the only lonely record a refusal leaves. A per-cap
+    # refusal would need a placeholder of its own and an input that reaches it.
+    params = VerificationParams(r_list=(1, 2, 3, 4))
+    for g in INVARIANT_GRAPHS:
+        below = full_report(g, replace(params, guards=Guards(optimal=g.n - 1, full=full)))
+        assert {rec["verdict"] for rec in below["claims"]} == {"not-evaluated"}, g
+        assert [rec["name"] for rec in below["claims"]
+                if base_name(rec["name"]) not in NOT_LONELY] == [LONELY_REFUSED], g
+        at = full_report(g, replace(params, guards=Guards(optimal=g.n, full=full)))
+        assert "not-evaluated" not in {rec["verdict"] for rec in at["claims"]}, g
 
 
 def test_search_claim_no_counterexamples():
@@ -233,7 +237,7 @@ def test_claim_table_matches_emitted_records():
     # itself, and the table names no claim that is never emitted. A base-name
     # query covers every parameterization, so lonely-path-join also returns
     # lonely-path-join[B_r].
-    placeholders = {LONELY_REFUSED, GEN_LONELY_REFUSED}
+    placeholders = {LONELY_REFUSED}
     emitted = set()
     for g in (cycle(5), petersen(), er_random(11, 0.5, seed=1)):
         for rec in full_report(g, DRIFT_PARAMS)["claims"]:
