@@ -246,6 +246,8 @@ def cmd_verify(args, params: VerificationParams) -> int:
                          f"{', '.join(sorted(suites_mod.SUITES))}")
     _check_exhaustive_range("verify", 0, args.max_n)
     _check_samples(args)
+    if args.samples and suite != "lonely-path":
+        raise UsageError(f"suite {suite} takes no --samples; only lonely-path samples")
     if args.predicates < 0:
         raise UsageError(f"--predicates must be nonnegative, got {args.predicates}")
     result = suites_mod.SUITES[suite](args.max_n, params, args)

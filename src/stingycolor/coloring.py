@@ -20,10 +20,9 @@ ceiling. At a cap r >= alpha ``bounded_stats`` reads chi_r, iota_r and the
 iota_r witness from ``stats``; at r = 2 it reads M_2 = n - chi_2 and reuses
 the iota_2 witness for it.
 
-The full and optimal partition streams and the sampled optimal coloring
-also come as class masks in ``Coloring`` order (``enumerate_coloring_masks``,
-``enumerate_optimal_masks``, ``one_optimal_masks``); the ``Coloring`` forms
-are ``Coloring.from_masks`` over them.
+A ``Coloring`` is stored as its class masks in (popcount, lowest bit) order,
+which is the (size, least vertex) order of its classes, so every stream and
+witness wraps the masks its search yields without building vertex tuples.
 
 Guards: full-partition enumeration refuses beyond ``Guards.full`` vertices and
 the optimal-coloring machinery beyond ``Guards.optimal``. Exceeding a guard is
@@ -77,32 +76,33 @@ def _coloring_order(masks) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Coloring:
-    """Partition into independent classes; classes sorted by (size, least vertex)."""
+    """Partition into independent classes, stored as vertex bitmasks in
+    (popcount, lowest bit) order: the classes sorted by (size, least vertex)."""
 
-    classes: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
 
     @staticmethod
     def of(classes) -> "Coloring":
-        canon = []
-        seen: set[int] = set()
-        for cls in classes:
-            cl = tuple(sorted(set(cls)))
-            if not cl:
-                raise ValueError("empty color class")
-            if cl[0] < 0:
-                raise ValueError("negative vertex in color class")
-            if seen.intersection(cl):
-                raise ValueError("color classes overlap")
-            seen.update(cl)
-            canon.append(cl)
-        canon.sort(key=lambda c: (len(c), c[0]))
-        return Coloring(tuple(canon))
+        """``from_masks`` on classes given as vertex iterables. Each class is
+        turned into its mask just before ``from_masks`` checks it, so the
+        errors come class by class: empty, then negative, then overlap."""
+
+        def class_mask(cls) -> int:
+            mask = 0
+            for v in cls:
+                if v < 0:
+                    raise ValueError("negative vertex in color class")
+                mask |= 1 << v
+            return mask
+
+        return Coloring.from_masks(class_mask(cls) for cls in classes)
 
     @staticmethod
     def from_masks(masks) -> "Coloring":
-        """``of`` on classes given as vertex bitmasks, with the same errors;
-        the order key (size, least vertex) is (popcount, lowest bit)."""
+        """The coloring with these class masks, checked to be nonempty,
+        nonnegative and disjoint, and put in (popcount, lowest bit) order."""
         seen = 0
+        checked = []
         for mask in masks:
             if mask <= 0:
                 raise ValueError("negative vertex in color class" if mask
@@ -110,23 +110,22 @@ class Coloring:
             if seen & mask:
                 raise ValueError("color classes overlap")
             seen |= mask
-        return Coloring(tuple(tuple(bits(m)) for m in _coloring_order(masks)))
+            checked.append(mask)
+        return Coloring(_coloring_order(checked))
+
+    @property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(bits(m)) for m in self.masks)
 
     def __len__(self) -> int:
-        return len(self.classes)
-
-    def vertices(self) -> set[int]:
-        return {v for cls in self.classes for v in cls}
-
-    def class_masks(self) -> tuple[int, ...]:
-        return tuple(sum(1 << v for v in cls) for cls in self.classes)
+        return len(self.masks)
 
     def class_index_of(self) -> dict[int, int]:
-        return {v: j for j, cls in enumerate(self.classes) for v in cls}
+        return {v: j for j, m in enumerate(self.masks) for v in bits(m)}
 
     def frame(self) -> tuple[int, ...]:
         """Nondecreasing sequence of class sizes; () for the empty coloring."""
-        return tuple(len(cls) for cls in self.classes)
+        return tuple(m.bit_count() for m in self.masks)
 
     def frame_m(self, m: int) -> tuple[int, ...]:
         """Suffix of the frame from the first entry of size at least ``m``."""
@@ -136,33 +135,34 @@ class Coloring:
 
     def small(self) -> int:
         """Number of vertices lying in classes of size 1 or 2."""
-        return sum(len(cls) for cls in self.classes if len(cls) <= 2)
+        return sum(s for s in self.frame() if s <= 2)
 
     def singleton_vertices(self) -> tuple[int, ...]:
-        return tuple(cls[0] for cls in self.classes if len(cls) == 1)
+        return tuple(m.bit_length() - 1 for m in self.masks if m & (m - 1) == 0)
 
     def as_lists(self) -> list[list[int]]:
-        return [list(cls) for cls in self.classes]
+        return [list(bits(m)) for m in self.masks]
 
 
-def _partition_error(missing: list[int], extra: list[int]) -> PartitionError:
-    return PartitionError(
-        f"classes do not partition the vertex set (missing {missing}, extra {extra})"
-    )
-
-
-def _check_partition(g: Graph, c: Coloring) -> None:
-    want = set(range(g.n))
-    got = c.vertices()
-    if got != want:
-        raise _partition_error(sorted(want - got), sorted(got - want))
+def _check_partition(g: Graph, masks) -> None:
+    """Raise PartitionError unless the class masks cover g's vertices and
+    nothing else."""
+    full = (1 << g.n) - 1
+    covered = 0
+    for mask in masks:
+        covered |= mask
+    if covered != full:
+        raise PartitionError(
+            f"classes do not partition the vertex set (missing "
+            f"{list(bits(full & ~covered))}, extra {list(bits(covered & ~full))})"
+        )
 
 
 def is_proper(g: Graph, c: Coloring) -> bool:
     """True iff every class is independent. Raises PartitionError if ``c``
     does not partition g's vertices; that is structural, not 'improper'."""
-    _check_partition(g, c)
-    for mask in c.class_masks():
+    _check_partition(g, c.masks)
+    for mask in c.masks:
         for v in bits(mask):
             if g.adj[v] & mask:
                 return False
@@ -314,12 +314,16 @@ def chromatic_number(g: Graph, cap: int | None = None) -> int:
     return _chi_cached(g, cap)
 
 
-def one_optimal_masks(g: Graph, cap: int | None = None,
-                      rng: random.Random | None = None) -> tuple[int, ...]:
-    """``one_optimal_coloring`` as class masks in ``Coloring`` order."""
+def one_optimal_coloring(g: Graph, cap: int | None = None,
+                         rng: random.Random | None = None) -> Coloring:
+    """A single optimal (optionally cap-bounded) coloring.
+
+    Deterministic without ``rng``; with it, the vertices are relabeled by a
+    seeded shuffle first, which samples different optimal colorings.
+    """
     _check_cap(cap)
     if rng is None:
-        return _coloring_order(_color_bb(g.adj, g.n, cap)[1])
+        return Coloring(_coloring_order(_color_bb(g.adj, g.n, cap)[1]))
     perm = list(range(g.n))
     rng.shuffle(perm)
     inv = [0] * g.n
@@ -328,17 +332,7 @@ def one_optimal_masks(g: Graph, cap: int | None = None,
     # row ``new`` of the relabeled graph is old vertex perm[new]'s row, relabeled
     shuffled = tuple(sum(1 << inv[u] for u in bits(g.adj[old])) for old in perm)
     _, masks = _color_bb(shuffled, g.n, cap)
-    return _coloring_order(sum(1 << perm[v] for v in bits(m)) for m in masks)
-
-
-def one_optimal_coloring(g: Graph, cap: int | None = None,
-                         rng: random.Random | None = None) -> Coloring:
-    """A single optimal (optionally cap-bounded) coloring.
-
-    Deterministic without ``rng``; with it, the vertices are relabeled by a
-    seeded shuffle first, which samples different optimal colorings.
-    """
-    return Coloring.from_masks(one_optimal_masks(g, cap, rng))
+    return Coloring(_coloring_order(sum(1 << perm[v] for v in bits(m)) for m in masks))
 
 
 # ---------------------------------------------------------------------------
@@ -400,32 +394,19 @@ def _enum_partitions(adj: tuple[int, ...], n: int, k: int | None,
 
 
 def _ordered_partitions(adj: tuple[int, ...], n: int, k: int | None,
-                        cap: int | None) -> Iterator[tuple[int, ...]]:
-    """``_enum_partitions`` in ``Coloring`` order. Its classes come ordered by
-    lowest bit (each is opened by its least vertex), so a stable sort by
-    popcount gives the (popcount, lowest bit) order."""
+                        cap: int | None) -> Iterator[Coloring]:
+    """``_enum_partitions`` as colorings. Its classes come ordered by lowest
+    bit (each is opened by its least vertex), so a stable sort by popcount
+    gives the (popcount, lowest bit) order; the partitions are proper and
+    disjoint, so nothing is checked again."""
     for masks in _enum_partitions(adj, n, k, cap):
-        yield tuple(sorted(masks, key=int.bit_count))
+        yield Coloring(tuple(sorted(masks, key=int.bit_count)))
 
 
 def enumerate_colorings(g: Graph, guards: Guards = DEFAULT_GUARDS) -> Iterator[Coloring]:
     """Every proper coloring of ``g`` (any class count), canonical, each once."""
-    for masks in enumerate_coloring_masks(g, guards):
-        yield Coloring.from_masks(masks)
-
-
-def enumerate_coloring_masks(g: Graph, guards: Guards = DEFAULT_GUARDS
-                             ) -> Iterator[tuple[int, ...]]:
-    """``enumerate_colorings`` as class masks in ``Coloring`` order."""
     _check_guard(g, guards.full, "full coloring enumeration")
     yield from _ordered_partitions(g.adj, g.n, None, None)
-
-
-def enumerate_optimal_colorings(g: Graph, cap: int | None = None,
-                                guards: Guards = DEFAULT_GUARDS) -> Iterator[Coloring]:
-    """Every proper partition into exactly chi (or chi_cap) classes."""
-    for masks in enumerate_optimal_masks(g, cap, guards):
-        yield Coloring.from_masks(masks)
 
 
 def check_optimal_guard(g: Graph, guards: Guards) -> None:
@@ -433,9 +414,9 @@ def check_optimal_guard(g: Graph, guards: Guards) -> None:
     _check_guard(g, guards.optimal, "optimal coloring enumeration")
 
 
-def enumerate_optimal_masks(g: Graph, cap: int | None = None,
-                            guards: Guards = DEFAULT_GUARDS) -> Iterator[tuple[int, ...]]:
-    """``enumerate_optimal_colorings`` as class masks in ``Coloring`` order."""
+def enumerate_optimal_colorings(g: Graph, cap: int | None = None,
+                                guards: Guards = DEFAULT_GUARDS) -> Iterator[Coloring]:
+    """Every proper partition into exactly chi (or chi_cap) classes."""
     check_optimal_guard(g, guards)
     k = chromatic_number(g, cap)
     yield from _ordered_partitions(g.adj, g.n, k, cap)
@@ -556,7 +537,7 @@ class ColoringStats:
 
     @property
     def stingy_witness(self) -> Coloring:
-        return Coloring.from_masks(self.stingy_masks)
+        return Coloring(_coloring_order(self.stingy_masks))
 
 
 @functools.lru_cache(maxsize=65536)
@@ -589,11 +570,11 @@ class BoundedStats:
 
     @property
     def m_witness(self) -> Coloring:
-        return Coloring.from_masks(self.m_masks)
+        return Coloring(_coloring_order(self.m_masks))
 
     @property
     def iota_witness(self) -> Coloring:
-        return Coloring.from_masks(self.iota_masks)
+        return Coloring(_coloring_order(self.iota_masks))
 
 
 @functools.lru_cache(maxsize=65536)
@@ -715,8 +696,7 @@ def enumerate_p_optimal(g: Graph, p: ColoringProperty | FrameProperty,
         cap = None
     for k in range(chromatic_number(g, cap), g.n + 1):
         found = False
-        for masks in _enum_partitions(g.adj, g.n, k, cap):
-            c = Coloring.from_masks(masks)
+        for c in _ordered_partitions(g.adj, g.n, k, cap):
             if p(c):
                 found = True
                 yield c
@@ -771,10 +751,10 @@ def check_complete_condition(g: Graph, p: ColoringProperty,
 
 def merge_singletons(c: Coloring, a: int, b: int) -> Coloring:
     """Merge the singleton classes {a} and {b} into one doubleton."""
-    rest = [cls for cls in c.classes if cls not in ((a,), (b,))]
-    if len(rest) != len(c.classes) - 2:
+    rest = [m for m in c.masks if m not in (1 << a, 1 << b)]
+    if len(rest) != len(c.masks) - 2:
         raise ValueError(f"{a} and {b} are not both singleton classes")
-    return Coloring.of(rest + [(a, b)])
+    return Coloring(_coloring_order(rest + [1 << a | 1 << b]))
 
 
 def _frames_merge_closed(p: FrameProperty, n: int) -> bool:

@@ -1,11 +1,11 @@
 """Lonely edges, frame-preserving swaps, and the per-coloring lemma checks.
 
 A directed edge (v, w) is lonely under a coloring when w is the only neighbor
-of v inside w's class. A ``ColoredGraph`` view holds one coloring as class
-masks, and each structural statement built on lonely edges is a check of one
-view returning (checks made, violation payloads): swap safety
-(``swap_failures``), the joined-path property of lonely paths out of
-singleton classes (``join_failures``), the touches-everybody facts
+of v inside w's class. A ``ColoredGraph`` view holds one ``Coloring`` and
+what its class masks give, and each structural statement built on lonely
+edges is a check of one view returning (checks made, violation payloads):
+swap safety (``swap_failures``), the joined-path property of lonely paths
+out of singleton classes (``join_failures``), the touches-everybody facts
 (``touches_failures``) and the lonely-out-degree lower bounds
 (``replete_failures``). The join check walks each singleton root's lonely
 paths once into a list of (path, vertex mask, N(path)), N(path) the AND of
@@ -30,10 +30,10 @@ from .coloring import (
     FrameProperty,
     Guards,
     DEFAULT_GUARDS,
-    _partition_error,
+    _check_partition,
     check_optimal_guard,
     chromatic_number,
-    enumerate_optimal_masks,
+    enumerate_optimal_colorings,
     is_frame_property,
     is_singleton_friendly,
     stats,
@@ -59,7 +59,7 @@ def _lonely_in(g: Graph, by_vertex, masks, v: int, w: int) -> bool:
 def is_lonely(g: Graph, c: Coloring, v: int, w: int) -> bool:
     """True iff v and w sit in different classes and w is v's unique neighbor
     in w's class. Assumes ``c`` is proper on ``g``."""
-    return _lonely_in(g, c.class_index_of(), c.class_masks(), v, w)
+    return _lonely_in(g, c.class_index_of(), c.masks, v, w)
 
 
 @dataclass(frozen=True)
@@ -82,26 +82,21 @@ class LonelyDigraph:
 
 
 class ColoredGraph:
-    """One proper coloring of a graph, given by its class masks in
-    ``Coloring`` order (popcount, lowest bit; ``Coloring.class_masks`` gives
-    them), with what the per-coloring lemma checks read from it: the class of
-    each vertex, and per class the mask of the vertices with a neighbour in it
+    """One proper coloring ``c`` of a graph, with its class masks ``masks``
+    and what the per-coloring lemma checks read from them: the class of each
+    vertex, and per class the mask of the vertices with a neighbour in it
     (``reach``, the OR of ``adj`` over its members) and of those with at least
     two (``twice``). The masks are checked to partition the vertex set (else
-    PartitionError) and to be independent in one pass over each class's
+    PartitionError), then to be independent in one pass over each class's
     members, which also builds ``reach`` and ``twice``. The lonely digraph
-    ``ld`` and the coloring ``c`` are built only when read."""
+    ``ld`` is built only when read."""
 
-    __slots__ = ("g", "masks", "by_vertex", "reach", "twice", "_ld", "_c")
+    __slots__ = ("g", "c", "masks", "by_vertex", "reach", "twice", "_ld")
 
-    def __init__(self, g: Graph, masks: tuple[int, ...]):
+    def __init__(self, g: Graph, c: Coloring):
+        masks = c.masks
+        _check_partition(g, masks)
         n = g.n
-        full = (1 << n) - 1
-        covered = 0
-        for mask in masks:
-            covered |= mask
-        if covered != full:
-            raise _partition_error(list(bits(full & ~covered)), list(bits(covered & ~full)))
         adj = g.adj
         by_vertex = [0] * n
         reach = []
@@ -121,12 +116,12 @@ class ColoredGraph:
             reach.append(near)
             twice.append(more)
         self.g = g
+        self.c = c
         self.masks = masks
         self.by_vertex = by_vertex
         self.reach = reach
         self.twice = twice
         self._ld = None
-        self._c = None
 
     @property
     def ld(self) -> LonelyDigraph:
@@ -142,19 +137,13 @@ class ColoredGraph:
             self._ld = LonelyDigraph(self.g.n, tuple(out))
         return self._ld
 
-    @property
-    def c(self) -> Coloring:
-        if self._c is None:
-            self._c = Coloring.from_masks(self.masks)
-        return self._c
-
     def singletons(self) -> list[int]:
         """The vertices of the singleton classes, in increasing order."""
         return sorted(m.bit_length() - 1 for m in self.masks if m & (m - 1) == 0)
 
 
 def lonely_digraph(g: Graph, c: Coloring) -> LonelyDigraph:
-    return ColoredGraph(g, c.class_masks()).ld
+    return ColoredGraph(g, c).ld
 
 
 @dataclass
@@ -169,7 +158,7 @@ class ViewCache:
 def optimal_views(g: Graph, cap: int | None, guards: Guards,
                   seen: ViewCache) -> list[ColoredGraph]:
     """The optimal (with ``cap``: optimal cap-bounded) colorings of ``g`` as
-    views built from class masks, in enumeration order. A coloring already in
+    views, in enumeration order. A coloring already in
     ``seen`` keeps its view. A list, so several claims can read one stream,
     and building it checks the guard before any claim computes its
     hypothesis. At cap >= alpha no independent set exceeds the cap, so the
@@ -182,15 +171,15 @@ def optimal_views(g: Graph, cap: int | None, guards: Guards,
     if cap is None and seen.optimal is not None:
         return seen.optimal
     if cap == 1:
-        stream = [tuple(1 << v for v in range(g.n))]
+        stream = [Coloring(tuple(1 << v for v in range(g.n)))]
     else:
-        stream = enumerate_optimal_masks(g, cap, guards)
+        stream = enumerate_optimal_colorings(g, cap, guards)
     by_masks = seen.by_masks
     out = []
-    for masks in stream:
-        cg = by_masks.get(masks)
+    for c in stream:
+        cg = by_masks.get(c.masks)
         if cg is None:
-            cg = by_masks[masks] = ColoredGraph(g, masks)
+            cg = by_masks[c.masks] = ColoredGraph(g, c)
         out.append(cg)
     if cap is None:
         seen.optimal = out
@@ -209,7 +198,7 @@ def _swapped_masks(masks, by_vertex, v: int, w: int) -> list[int]:
 def swap(g: Graph, c: Coloring, v: int, w: int) -> Coloring:
     """Exchange v and w between their classes. Requires both (v, w) and
     (w, v) lonely, which keeps the result proper on the same frame."""
-    by_vertex, masks = c.class_index_of(), c.class_masks()
+    by_vertex, masks = c.class_index_of(), c.masks
     for a, b in ((v, w), (w, v)):
         if not _lonely_in(g, by_vertex, masks, a, b):
             raise SwapError(f"({a}, {b}) is not lonely under this coloring")

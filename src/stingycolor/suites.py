@@ -30,12 +30,11 @@ from .coloring import (
     Coloring,
     ColoringProperty,
     enumerate_colorings,
-    enumerate_coloring_masks,
-    enumerate_optimal_masks,
+    enumerate_optimal_colorings,
     enumerate_p_optimal,
     is_frame_property,
     is_singleton_friendly,
-    one_optimal_masks,
+    one_optimal_coloring,
 )
 from . import lonely
 from .bounds import (  # UnknownClaimError: what claim_records_for raises, kept importable here
@@ -125,7 +124,7 @@ def suite_swap(max_n: int, guards: Guards = DEFAULT_GUARDS) -> SuiteResult:
     result = SuiteResult("swap", {"max_n": max_n})
     colorings = 0
     for g in exhaustive_graphs(0, max_n):
-        views = (lonely.ColoredGraph(g, m) for m in enumerate_coloring_masks(g, guards))
+        views = (lonely.ColoredGraph(g, c) for c in enumerate_colorings(g, guards))
         rec = stream_record("swap-preserves-frame", views, lonely.swap_failures)
         colorings += _absorb(result, rec, g6=emit_graph6(g))
     result.details["colorings"] = colorings
@@ -134,27 +133,26 @@ def suite_swap(max_n: int, guards: Guards = DEFAULT_GUARDS) -> SuiteResult:
 
 def suite_lonely_path(max_n: int, max_len: int = 3, samples: int = 0,
                       sample_ns: tuple[int, ...] = (7, 8), seed: int = 0,
-                      densities: tuple[float, ...] = DENSITIES,
                       guards: Guards = DEFAULT_GUARDS) -> SuiteResult:
     """Joined-paths property over all optimal colorings exhaustively up to
     max_n, then over seeded random (graph, optimal coloring) samples."""
     lonely.check_max_len(max_len)
     result = SuiteResult("lonely-path", {
         "max_n": max_n, "max_len": max_len, "samples": samples,
-        "sample_ns": list(sample_ns), "seed": seed, "densities": list(densities),
+        "sample_ns": list(sample_ns), "seed": seed, "densities": list(DENSITIES),
     })
 
     def views() -> Iterator[lonely.ColoredGraph]:
         for g in exhaustive_graphs(0, max_n):
-            for masks in enumerate_optimal_masks(g, guards=guards):
-                yield lonely.ColoredGraph(g, masks)
+            for c in enumerate_optimal_colorings(g, guards=guards):
+                yield lonely.ColoredGraph(g, c)
         if not samples:
             return
         rng = random.Random(seed)
-        for n, p, count in sample_specs(samples, sample_ns, densities):
+        for n, p, count in sample_specs(samples, sample_ns):
             for _ in range(count):
                 g = er_random(n, p, seed=rng.getrandbits(32))
-                yield lonely.ColoredGraph(g, one_optimal_masks(g, rng=rng))
+                yield lonely.ColoredGraph(g, one_optimal_coloring(g, rng=rng))
 
     def join(cg: lonely.ColoredGraph) -> tuple[int, list[dict]]:
         checks, failures = lonely.join_failures(cg, max_len)
@@ -180,8 +178,7 @@ def suite_gen_lonely_path(max_n: int, rs: tuple[int, ...] = (2, 3),
         for r in rs:
             prop = b_r(r)
             lonely.check_path_join_property(g, prop, guards)
-            views = (lonely.ColoredGraph(g, c.class_masks())
-                     for c in enumerate_p_optimal(g, prop, guards))
+            views = (lonely.ColoredGraph(g, c) for c in enumerate_p_optimal(g, prop, guards))
             rec = stream_record(f"lonely-path-join[{prop.name}]", views,
                                 lambda cg: lonely.join_failures(cg, max_len))
             _absorb(result, rec, g6=g6, r=r)
@@ -342,8 +339,7 @@ def sweep_reports(graphs: Iterable[Graph],
 
 def search_claim(query: str, params: VerificationParams, min_n: int = 1,
                  max_n: int = 6, samples: int = 0,
-                 sample_ns: tuple[int, ...] = (), seed: int = 0,
-                 densities: tuple[float, ...] = DENSITIES) -> dict:
+                 sample_ns: tuple[int, ...] = (), seed: int = 0) -> dict:
     """Hunt for VIOLATION verdicts of one claim. Exhaustive over min_n..max_n,
     then seeded random samples. Returns counts plus counterexample artifacts;
     ``not_evaluated`` counts the matched records a guard refused, and
@@ -372,7 +368,7 @@ def search_claim(query: str, params: VerificationParams, min_n: int = 1,
         visit(g)
     if samples:
         rng = random.Random(seed)
-        for n, p, count in sample_specs(samples, sample_ns, densities):
+        for n, p, count in sample_specs(samples, sample_ns):
             for _ in range(count):
                 visit(er_random(n, p, seed=rng.getrandbits(32)))
     return {

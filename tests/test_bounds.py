@@ -43,7 +43,7 @@ from stingycolor.bounds import (
 from stingycolor.coloring import (
     _best_partition_score,
     _color_bb,
-    enumerate_optimal_masks,
+    enumerate_optimal_colorings,
     enumerate_p_optimal,
 )
 from stingycolor.graphs import bits, graph_from_mask, invariants
@@ -341,7 +341,7 @@ def _tally(name, views, check, hyp=True, extra=None):
 
 
 def _optimal_stream(g, cap, guards):
-    return (ColoredGraph(g, m) for m in enumerate_optimal_masks(g, cap, guards))
+    return (ColoredGraph(g, c) for c in enumerate_optimal_colorings(g, cap, guards))
 
 
 def _swap_record_by_vertex_pairs(g, guards):
@@ -414,8 +414,7 @@ def _lonely_records_per_lemma(g, params):
         if r >= 2:
             try:
                 check_path_join_property(g, b_r(r), guards)
-                views = (ColoredGraph(g, c.class_masks())
-                         for c in enumerate_p_optimal(g, b_r(r), guards))
+                views = (ColoredGraph(g, c) for c in enumerate_p_optimal(g, b_r(r), guards))
                 out.append(_tally(f"lonely-path-join[B_{r}]", views, join))
             except GuardExceededError as exc:
                 out.append(_not_evaluated_record(f"lonely-path-join[B_{r}]", exc))

@@ -392,6 +392,15 @@ def test_bad_option_is_usage_error(capsys, argv):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("suite", sorted(set(SUITES) - {"lonely-path"}))
+def test_verify_samples_on_unsampled_suite_is_usage_error(capsys, suite):
+    # Only lonely-path draws samples; any other suite would drop them unread.
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", "2",
+                         "--samples", "3", "--sample-ns", "7", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: suite {suite} takes no --samples; only lonely-path samples\n"
+
+
 @pytest.mark.parametrize("spec, graph", [
     ("complete:4", complete(4)),
     ("cycle:5", cycle(5)),

@@ -41,11 +41,8 @@ from stingycolor.coloring import (
     _enum_partitions,
     _greedy_dsatur,
     _score_ceiling,
-    enumerate_coloring_masks,
-    enumerate_optimal_masks,
     enumerate_p_optimal,
     merge_singletons,
-    one_optimal_masks,
 )
 from stingycolor.graphs import Graph, bits, clique_number, graph_from_mask
 from stingycolor.suites import exhaustive_graphs
@@ -438,13 +435,12 @@ def test_one_optimal_coloring_seeded(c5):
 
 @pytest.mark.parametrize("cap", [0, -1])
 @pytest.mark.parametrize("seed", [None, 1])
-@pytest.mark.parametrize("fn", [one_optimal_coloring, one_optimal_masks])
-def test_one_optimal_rejects_nonpositive_cap(c5, fn, cap, seed):
+def test_one_optimal_rejects_nonpositive_cap(c5, cap, seed):
     # The same refusal as chromatic_number's, not a ZeroDivisionError (cap 0)
     # or a coloring that ignores the cap (cap -1).
     rng = None if seed is None else random.Random(seed)
     with pytest.raises(ValueError, match="cap must be positive"):
-        fn(c5, cap, rng)
+        one_optimal_coloring(c5, cap, rng)
 
 
 # --- chi_P ------------------------------------------------------------------
@@ -674,14 +670,14 @@ def test_stats_guard():
 @pytest.mark.parametrize("refuse, message", [
     (stats, "stinginess guarded at n <= 10 (graph has 11)"),
     (lambda g: bounded_stats(g, 2), "r-bounded stats guarded at n <= 10 (graph has 11)"),
-    (lambda g: list(enumerate_optimal_masks(g)),
+    (lambda g: list(enumerate_optimal_colorings(g)),
      "optimal coloring enumeration guarded at n <= 10 (graph has 11)"),
-    (lambda g: list(enumerate_coloring_masks(g)),
+    (lambda g: list(enumerate_colorings(g)),
      "full coloring enumeration guarded at n <= 8 (graph has 11)"),
     (lambda g: chi_p(g, b_r(2)), "chi_P guarded at n <= 10 (graph has 11)"),
     (lambda g: chi_p(g, ColoringProperty(lambda c: True, "all")),
      "chi_P guarded at n <= 8 (graph has 11)"),
-], ids=["stats", "bounded_stats", "enumerate_optimal_masks", "enumerate_coloring_masks",
+], ids=["stats", "bounded_stats", "enumerate_optimal_colorings", "enumerate_colorings",
         "chi_p-frame", "chi_p-coloring"])
 def test_guard_messages(refuse, message):
     # The messages reach not-evaluated records and the CLI's stderr verbatim.

@@ -121,9 +121,9 @@ def test_lonely_digraph_rejects_improper(c5):
 def test_colored_graph_rejects_non_partition(c5):
     # missing vertex 4, then a vertex outside 0..4: structural, not "improper"
     with pytest.raises(PartitionError, match=r"missing \[4\]"):
-        ColoredGraph(c5, Coloring.of([[0, 2], [1, 3]]).class_masks())
+        ColoredGraph(c5, Coloring.of([[0, 2], [1, 3]]))
     with pytest.raises(PartitionError, match=r"extra \[5\]"):
-        ColoredGraph(c5, Coloring.of([[0, 2], [1, 3], [4, 5]]).class_masks())
+        ColoredGraph(c5, Coloring.of([[0, 2], [1, 3], [4, 5]]))
 
 
 def test_lonely_digraph_agrees_with_is_lonely():
@@ -213,13 +213,13 @@ def test_pairs_respect_constraints():
 def test_path_length_below_1_is_refused(max_len):
     # A path has at least its root, so a length below 1 is an error, not
     # "unbounded": K5's discrete coloring has 490 pairs at length 5.
-    discrete = tuple(1 << v for v in range(5))
+    discrete = Coloring(tuple(1 << v for v in range(5)))
     cg = ColoredGraph(complete(5), discrete)
     with pytest.raises(ValueError, match="max_len must be at least 1"):
         join_failures(cg, max_len)
     assert cg._ld is None
     with pytest.raises(ValueError, match="max_len must be at least 1"):
-        list(enumerate_lonely_path_pairs(complete(5), Coloring.from_masks(discrete), max_len))
+        list(enumerate_lonely_path_pairs(complete(5), discrete, max_len))
     assert join_failures(cg, 5)[0] == 490
 
 
@@ -250,7 +250,7 @@ def test_lonely_path_lemma_small_graphs():
 
 
 def test_generalized_lonely_path_b2(c5):
-    views = [ColoredGraph(c5, c.class_masks()) for c in enumerate_p_optimal(c5, b_r(2))]
+    views = [ColoredGraph(c5, c) for c in enumerate_p_optimal(c5, b_r(2))]
     rec = _path_join(c5, views)
     assert rec.verdict == VERDICT_CHECKED
     assert rec.witness["colorings_checked"] == 5

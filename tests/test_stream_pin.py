@@ -1,10 +1,10 @@
 """Pins of the coloring streams behind the lonely claims, as sha256 digests.
 
-The lonely-claim checks read views built from class masks and build a
-``Coloring`` only for a violation payload. Their records and payloads must be
-what the ``Coloring``-built route gave: ``full_report`` on seeded G(n, M)
+The lonely-claim checks read views of the streamed colorings' class masks.
+Their records and payloads are pinned: ``full_report`` on seeded G(n, M)
 graphs with n = 7, 8, and every violation payload of the per-coloring checks
-on every proper coloring (optimal or not) of the classes with n <= 5.
+on every proper coloring (optimal or not) of the classes with n <= 5. Every
+stream and witness yields canonical colorings.
 """
 
 import functools
@@ -19,6 +19,8 @@ from stingycolor import (
     Coloring,
     PartitionError,
     all_graphs,
+    b_r,
+    bounded_stats,
     complete,
     cycle,
     emit_graph6,
@@ -28,14 +30,13 @@ from stingycolor import (
     evaluate_generalized,
     full_report,
     path,
+    stats,
 )
 from stingycolor import lonely
 from stingycolor.coloring import (
-    enumerate_coloring_masks,
     enumerate_optimal_colorings,
-    enumerate_optimal_masks,
+    enumerate_p_optimal,
     one_optimal_coloring,
-    one_optimal_masks,
 )
 from stingycolor.graphs import bits, graph_from_mask
 from stingycolor.lonely import (
@@ -111,21 +112,22 @@ def _small_graphs():
     return [g for n in range(6) for g in all_graphs(n)]
 
 
-@pytest.mark.parametrize("route", ["masks", "coloring"])
+@pytest.mark.parametrize("route", ["coloring", "masks"])
 def test_violation_payload_pin(route):
+    # "coloring": the public stream; "masks": the raw partition masks behind
+    # it, put in order by the checked constructor instead of its stable sort.
     if route == "masks":
-        views = (ColoredGraph(g, m)
-                 for g in _small_graphs() for m in enumerate_coloring_masks(g))
+        views = (ColoredGraph(g, Coloring.from_masks(masks)) for g in _small_graphs()
+                 for masks in _enum_partitions(g.adj, g.n, None, None))
     else:
-        views = (ColoredGraph(g, c.class_masks())
-                 for g in _small_graphs() for c in enumerate_colorings(g))
+        views = (ColoredGraph(g, c) for g in _small_graphs() for c in enumerate_colorings(g))
     lines = list(_payload_lines(views))
     assert (len(lines), sum(len(bad) for *_, bad in lines)) == (3654, 10054)
     assert _digest(lines) == PAYLOADS_SHA256
 
 
 def test_violation_payloads_on_path3_discrete():
-    cg = ColoredGraph(path(3), (0b001, 0b010, 0b100))
+    cg = ColoredGraph(path(3), Coloring((0b001, 0b010, 0b100)))
     got = dict(_checks(cg))
     coloring = [[0], [1], [2]]
     assert got["touches-None"] == (3, [{"coloring": coloring, "class": [0]},
@@ -159,9 +161,9 @@ def _join_views():
     """Every proper coloring of the classes with n <= 5 (where colorings that
     are not optimal fail), then every optimal coloring at n = 6 and of the
     G(n, M) graphs."""
-    views = [ColoredGraph(g, m) for g in _small_graphs() for m in enumerate_coloring_masks(g)]
-    views += [ColoredGraph(g, m) for g in [*all_graphs(6), *_gnm_graphs()]
-              for m in enumerate_optimal_masks(g)]
+    views = [ColoredGraph(g, c) for g in _small_graphs() for c in enumerate_colorings(g)]
+    views += [ColoredGraph(g, c) for g in [*all_graphs(6), *_gnm_graphs()]
+              for c in enumerate_optimal_colorings(g)]
     return views
 
 
@@ -170,8 +172,9 @@ def test_join_failures_match_pair_reference():
     # count and payloads, in order, at every path length: on _join_views(),
     # at length 5 too for n <= 5, and on the discrete colorings of K7 and K8,
     # where every vertex is a singleton root.
-    k8 = ColoredGraph(complete(8), tuple(1 << v for v in range(8)))
-    views = [*_join_views(), ColoredGraph(complete(7), tuple(1 << v for v in range(7))), k8]
+    k7, k8 = (ColoredGraph(complete(n), Coloring(tuple(1 << v for v in range(n))))
+              for n in (7, 8))
+    views = [*_join_views(), k7, k8]
     cases = [(cg, max_len) for max_len in (1, 2, 3, 4) for cg in views]
     cases += [(cg, 5) for cg in views if cg.g.n <= 5]
     failures = 0
@@ -213,26 +216,13 @@ def test_root_path_lists_filtered_match_pruned_walk():
     assert walked
 
 
-def test_mask_view_builds_coloring_only_for_payloads():
-    g = cycle(5)
-    for masks in enumerate_optimal_masks(g):
-        cg = ColoredGraph(g, masks)
-        for _, (_, bad) in _checks(cg):
-            assert not bad or cg._c is not None
-        cg = ColoredGraph(g, masks)
-        lonely.touches_failures(cg)
-        lonely.swap_failures(cg)
-        assert cg._c is None
-        assert cg.c == Coloring.from_masks(masks)
-
-
 def test_mask_view_builds_digraph_only_when_read():
     # Every optimal coloring of C5 has one singleton class: touches reads the
     # reach masks, and the join check and the path pairs stop before the
     # digraph, so none of them builds it. The swap check reads it.
     g = cycle(5)
-    for masks in enumerate_optimal_masks(g):
-        cg = ColoredGraph(g, masks)
+    for c in enumerate_optimal_colorings(g):
+        cg = ColoredGraph(g, c)
         for r in (None, 2, 3):
             lonely.touches_failures(cg, r)
         assert lonely.join_failures(cg, 3) == (0, [])
@@ -266,7 +256,7 @@ def test_optimal_views_at_cap_1_and_from_alpha_match_enumeration():
         seen = ViewCache()
         uncapped = optimal_views(g, None, DEFAULT_GUARDS, seen)
         for cap in range(1, alpha + 2):
-            want = list(enumerate_optimal_masks(g, cap))
+            want = [c.masks for c in enumerate_optimal_colorings(g, cap)]
             for cache in (seen, ViewCache()):
                 got = optimal_views(g, cap, DEFAULT_GUARDS, cache)
                 assert [cg.masks for cg in got] == want, (g.adj, cap)
@@ -279,6 +269,34 @@ def test_optimal_views_at_cap_1_and_from_alpha_match_enumeration():
             optimal_views(big, cap, Guards(optimal=8), ViewCache())
 
 
+def _streamed_colorings(g, rng):
+    """Every stream and witness that yields colorings, on ``g``."""
+    if g.n <= 5:
+        yield from enumerate_colorings(g)
+    for cap in (None, 1, 2, 3):
+        yield from enumerate_optimal_colorings(g, cap)
+    yield from enumerate_p_optimal(g, b_r(2))
+    yield one_optimal_coloring(g)
+    yield one_optimal_coloring(g, rng=rng)
+    yield stats(g).stingy_witness
+    for r in (1, 2, 3, 4):
+        bs = bounded_stats(g, r)
+        yield bs.m_witness
+        yield bs.iota_witness
+
+
+def test_every_stream_yields_canonical_colorings():
+    # The streams wrap their search's masks without checking them again, so
+    # each coloring must already be what the validating constructors build.
+    rng = random.Random(5151)
+    seen = 0
+    for g in _stream_graphs():
+        for c in _streamed_colorings(g, rng):
+            assert c == Coloring.from_masks(c.masks) == Coloring.of(c.classes), (g.adj, c)
+            seen += 1
+    assert seen
+
+
 def _cross_check_graphs():
     rng = random.Random(4242)
     graphs = _small_graphs()
@@ -289,32 +307,22 @@ def _cross_check_graphs():
 
 
 def test_mask_views_match_coloring_views():
-    # Seeded cross-check: a view built from the enumerator's masks and one
-    # built from the Coloring of the same stream agree on every field and
-    # every per-coloring check; ``reach`` holds, per class, the vertices with
-    # a neighbour in it, and the lazily built ``ld`` holds exactly the lonely
-    # pairs.
+    # Seeded cross-check of a view's fields against its coloring: ``reach``
+    # holds, per class, the vertices with a neighbour in it, and the lazily
+    # built ``ld`` holds exactly the lonely pairs.
     for g in _cross_check_graphs():
         for cap in (None, 2, 3):
-            pairs = zip(enumerate_optimal_masks(g, cap), enumerate_optimal_colorings(g, cap))
-            for masks, c in pairs:
-                a, b = ColoredGraph(g, masks), ColoredGraph(g, c.class_masks())
-                assert a.masks == b.masks == c.class_masks()
-                assert a.by_vertex == b.by_vertex
-                assert a.ld == b.ld == LonelyDigraph(g.n, tuple(
+            for c in enumerate_optimal_colorings(g, cap):
+                cg = ColoredGraph(g, c)
+                assert cg.c is c and cg.masks == c.masks
+                index = c.class_index_of()
+                assert cg.by_vertex == [index[v] for v in range(g.n)]
+                assert cg.ld == LonelyDigraph(g.n, tuple(
                     sum(1 << w for w in range(g.n) if is_lonely(g, c, v, w))
                     for v in range(g.n)))
-                assert a.reach == b.reach == [
-                    sum(1 << v for v in range(g.n) if g.adj[v] & m) for m in masks]
-                assert a.singletons() == sorted(c.singleton_vertices())
-                assert list(_checks(a)) == list(_checks(b))
-                assert a.c == c
-    rng = random.Random(17)
-    for g in _cross_check_graphs()[-27:]:
-        seed = rng.getrandbits(32)
-        masks = one_optimal_masks(g, rng=random.Random(seed))
-        assert Coloring.from_masks(masks) == one_optimal_coloring(g, rng=random.Random(seed))
-        assert masks == Coloring.from_masks(masks).class_masks()
+                assert cg.reach == [
+                    sum(1 << v for v in range(g.n) if g.adj[v] & m) for m in c.masks]
+                assert cg.singletons() == sorted(c.singleton_vertices())
 
 
 def test_swap_failures_match_vertex_pair_reference():
@@ -322,9 +330,9 @@ def test_swap_failures_match_vertex_pair_reference():
     # unchanged as a multiset) agrees with swapping each mutually lonely pair
     # and comparing properness and the whole frame.
     for g in list(all_graphs(6)) + _cross_check_graphs():
-        for masks in enumerate_optimal_masks(g):
-            assert (lonely.swap_failures(ColoredGraph(g, masks))
-                    == oracles.swap_failures_oracle(g, Coloring.from_masks(masks))), g.adj
+        for c in enumerate_optimal_colorings(g):
+            assert (lonely.swap_failures(ColoredGraph(g, c))
+                    == oracles.swap_failures_oracle(g, c)), g.adj
 
 
 def test_mask_view_errors_match_coloring_view():
@@ -334,11 +342,8 @@ def test_mask_view_errors_match_coloring_view():
         ((0b00101, 0b01010, 0b110000), PartitionError, r"missing \[\], extra \[5\]"),
         ((0b00011, 0b01100, 0b10000), ValueError, "coloring is not proper"),
     ):
-        c = Coloring(tuple(tuple(v for v in range(6) if m >> v & 1) for m in masks))
-        for build in (lambda: ColoredGraph(g, masks),
-                      lambda: ColoredGraph(g, c.class_masks())):
-            with pytest.raises(error, match=message):
-                build()
+        with pytest.raises(error, match=message):
+            ColoredGraph(g, Coloring.from_masks(masks))
 
 
 def test_graph6_encoded_once_per_graph():
