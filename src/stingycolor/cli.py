@@ -153,6 +153,17 @@ def _check_samples(args):
         raise UsageError("--sample-ns takes nonnegative vertex counts")
 
 
+def _check_unread_sample_options(args, reads_seed: bool = False):
+    """Without --samples nothing reads --sample-ns, and only a run that
+    ``reads_seed`` for itself reads --seed; neither may be dropped unread."""
+    if args.samples:
+        return
+    if args.sample_ns:
+        raise UsageError("--sample-ns is read only with --samples")
+    if args.seed is not None and not reads_seed:
+        raise UsageError("--seed without --samples is read only by the properties suite")
+
+
 def cmd_analyze(args, params: VerificationParams) -> int:
     try:
         g = parse_graph6(args.g6) if args.g6 is not None else _parse_gen_spec(args.gen)
@@ -207,6 +218,7 @@ def cmd_search(args, params: VerificationParams) -> int:
     min_n = args.min_n if args.min_n is not None else 1
     _check_exhaustive_range("search", min_n, args.max_n)
     _check_samples(args)
+    _check_unread_sample_options(args)
     if args.samples and not args.sample_ns:
         raise UsageError("--samples needs --sample-ns, e.g. --sample-ns 7,8")
     # An empty range is the samples-only mode; with no samples it checks nothing.
@@ -248,6 +260,7 @@ def cmd_verify(args, params: VerificationParams) -> int:
     _check_samples(args)
     if args.samples and suite != "lonely-path":
         raise UsageError(f"suite {suite} takes no --samples; only lonely-path samples")
+    _check_unread_sample_options(args, reads_seed=suite == "properties")
     if args.predicates < 0:
         raise UsageError(f"--predicates must be nonnegative, got {args.predicates}")
     result = suites_mod.SUITES[suite](args.max_n, params, args)

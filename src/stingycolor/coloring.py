@@ -174,22 +174,29 @@ def is_proper(g: Graph, c: Coloring) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _dsatur_keys(adj: tuple[int, ...], n: int) -> list[int]:
-    """Each vertex's DSATUR key at saturation 0, deg*n + (n-1-v). The key at
+def _dsatur_keys(adj: tuple[int, ...], n: int,
+                 rank: list[int] | None = None) -> list[int]:
+    """Each vertex's DSATUR key at saturation 0, deg*n + (n-1-rank[v]), with
+    ``rank`` a permutation of range(n), the identity if None. The key at
     saturation sat (distinct classes among its neighbours) adds sat*n^2;
-    deg*n + (n-1-v) < n^2, so the key orders as the tuple (sat, deg, -v):
-    most saturated first, then highest degree, then least index."""
-    return [adj[v].bit_count() * n + (n - 1 - v) for v in range(n)]
+    deg*n + (n-1-rank[v]) < n^2, so the key orders as the tuple (sat, deg,
+    -rank[v]): most saturated first, then highest degree, then least rank,
+    as vertex rank[v] would in the graph relabeled by ``rank``."""
+    if rank is None:
+        rank = range(n)
+    return [adj[v].bit_count() * n + (n - 1 - rank[v]) for v in range(n)]
 
 
-def _greedy_dsatur(adj: tuple[int, ...], n: int, cap: int | None) -> list[int]:
+def _greedy_dsatur(adj: tuple[int, ...], n: int, cap: int | None,
+                   rank: list[int] | None = None) -> list[int]:
     """Greedy DSATUR coloring (class masks); respects a class-size cap.
 
-    Each step colors the uncolored vertex of largest DSATUR key. It joins the
-    first class that has no neighbour of it and room under the cap; only its
-    uncolored neighbours' saturation masks and keys change."""
+    Each step colors the uncolored vertex of largest DSATUR key (ties by
+    ``rank``). It joins the first class that has no neighbour of it and room
+    under the cap; only its uncolored neighbours' saturation masks and keys
+    change."""
     step = n * n
-    prio = _dsatur_keys(adj, n)
+    prio = _dsatur_keys(adj, n, rank)
     saturation = [0] * n  # bitmask of classes adjacent to v
     classes: list[int] = []
     reach: list[int] = []  # per class: the neighbours of its members
@@ -226,14 +233,18 @@ def _greedy_dsatur(adj: tuple[int, ...], n: int, cap: int | None) -> list[int]:
     return classes
 
 
-def _color_bb(adj: tuple[int, ...], n: int, cap: int | None) -> tuple[int, list[int]]:
+def _color_bb(adj: tuple[int, ...], n: int, cap: int | None,
+              rank: list[int] | None = None) -> tuple[int, list[int]]:
     """Exact minimum class count (size cap optional) with one witness.
 
     The lower bound is ceil(n / cap), or the clique number if larger; the
     clique is not looked up when ceil(n / cap) is already n (every cap = 1
     call). At lower == n the discrete partition is the only witness;
     otherwise DSATUR's greedy coloring is the first incumbent, and the search
-    runs only when it uses more classes than the bound."""
+    runs only when it uses more classes than the bound. The greedy coloring
+    and the search's branching order break DSATUR ties by ``rank``; nothing
+    else reads vertex labels, so the witness is the one the graph relabeled
+    by ``rank`` gets, mapped back."""
     if n == 0:
         return 0, []
     lower = 0 if cap is None else -(-n // cap)
@@ -241,7 +252,7 @@ def _color_bb(adj: tuple[int, ...], n: int, cap: int | None) -> tuple[int, list[
         lower = max(lower, clique_number(Graph._unchecked(n, adj)))
     if lower == n:
         return n, [1 << v for v in range(n)]
-    best_masks = _greedy_dsatur(adj, n, cap)
+    best_masks = _greedy_dsatur(adj, n, cap, rank)
     best_k = len(best_masks)
     if best_k == lower:
         return best_k, best_masks
@@ -250,7 +261,7 @@ def _color_bb(adj: tuple[int, ...], n: int, cap: int | None) -> tuple[int, list[
     sizes: list[int] = []
     assigned = [-1] * n
     step = n * n
-    prio = _dsatur_keys(adj, n)
+    prio = _dsatur_keys(adj, n, rank)
 
     def key(v: int) -> int:
         return sum(1 for m in classes if m & adj[v]) * step + prio[v]
@@ -318,21 +329,18 @@ def one_optimal_coloring(g: Graph, cap: int | None = None,
                          rng: random.Random | None = None) -> Coloring:
     """A single optimal (optionally cap-bounded) coloring.
 
-    Deterministic without ``rng``; with it, the vertices are relabeled by a
-    seeded shuffle first, which samples different optimal colorings.
+    Deterministic without ``rng``; with it, DSATUR ties are broken by a
+    seeded shuffle of the vertices, which samples different optimal colorings.
     """
     _check_cap(cap)
-    if rng is None:
-        return Coloring(_coloring_order(_color_bb(g.adj, g.n, cap)[1]))
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    inv = [0] * g.n
-    for new, old in enumerate(perm):
-        inv[old] = new
-    # row ``new`` of the relabeled graph is old vertex perm[new]'s row, relabeled
-    shuffled = tuple(sum(1 << inv[u] for u in bits(g.adj[old])) for old in perm)
-    _, masks = _color_bb(shuffled, g.n, cap)
-    return Coloring(_coloring_order(sum(1 << perm[v] for v in bits(m)) for m in masks))
+    rank = None
+    if rng is not None:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        rank = [0] * g.n
+        for new, old in enumerate(perm):
+            rank[old] = new
+    return Coloring(_coloring_order(_color_bb(g.adj, g.n, cap, rank)[1]))
 
 
 # ---------------------------------------------------------------------------

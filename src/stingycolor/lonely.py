@@ -205,41 +205,28 @@ def swap(g: Graph, c: Coloring, v: int, w: int) -> Coloring:
     return Coloring.from_masks(_swapped_masks(masks, by_vertex, v, w))
 
 
-def _paths_from(ld: LonelyDigraph, by_vertex: list[int], start: int,
-                max_len: int) -> Iterator[tuple[int, ...]]:
-    """Directed paths from ``start`` with at most max_len vertices, at most one
-    vertex per class. Lex order."""
-
-    def extend(pathv: list[int], used_vertices: int, used_classes: int):
-        yield tuple(pathv)
-        if len(pathv) == max_len:
-            return
-        for w in bits(ld.out[pathv[-1]]):
-            wbit = 1 << w
-            cbit = 1 << by_vertex[w]
-            if used_vertices & wbit or used_classes & cbit:
-                continue
-            pathv.append(w)
-            yield from extend(pathv, used_vertices | wbit, used_classes | cbit)
-            pathv.pop()
-
-    yield from extend([start], 1 << start, 1 << by_vertex[start])
-
-
 def _root_paths(cg: ColoredGraph, start: int,
                 max_len: int) -> list[tuple[tuple[int, ...], int, int]]:
-    """The paths of ``_paths_from``, in its order, each as (path, vertex
-    mask, N(path)), N(path) the AND of ``adj[u]`` over u in the path."""
-    adj = cg.g.adj
-    out = []
-    for path in _paths_from(cg.ld, cg.by_vertex, start, max_len):
-        mask = 0
-        common = -1
-        for u in path:
-            mask |= 1 << u
-            common &= adj[u]
-        out.append((path, mask, common))
-    return out
+    """The directed paths of the lonely digraph from ``start`` with at most
+    max_len vertices, at most one vertex per class, in lex pre-order, each as
+    (path, vertex mask, N(path)), N(path) the AND of ``adj[u]`` over u in the
+    path. Walked on a stack: each path extends its parent's masks by one
+    vertex, and its successors, outside every class the path has used, are
+    pushed in decreasing order so that they come off in increasing order."""
+    adj, out, masks, by_vertex = cg.g.adj, cg.ld.out, cg.masks, cg.by_vertex
+    paths = []
+    stack = [((start,), 1 << start, masks[by_vertex[start]], adj[start])]
+    while stack:
+        path, mask, used, common = stack.pop()
+        paths.append((path, mask, common))
+        if len(path) < max_len:
+            rest = out[path[-1]] & ~used
+            while rest:
+                w = rest.bit_length() - 1
+                rest ^= 1 << w
+                stack.append((path + (w,), mask | 1 << w,
+                              used | masks[by_vertex[w]], common & adj[w]))
+    return paths
 
 
 def check_max_len(max_len: int) -> None:

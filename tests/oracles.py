@@ -3,16 +3,21 @@
 Everything here avoids the package's search kernels on purpose: cliques and
 independent sets come from plain subset enumeration, matchings from edge
 combinations, and colorings from restricted-growth-string partition
-enumeration. Slow and obviously correct.
+enumeration. Slow and obviously correct. The one exception is
+``one_optimal_coloring_relabeled``, a reference route for the seeded sampler
+that runs the branch and bound on a relabeled copy.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
 from stingycolor import Coloring, Graph, is_lonely, is_proper, swap
+from stingycolor.coloring import _color_bb
+from stingycolor.graphs import bits
 from stingycolor.lonely import check_max_len
 
 
@@ -26,6 +31,25 @@ def graph_to_mask(g: Graph) -> int:
     graph6 packing order (columns j = 1..n-1, then rows i = 0..j-1)."""
     pairs = [(i, j) for j in range(1, g.n) for i in range(j)]
     return sum(1 << t for t, (i, j) in enumerate(pairs) if g.has_edge(i, j))
+
+
+def one_optimal_coloring_relabeled(g: Graph, cap: int | None,
+                                   rng: random.Random) -> Coloring:
+    """The seeded optimal-coloring sampler by relabeling, a reference route
+    rather than a brute-force one: shuffle the vertex labels, run the branch
+    and bound on the relabeled copy, and map its classes back.
+    ``one_optimal_coloring`` instead breaks DSATUR ties by the shuffle's rank
+    on the graph's own rows, which must give the same coloring and leave
+    ``rng`` in the same state."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    inv = [0] * g.n
+    for new, old in enumerate(perm):
+        inv[old] = new
+    # row ``new`` of the relabeled graph is old vertex perm[new]'s row, relabeled
+    shuffled = tuple(sum(1 << inv[u] for u in bits(g.adj[old])) for old in perm)
+    _, masks = _color_bb(shuffled, g.n, cap)
+    return Coloring.from_masks(sum(1 << perm[v] for v in bits(m)) for m in masks)
 
 
 def swap_failures_oracle(g: Graph, c: Coloring) -> tuple[int, list[dict]]:

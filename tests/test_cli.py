@@ -382,6 +382,15 @@ def test_bad_guard_env_is_usage_error(capsys, monkeypatch, var, value):
     ("analyze", "--gen", "hypercube:3"),
     ("search", "--claim", "reed-disjunct", "--max-n", "3", "--samples", "2"),
     ("verify", "--suite", "lonely-path", "--max-n", "2", "--samples", "2"),
+    # without --samples, --sample-ns is read by nothing and --seed only by
+    # the properties suite
+    ("verify", "--suite", "swap", "--max-n", "2", "--sample-ns", "7", "--seed", "4"),
+    ("verify", "--suite", "lonely-path", "--max-n", "2", "--sample-ns", "9"),
+    ("verify", "--suite", "properties", "--max-n", "2", "--sample-ns", "7"),
+    ("search", "--claim", "reed-disjunct", "--max-n", "3", "--sample-ns", "9"),
+    ("search", "--claim", "reed-disjunct", "--max-n", "3", "--seed", "9"),
+    ("verify", "--suite", "lonely-path", "--max-n", "2", "--seed", "4"),
+    ("verify", "--suite", "identities", "--max-n", "2", "--samples", "0", "--seed", "4"),
 ], ids=" ".join)
 def test_bad_option_is_usage_error(capsys, argv):
     # Options rejected while the argv is parsed (a bad value type, --samples
@@ -399,6 +408,13 @@ def test_verify_samples_on_unsampled_suite_is_usage_error(capsys, suite):
                          "--samples", "3", "--sample-ns", "7", "--seed", "1")
     assert (code, out) == (2, "")
     assert err == f"error: suite {suite} takes no --samples; only lonely-path samples\n"
+
+
+def test_properties_suite_reads_seed_without_samples(capsys):
+    # its seeded predicates read --seed, so there it needs no --samples
+    code, out, _ = run(capsys, "verify", "--suite", "properties", "--max-n", "2", "--seed", "4")
+    assert code == 1
+    assert json.loads(out)["config"]["seed"] == 4
 
 
 @pytest.mark.parametrize("spec, graph", [

@@ -53,9 +53,11 @@ def _stats_lines(graphs):
                    bs.m_witness.classes, bs.iota_witness.classes)
 
 
-def _sampled_lines(graphs):
-    for s, g in enumerate(graphs):
-        yield g.adj, one_optimal_coloring(g, rng=random.Random(s)).classes
+def _sampled_lines(cap=None):
+    def lines(graphs):
+        for s, g in enumerate(graphs):
+            yield g.adj, one_optimal_coloring(g, cap, rng=random.Random(s)).classes
+    return lines
 
 
 PINS = {
@@ -63,8 +65,12 @@ PINS = {
                  "22eb0c3b9606e9df8c928ae71deb4bbbe39824c9c27b773348bc890ec22959ee"),
     "stats": (_stats_lines,
               "ff6a4b74b98a54cb87faeccfcdca4cb82ef40403d471ad65ea933f243ac41771"),
-    "one_optimal_coloring": (_sampled_lines,
+    "one_optimal_coloring": (_sampled_lines(),
                              "f5bc1a7f77b5fa93524805e99635d58344334ed9bdc2d25f97c90ee87fcd27f4"),
+    "one_optimal_coloring[cap=2]": (
+        _sampled_lines(2), "163fcf963b61bfdb8549d1aa9e32a7120037a913c51176f93285115d18bf31eb"),
+    "one_optimal_coloring[cap=3]": (
+        _sampled_lines(3), "0c2952d106f42aadc5ccbbc7c298abce4e2bd06ff1ceee25788e2e7628783527"),
 }
 
 
