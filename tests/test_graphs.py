@@ -20,8 +20,10 @@ from stingycolor import (
     path,
     petersen,
 )
+from stingycolor import graphs
 from stingycolor.graphs import (
     EXHAUSTIVE_MAX_N,
+    ORBIT_MAX_N,
     canonical_mask,
     graph_from_mask,
 )
@@ -367,3 +369,55 @@ def test_all_graphs_guard():
 def test_mask_round_trip():
     for g in all_graphs(5):
         assert graph_from_mask(5, oracles.graph_to_mask(g)) == g
+
+
+@pytest.mark.parametrize("helper", [canonical_mask, graph_from_mask])
+@pytest.mark.parametrize("n, mask", [(3, 8), (4, 1 << 6), (3, -1), (0, 1), (-1, 0)])
+def test_mask_helpers_reject_out_of_range(helper, n, mask):
+    with pytest.raises(ValueError, match="negative size" if n < 0 else "outside"):
+        helper(n, mask)
+
+
+def test_canonical_mask_refuses_past_orbit_cap():
+    assert canonical_mask(ORBIT_MAX_N, 6) == 3
+    with pytest.raises(ValueError, match=f"n <= {ORBIT_MAX_N}"):
+        canonical_mask(ORBIT_MAX_N + 1, 0)
+
+
+@pytest.mark.parametrize("method", ["induced", "without"])
+@pytest.mark.parametrize("vertex", [-1, 5, 9])
+def test_vertex_helpers_reject_outside_vertices(method, vertex):
+    with pytest.raises(ValueError, match=r"vertex outside 0\.\.4"):
+        getattr(cycle(5), method)([0, vertex])
+
+
+@pytest.fixture(scope="module")
+def census7():
+    """The n = 7 census, built past the public cap without entering the
+    ``all_graphs`` cache, so ``all_graphs(7)`` still refuses."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "EXHAUSTIVE_MAX_N", 7)
+        return graphs.all_graphs.__wrapped__(7)
+
+
+def test_census_at_7(census7):
+    masks = [oracles.graph_to_mask(g) for g in census7]
+    assert len(masks) == 1044  # OEIS A000088
+    assert all(a < b for a, b in zip(masks, masks[1:]))
+    for mask in random.Random(7044).sample(masks, 40):
+        assert oracles.canonical_mask_oracle(7, mask) == mask
+    with pytest.raises(ValueError, match="n <= 6"):
+        all_graphs(7)
+
+
+def test_census_matches_graph_atlas(census7):
+    nx = pytest.importorskip("networkx")
+    atlas = {}
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        g = Graph.from_edges(n, h.edges())
+        atlas.setdefault(n, []).append(canonical_mask(n, oracles.graph_to_mask(g)))
+    assert sorted(atlas) == list(range(8))
+    for n in range(8):
+        census = census7 if n == 7 else all_graphs(n)
+        assert sorted(atlas[n]) == [oracles.graph_to_mask(g) for g in census]
