@@ -192,21 +192,20 @@ def _greedy_dsatur(adj: tuple[int, ...], n: int, cap: int | None,
     """Greedy DSATUR coloring (class masks); respects a class-size cap.
 
     Each step colors the uncolored vertex of largest DSATUR key (ties by
-    ``rank``). It joins the first class that has no neighbour of it and room
-    under the cap; only its uncolored neighbours' saturation masks and keys
-    change."""
+    ``rank``): the keys are distinct and a colored vertex's key is set to -1,
+    so that vertex is ``prio.index(max(prio))``. It joins the first class
+    that has no neighbour of it and room under the cap; only its uncolored
+    neighbours' saturation masks and keys change."""
     step = n * n
     prio = _dsatur_keys(adj, n, rank)
     saturation = [0] * n  # bitmask of classes adjacent to v
     classes: list[int] = []
     reach: list[int] = []  # per class: the neighbours of its members
     full = 0  # bitmask of classes at the cap
-    free = set(range(n))
     free_mask = (1 << n) - 1
-    key = prio.__getitem__
-    while free:
-        v = max(free, key=key)
-        free.remove(v)
+    for _ in range(n):
+        v = prio.index(max(prio))
+        prio[v] = -1
         free_mask ^= 1 << v
         av = adj[v]
         open_classes = ~(saturation[v] | full) & ((1 << len(classes)) - 1)

@@ -55,10 +55,14 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
+        if not isinstance(self.adj, tuple):
+            raise ValueError("adjacency must be a tuple of int rows")
         if len(self.adj) != self.n:
             raise ValueError("adjacency rows do not match vertex count")
         full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
+            if not isinstance(row, int):
+                raise ValueError(f"row {v} is not an int")
             if row & ~full:
                 raise ValueError(f"row {v} mentions vertices outside 0..{self.n - 1}")
             if row >> v & 1:
@@ -76,8 +80,9 @@ class Graph:
 
     @classmethod
     def _unchecked(cls, n: int, adj: tuple[int, ...]) -> "Graph":
-        """A graph whose rows are derived from a valid graph, so they are
-        valid by construction; skips the checks of ``__post_init__``."""
+        """A graph whose rows are valid by construction (derived from a valid
+        graph, or set pairwise for i < j < n); skips the checks of
+        ``__post_init__``."""
         g = object.__new__(cls)
         g.__dict__.update(n=n, adj=adj, _hash=hash((n, adj)))
         return g
@@ -253,7 +258,7 @@ def parse_graph6(text: str) -> Graph:
         raise GraphFormatError(
             "nonzero padding bits in final byte", base + body_at + need - 1
         )
-    return Graph(n, tuple(rows))
+    return Graph._unchecked(n, tuple(rows))
 
 
 @functools.lru_cache(maxsize=65536)
@@ -344,7 +349,7 @@ def er_random(n: int, p: float, seed: int) -> Graph:
         if rng.random() < p:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return Graph._unchecked(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ paths once into a list of (path, vertex mask, N(path)), N(path) the AND of
 a path pa are b's list filtered by ``pb_mask & pa_mask == 0``, in walk order:
 exactly the paths a walk from b that never enters pa visits, since a path
 avoids pa iff all its prefixes do. pb is joined to pa iff
-``pb_mask & ~N(pa) == 0``.
+``pb_mask & ~N(pa) == 0``. Both tests run on bitsets of indices into b's
+list, an OR of a few of them per pa.
 ``bounds`` names each claim, states its hypothesis and runs its check over a
 coloring stream; ``optimal_views`` builds those streams.
 """
@@ -244,31 +245,56 @@ def join_failures(cg: ColoredGraph, max_len: int = 3) -> tuple[int, list[dict]]:
     0``, in the same order: a path avoiding pa has every prefix avoiding it,
     and every extension of a path through pa meets pa too. pb is joined to
     pa iff every w in pb is adjacent to every u in pa, iff ``pb_mask`` lies
-    inside N(pa), so each pair costs two mask tests. A failing pair's
-    payload lists its missing edges, u over pa, then w over pb."""
+    inside N(pa). Both tests run on bitsets of indices into b's list,
+    ``member[w]`` holding b's paths through w: the paths avoiding pa are in
+    no ``member[u]``, u in pa, each one check, and such a pb fails iff it is
+    in ``member[w]`` for a w on b's paths outside N(pa) and pa. Only failing
+    indices build payloads, in ascending (list) order, each listing the
+    missing edges, u over pa, then w over pb."""
     check_max_len(max_len)
     singles = cg.singletons()
     if len(singles) < 2:
         return 0, []
-    adj = cg.g.adj
+    n, adj = cg.g.n, cg.g.adj
     lists = [_root_paths(cg, s, max_len) for s in singles]
     checks = 0
     bad = []
+    tables = []
+    for b_paths in lists[1:]:
+        member = [0] * n  # per vertex: the indices of b's paths through it
+        union = 0
+        for k, (pb, pb_mask, _) in enumerate(b_paths):
+            union |= pb_mask
+            for w in pb:
+                member[w] |= 1 << k
+        tables.append((b_paths, member, union, (1 << len(b_paths)) - 1))
     for ia, a_paths in enumerate(lists):
-        for b_paths in lists[ia + 1:]:
+        for b_paths, member, union, every in tables[ia:]:
             for pa, pa_mask, common in a_paths:
-                for pb, pb_mask, _ in b_paths:
-                    if pb_mask & pa_mask:
-                        continue
-                    checks += 1
-                    if pb_mask & ~common:
-                        bad.append({
-                            "coloring": cg.c.as_lists(),
-                            "pa": list(pa),
-                            "pb": list(pb),
-                            "missing_edges": [(u, w) for u in pa for w in pb
-                                              if not adj[u] >> w & 1],
-                        })
+                meet = 0
+                for u in pa:
+                    meet |= member[u]
+                avoid = every & ~meet
+                checks += avoid.bit_count()
+                # the paths of b through a vertex outside N(pa) and pa
+                far = 0
+                rest = union & ~common & ~pa_mask
+                while rest:
+                    low = rest & -rest
+                    far |= member[low.bit_length() - 1]
+                    rest ^= low
+                failing = avoid & far
+                while failing:
+                    low = failing & -failing
+                    failing ^= low
+                    pb = b_paths[low.bit_length() - 1][0]
+                    bad.append({
+                        "coloring": cg.c.as_lists(),
+                        "pa": list(pa),
+                        "pb": list(pb),
+                        "missing_edges": [(u, w) for u in pa for w in pb
+                                          if not adj[u] >> w & 1],
+                    })
     return checks, bad
 
 

@@ -3,9 +3,10 @@
 Everything here avoids the package's search kernels on purpose: cliques and
 independent sets come from plain subset enumeration, matchings from edge
 combinations, and colorings from restricted-growth-string partition
-enumeration. Slow and obviously correct. The one exception is
-``one_optimal_coloring_relabeled``, a reference route for the seeded sampler
-that runs the branch and bound on a relabeled copy.
+enumeration. Slow and obviously correct. The two exceptions are reference
+routes rather than brute force: ``one_optimal_coloring_relabeled`` runs the
+seeded sampler's branch and bound on a relabeled copy, and
+``greedy_dsatur_reference`` picks each greedy DSATUR vertex from a set.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from stingycolor import Coloring, Graph, is_lonely, is_proper, swap
-from stingycolor.coloring import _color_bb
+from stingycolor.coloring import _color_bb, _dsatur_keys
 from stingycolor.graphs import bits
 from stingycolor.lonely import check_max_len
 
@@ -50,6 +51,44 @@ def one_optimal_coloring_relabeled(g: Graph, cap: int | None,
     shuffled = tuple(sum(1 << inv[u] for u in bits(g.adj[old])) for old in perm)
     _, masks = _color_bb(shuffled, g.n, cap)
     return Coloring.from_masks(sum(1 << perm[v] for v in bits(m)) for m in masks)
+
+
+def greedy_dsatur_reference(adj: tuple[int, ...], n: int, cap: int | None,
+                            rank: list[int] | None = None) -> list[int]:
+    """Greedy DSATUR over a set of uncolored vertices, each step taking the
+    one of largest key by ``max(free, key=...)``: a reference route for
+    ``coloring._greedy_dsatur``, which picks by the largest entry of its key
+    list instead. The keys are distinct, so both pick the same vertex."""
+    step = n * n
+    prio = _dsatur_keys(adj, n, rank)
+    saturation = [0] * n
+    classes: list[int] = []
+    reach: list[int] = []
+    full = 0
+    free = set(range(n))
+    free_mask = (1 << n) - 1
+    while free:
+        v = max(free, key=prio.__getitem__)
+        free.remove(v)
+        free_mask ^= 1 << v
+        av = adj[v]
+        open_classes = ~(saturation[v] | full) & ((1 << len(classes)) - 1)
+        if open_classes:
+            j = (open_classes & -open_classes).bit_length() - 1
+            classes[j] |= 1 << v
+            fresh = av & free_mask & ~reach[j]
+            reach[j] |= av
+        else:
+            j = len(classes)
+            classes.append(1 << v)
+            reach.append(av)
+            fresh = av & free_mask
+        if cap is not None and classes[j].bit_count() == cap:
+            full |= 1 << j
+        for u in bits(fresh):
+            saturation[u] |= 1 << j
+            prio[u] += step
+    return classes
 
 
 def swap_failures_oracle(g: Graph, c: Coloring) -> tuple[int, list[dict]]:

@@ -322,6 +322,23 @@ def test_sampled_coloring_matches_relabeled_route():
     assert min(searched[cap] for cap in (None, 2, 3)) >= 10, searched
 
 
+def test_greedy_pick_by_list_max_matches_set_reference():
+    # Picking the largest entry of the key list, colored vertices at -1, gives
+    # the class masks of the pick by max over a set of uncolored vertices,
+    # with and without a rank and under every cap.
+    graphs = list(exhaustive_graphs(0, 6))
+    rng = random.Random(2525)
+    graphs += [er_random(n, p, seed=rng.getrandbits(32))
+               for n in range(7, 15) for p in (0.2, 0.5, 0.8) for _ in range(3)]
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        for rank in (None, perm):
+            for cap in (None, 1, 2, 3):
+                assert (_greedy_dsatur(g.adj, g.n, cap, rank)
+                        == oracles.greedy_dsatur_reference(g.adj, g.n, cap, rank)), (g.adj, cap)
+
+
 def test_iota_at_most_chi_and_singletons_adjacent():
     for n in range(1, 6):
         for g in all_graphs(n):

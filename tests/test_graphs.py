@@ -116,19 +116,34 @@ def test_graph_validation():
         Graph(2, (2, 0))
 
 
+@pytest.mark.parametrize("adj", [[0, 0, 0], (2.0, 1)], ids=["list-rows", "float-row"])
+def test_graph_rejects_rows_not_a_tuple_of_ints(adj):
+    # A list of rows would pass every row check and then fail to hash, and a
+    # float row would fail inside a mask operation; both are refused up front.
+    with pytest.raises(ValueError, match="tuple of int rows|is not an int"):
+        Graph(len(adj), adj)
+
+
 def _checked_copy(g):
     """``g`` rebuilt through the validating public constructor."""
     return Graph(g.n, tuple(g.adj))
 
 
 def test_derived_graphs_pass_validation():
-    # complement, induced, without and graph_from_mask build from a graph
-    # already known valid; each result must be exactly what the validating
-    # constructor accepts and what an edge-list construction gives.
+    # complement, induced, without, graph_from_mask, er_random and
+    # parse_graph6 build their rows valid by construction, unchecked; each
+    # result must be exactly what the validating constructor accepts (and
+    # hash alike) and what an edge-list construction gives.
     rng = random.Random(7107)
     graphs = [g for n in range(EXHAUSTIVE_MAX_N + 1) for g in all_graphs(n)]
     graphs += [er_random(n, p, seed=rng.getrandbits(32))
                for n in range(7, 11) for p in (0.2, 0.5, 0.8) for _ in range(3)]
+    seeds = random.Random(7108)
+    sampled = [er_random(n, p, seed=seeds.getrandbits(32))
+               for n in range(13) for p in (0, 0.2, 0.5, 0.8, 1) for _ in range(3)]
+    for g in graphs + sampled:
+        for built in (g, parse_graph6(emit_graph6(g))):
+            assert built == _checked_copy(built) and hash(built) == hash(_checked_copy(built))
     for g in graphs:
         n = g.n
         comp = g.complement()
