@@ -36,7 +36,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .graphs import Graph, bits, clique_number, independence_number, matching_number
+from .graphs import (Graph, bits, clique_number, independence_number, matching_number,
+                     per_graph)
 
 
 class PartitionError(ValueError):
@@ -233,22 +234,22 @@ def _greedy_dsatur(adj: tuple[int, ...], n: int, cap: int | None,
 
 
 def _color_bb(adj: tuple[int, ...], n: int, cap: int | None,
-              rank: list[int] | None = None) -> tuple[int, list[int]]:
+              rank: list[int] | None = None, omega: int | None = None) -> tuple[int, list[int]]:
     """Exact minimum class count (size cap optional) with one witness.
 
-    The lower bound is ceil(n / cap), or the clique number if larger; the
-    clique is not looked up when ceil(n / cap) is already n (every cap = 1
-    call). At lower == n the discrete partition is the only witness;
-    otherwise DSATUR's greedy coloring is the first incumbent, and the search
-    runs only when it uses more classes than the bound. The greedy coloring
-    and the search's branching order break DSATUR ties by ``rank``; nothing
-    else reads vertex labels, so the witness is the one the graph relabeled
-    by ``rank`` gets, mapped back."""
+    The lower bound is ceil(n / cap), or the clique number ``omega`` (looked
+    up if not given) when larger and ceil(n / cap) < n. At lower == n the
+    discrete partition is the only witness; otherwise DSATUR's greedy
+    coloring is the first incumbent, and the search runs only when it uses
+    more classes than the bound. The greedy coloring and the search's
+    branching order break DSATUR ties by ``rank``; nothing else reads vertex
+    labels, so the witness is the one the graph relabeled by ``rank`` gets,
+    mapped back."""
     if n == 0:
         return 0, []
     lower = 0 if cap is None else -(-n // cap)
     if lower < n:
-        lower = max(lower, clique_number(Graph._unchecked(n, adj)))
+        lower = max(lower, clique_number(Graph._unchecked(n, adj)) if omega is None else omega)
     if lower == n:
         return n, [1 << v for v in range(n)]
     best_masks = _greedy_dsatur(adj, n, cap, rank)
@@ -303,13 +304,13 @@ def _color_bb(adj: tuple[int, ...], n: int, cap: int | None,
     return best_k, best_masks
 
 
-@functools.lru_cache(maxsize=65536)
-def _chi_cached(g: Graph, cap: int | None) -> int:
+@per_graph
+def _chi(g: Graph, cap: int | None) -> int:
     if cap == 2:
         # A 2-bounded coloring is a matching of the complement (its pairs)
         # plus singletons, so the fewest classes is n - nu(complement).
         return g.n - matching_number(g.complement())
-    return _color_bb(g.adj, g.n, cap)[0]
+    return _color_bb(g.adj, g.n, cap, omega=clique_number(g))[0]
 
 
 def _check_cap(cap: int | None) -> None:
@@ -321,7 +322,7 @@ def chromatic_number(g: Graph, cap: int | None = None) -> int:
     """Exact chi(g); with ``cap`` set, the minimum class count among colorings
     whose classes all have size at most cap. chi of the empty graph is 0."""
     _check_cap(cap)
-    return _chi_cached(g, cap)
+    return _chi(g, cap)
 
 
 def one_optimal_coloring(g: Graph, cap: int | None = None,
@@ -339,7 +340,7 @@ def one_optimal_coloring(g: Graph, cap: int | None = None,
         rank = [0] * g.n
         for new, old in enumerate(perm):
             rank[old] = new
-    return Coloring(_coloring_order(_color_bb(g.adj, g.n, cap, rank)[1]))
+    return Coloring(_coloring_order(_color_bb(g.adj, g.n, cap, rank, clique_number(g))[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +548,8 @@ class ColoringStats:
         return Coloring(_coloring_order(self.stingy_masks))
 
 
-@functools.lru_cache(maxsize=65536)
-def _stats_cached(g: Graph, optimal_guard: int) -> ColoringStats:
-    _check_guard(g, optimal_guard, "stinginess")
+@per_graph
+def _stats(g: Graph) -> ColoringStats:
     chi = chromatic_number(g)
     iota, masks = _best_partition_score(g.adj, g.n, chi, independence_number(g),
                                         "singletons")
@@ -559,7 +559,8 @@ def _stats_cached(g: Graph, optimal_guard: int) -> ColoringStats:
 def stats(g: Graph, guards: Guards = DEFAULT_GUARDS) -> ColoringStats:
     """iota(g) = max singleton-class count over optimal colorings, by direct
     branch and bound; the enumeration route cross-checks this in tests."""
-    return _stats_cached(g, guards.optimal)
+    _check_guard(g, guards.optimal, "stinginess")
+    return _stats(g)
 
 
 @dataclass(frozen=True)
@@ -584,15 +585,14 @@ class BoundedStats:
         return Coloring(_coloring_order(self.iota_masks))
 
 
-@functools.lru_cache(maxsize=65536)
-def _bounded_cached(g: Graph, r: int, optimal_guard: int) -> BoundedStats:
-    _check_guard(g, optimal_guard, "r-bounded stats")
+@per_graph
+def _bounded(g: Graph, r: int) -> BoundedStats:
     alpha = independence_number(g)
     if r >= alpha:
         # No independent set exceeds the cap, so the capped partitions are
         # the uncapped ones, in the same order: chi_r and iota_r are chi and
         # iota, with the same witness.
-        st = _stats_cached(g, optimal_guard)
+        st = _stats(g)
         chi_r, iota_r, i_masks = st.chi, st.iota, st.stingy_masks
     else:
         chi_r = chromatic_number(g, cap=r)
@@ -611,7 +611,8 @@ def bounded_stats(g: Graph, r: int, guards: Guards = DEFAULT_GUARDS) -> BoundedS
     but independently; their witnesses need not coincide."""
     if r < 1:
         raise ValueError("r must be positive")
-    return _bounded_cached(g, r, guards.optimal)
+    _check_guard(g, guards.optimal, "r-bounded stats")
+    return _bounded(g, r)
 
 
 # ---------------------------------------------------------------------------
@@ -636,14 +637,12 @@ class FrameProperty:
     """A predicate on the frame alone, applied to a coloring as
     ``frame_predicate(c.frame())``. No predicate on the coloring itself can be
     given, so it is a frame property by construction; singleton-friendliness
-    is still checked. ``_merge_closed`` memoizes ``_frames_merge_closed`` per
-    n for this object alone: equality and hashing ignore the predicate, so two
+    is still checked. ``_frames_merge_closed`` keeps its answer per n on this
+    object alone: equality and hashing ignore the predicate, so two
     properties with the same name must not share an answer."""
 
     frame_predicate: Callable[[tuple[int, ...]], bool] = field(compare=False)
     name: str
-    _merge_closed: dict[int, bool] = field(default_factory=dict, init=False,
-                                          repr=False, compare=False)
 
     def __call__(self, c: Coloring) -> bool:
         return bool(self.frame_predicate(c.frame()))
@@ -764,20 +763,15 @@ def merge_singletons(c: Coloring, a: int, b: int) -> Coloring:
     return Coloring(_coloring_order(rest + [1 << a | 1 << b]))
 
 
+@per_graph
 def _frames_merge_closed(p: FrameProperty, n: int) -> bool:
     """True iff merging two 1s of any satisfying frame of ``n`` vertices into a
     2 gives a satisfying frame. Merging two singleton classes changes the
     frame exactly so, hence this proves p singleton-friendly on every graph of
     order n. Frames are nondecreasing, so the 1s lead. The answer depends
-    only on (p, n) and is kept in ``p._merge_closed``."""
-    closed = p._merge_closed.get(n)
-    if closed is None:
-        closed = p._merge_closed[n] = all(
-            p.frame_predicate(tuple(sorted(f[2:] + (2,))))
-            for f in p.frames(n)
-            if f[:2] == (1, 1)
-        )
-    return closed
+    only on (p, n) and is kept on ``p``, like a graph's quantities."""
+    return all(p.frame_predicate(tuple(sorted(f[2:] + (2,))))
+               for f in p.frames(n) if f[:2] == (1, 1))
 
 
 def is_singleton_friendly(g: Graph, p: ColoringProperty | FrameProperty,

@@ -2,9 +2,9 @@
 
 Vertices are dense integers 0..n-1. Adjacency is stored as one int bitmask
 per vertex, which keeps the exact kernels (clique, coloring, matching search)
-fast enough for desk-scale exhaustive work. Graphs are immutable and hashable,
-so results of the expensive invariants are memoized per graph; each instance
-computes its hash once, and builds its complement once, when first asked.
+fast enough for desk-scale exhaustive work. Graphs are immutable; each one
+keeps what is computed on it (``per_graph``), such as its complement, graph6
+name and invariants, built when first asked and dropped with the graph.
 
 I/O is graph6 only: the bit-packed upper triangle of the adjacency matrix,
 column major, six bits per printable character offset by 63.
@@ -37,6 +37,22 @@ class GraphFormatError(ValueError):
         self.offset = offset
 
 
+def per_graph(fn):
+    """Keep ``fn(g, *args)`` in ``g.__dict__``: computed once per graph (or
+    other object) and dropped with it. Callers check guards before the read."""
+    name = f"{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def memo(g, *args):
+        key = (name, *args)
+        value = g.__dict__.get(key, memo)  # memo itself is never a kept value
+        if value is memo:
+            value = g.__dict__[key] = fn(g, *args)
+        return value
+
+    return memo
+
+
 def bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of ``mask``, ascending."""
     while mask:
@@ -53,8 +69,8 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        if not isinstance(self.n, int) or self.n < 0:
+            raise ValueError("vertex count must be a nonnegative int")
         if not isinstance(self.adj, tuple):
             raise ValueError("adjacency must be a tuple of int rows")
         if len(self.adj) != self.n:
@@ -71,12 +87,6 @@ class Graph:
             for u in bits(self.adj[v]):
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"asymmetric edge {v}-{u}")
-        self.__dict__["_hash"] = hash((self.n, self.adj))
-
-    def __hash__(self) -> int:
-        # The value the dataclass would compute on every call, kept per
-        # instance: the memoized kernels look one graph up dozens of times.
-        return self._hash
 
     @classmethod
     def _unchecked(cls, n: int, adj: tuple[int, ...]) -> "Graph":
@@ -84,7 +94,7 @@ class Graph:
         graph, or set pairwise for i < j < n); skips the checks of
         ``__post_init__``."""
         g = object.__new__(cls)
-        g.__dict__.update(n=n, adj=adj, _hash=hash((n, adj)))
+        g.__dict__.update(n=n, adj=adj)
         return g
 
     @staticmethod
@@ -114,15 +124,12 @@ class Graph:
                 if u > v:
                     yield (v, u)
 
+    @per_graph
     def complement(self) -> "Graph":
-        """The complement, built on the first call and kept: alpha and nu of
-        the complement both read it."""
-        comp = self.__dict__.get("_complement")
-        if comp is None:
-            full = (1 << self.n) - 1
-            comp = self.__dict__["_complement"] = Graph._unchecked(
-                self.n, tuple(full ^ row ^ (1 << v) for v, row in enumerate(self.adj)))
-        return comp
+        """The complement, kept: alpha and nu of the complement read it."""
+        full = (1 << self.n) - 1
+        return Graph._unchecked(
+            self.n, tuple(full ^ row ^ (1 << v) for v, row in enumerate(self.adj)))
 
     def induced(self, keep) -> "Graph":
         """Induced subgraph on ``keep``, relabeled to 0..k-1 in sorted order."""
@@ -261,11 +268,11 @@ def parse_graph6(text: str) -> Graph:
     return Graph._unchecked(n, tuple(rows))
 
 
-@functools.lru_cache(maxsize=65536)
+@per_graph
 def emit_graph6(g: Graph) -> str:
     """Encode ``g`` in graph6 under its given vertex order (no canonicalization).
-    Memoized like ``invariants``: every report on a graph names it by this
-    string, so each graph is encoded once."""
+    Kept per graph: every report on a graph names it by this string, so each
+    graph is encoded once."""
     n = g.n
     if n > G6_MAX:
         raise ValueError(f"size {n} exceeds supported encoding range (max {G6_MAX})")
@@ -368,7 +375,7 @@ class GraphInvariants:
     nu: int
 
 
-@functools.lru_cache(maxsize=65536)
+@per_graph
 def max_clique_mask(g: Graph) -> int:
     """A maximum clique of ``g`` as a vertex bitmask (deterministic witness).
 
@@ -401,10 +408,8 @@ def clique_number(g: Graph) -> int:
     return max_clique_mask(g).bit_count()
 
 
-@functools.lru_cache(maxsize=65536)
 def max_independent_set_mask(g: Graph) -> int:
-    """A maximum clique of the complement; memoized like ``max_clique_mask``,
-    so each graph builds its complement once for alpha."""
+    """A maximum clique of the complement, which keeps it like ``g`` does."""
     return max_clique_mask(g.complement())
 
 
@@ -412,7 +417,7 @@ def independence_number(g: Graph) -> int:
     return max_independent_set_mask(g).bit_count()
 
 
-@functools.lru_cache(maxsize=65536)
+@per_graph
 def matching_number(g: Graph) -> int:
     """Exact maximum matching size by memoized branching on the partner of the
     lowest non-isolated vertex."""
@@ -451,7 +456,7 @@ def matching_number(g: Graph) -> int:
     return rec((1 << g.n) - 1)
 
 
-@functools.lru_cache(maxsize=65536)
+@per_graph
 def invariants(g: Graph) -> GraphInvariants:
     """All five invariants, exact. The n = 0 graph gets all zeros by convention."""
     if g.n == 0:

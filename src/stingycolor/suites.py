@@ -174,14 +174,13 @@ def suite_gen_lonely_path(max_n: int, rs: tuple[int, ...] = (2, 3),
     result = SuiteResult("generalized-lonely-path",
                          {"max_n": max_n, "rs": list(rs), "max_len": max_len})
     for g in exhaustive_graphs(0, max_n):
-        g6 = emit_graph6(g)
         for r in rs:
             prop = b_r(r)
             lonely.check_path_join_property(g, prop, guards)
             views = (lonely.ColoredGraph(g, c) for c in enumerate_p_optimal(g, prop, guards))
             rec = stream_record(f"lonely-path-join[{prop.name}]", views,
                                 lambda cg: lonely.join_failures(cg, max_len))
-            _absorb(result, rec, g6=g6, r=r)
+            _absorb(result, rec, g6=emit_graph6(g), r=r)
     return result
 
 
@@ -192,12 +191,11 @@ def suite_replete(max_n: int, t2s: tuple[int, ...] = (0, 1),
     classic and r-bounded."""
     result = SuiteResult("replete", {"max_n": max_n, "t2s": list(t2s), "rs": list(rs)})
     for g in exhaustive_graphs(0, max_n):
-        g6 = emit_graph6(g)
         views = lonely.ViewCache()
         for r in (None, *rs):
             stream = lonely.optimal_views(g, r, guards, views)
             for rec in stream_claims(g, r, stream, t2s, guards):
-                _absorb(result, rec, g6=g6, claim=rec.name)
+                _absorb(result, rec, g6=emit_graph6(g), claim=rec.name)
     return result
 
 

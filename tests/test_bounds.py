@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from stingycolor import (
     emit_graph6,
     empty,
     enumerate_optimal_colorings,
+    er_random,
     evaluate_bounds,
     evaluate_generalized,
     full_report,
@@ -37,6 +40,7 @@ from stingycolor.bounds import (
     VERDICT_VACUOUS,
     VERDICT_VIOLATION,
     _lonely_claims,
+    claim_records_for,
     format_t,
     report_violations,
 )
@@ -243,6 +247,22 @@ def test_bound_claims_gnm_n7_to_n10_pin():
                    sort_keys=True, separators=(",", ":")) + "\n"
         for g in _gnm_graphs(range(7, 11), 8, 1313))
     assert hashlib.sha256(text.encode()).hexdigest() == BOUND_CLAIMS_GNM_SHA256
+
+
+def test_no_graph_outlives_its_evaluation():
+    # Every quantity computed on a graph is kept on the graph itself, so
+    # nothing holds the graph once its caller drops it.
+    g = er_random(8, 0.5, seed=2626)
+    ref = weakref.ref(g)
+    full_report(g)
+    evaluate_bounds(g)
+    for r in (1, 2, 3):
+        evaluate_generalized(g, r)
+    for query in ("stinginess-patching", "gen-reed-conjecture", "lonely-path-join"):
+        assert claim_records_for(g, query, PARAMS)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_serialization_round_trip(c5):

@@ -845,3 +845,52 @@ def test_b1_friendly_on_complete_graphs_only_by_enumeration():
     for n in range(2, 7):
         assert is_singleton_friendly(complete(n), b_r(1))
     assert not is_singleton_friendly(path(3), b_r(1))
+
+
+# --- Joins: values at n = 8..16 without a second implementation --------------
+
+
+def _join(g: Graph, h: Graph) -> Graph:
+    """G ∨ H: g on vertices 0..g.n-1, h after it, every cross pair an edge."""
+    left, right = (1 << g.n) - 1, ((1 << h.n) - 1) << g.n
+    return Graph(g.n + h.n, tuple([row | right for row in g.adj]
+                                  + [row << g.n | left for row in h.adj]))
+
+
+def test_join_adds_the_chromatic_quantities():
+    # Every color class of G ∨ H lies in one side, so its optimal (r-bounded)
+    # colorings are pairs of the sides' own: chi, iota, chi_r, M_r and iota_r
+    # add, as does omega, while alpha is the larger side's.
+    guards = Guards(optimal=40)
+    rng = random.Random(2626)
+    for _ in range(60):
+        g, h = (er_random(rng.randint(4, 8), rng.choice((0.2, 0.5, 0.8)),
+                          seed=rng.getrandbits(32)) for _ in range(2))
+        j = _join(g, h)
+        sides = (g, h)
+        assert chromatic_number(j) == sum(chromatic_number(x) for x in sides), (g, h)
+        assert stats(j, guards).iota == sum(stats(x, guards).iota for x in sides), (g, h)
+        assert clique_number(j) == sum(clique_number(x) for x in sides), (g, h)
+        assert independence_number(j) == max(independence_number(x) for x in sides), (g, h)
+        for r in (2, 3):
+            got = bounded_stats(j, r, guards)
+            parts = [bounded_stats(x, r, guards) for x in sides]
+            assert (got.chi_r, got.m_r, got.iota_r) == (
+                sum(p.chi_r for p in parts), sum(p.m_r for p in parts),
+                sum(p.iota_r for p in parts)), (g, h, r)
+
+
+def test_guards_checked_before_each_read_of_a_kept_value():
+    # stats and bounded_stats keep one guard-free value per graph: every call
+    # checks its own guard before reading it, and guard settings share it.
+    g = er_random(9, 0.5, seed=9)
+    loose, tight = Guards(optimal=9), Guards(optimal=8)
+    st, bs = stats(g, loose), bounded_stats(g, 3, loose)
+    with pytest.raises(GuardExceededError):
+        stats(g, tight)
+    with pytest.raises(GuardExceededError):
+        bounded_stats(g, 3, tight)
+    with pytest.raises(ValueError, match="cap must be positive"):
+        chromatic_number(g, 0)
+    assert stats(g, Guards(optimal=20)) is st
+    assert bounded_stats(g, 3, Guards(optimal=20)) is bs

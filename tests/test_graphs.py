@@ -124,6 +124,14 @@ def test_graph_rejects_rows_not_a_tuple_of_ints(adj):
         Graph(len(adj), adj)
 
 
+@pytest.mark.parametrize("n", [2.0, "2"], ids=["float-n", "str-n"])
+def test_graph_rejects_a_vertex_count_not_an_int(n):
+    # A float count would fail inside 1 << n and a string one at n < 0, each
+    # with a bare TypeError; both are refused like the rows.
+    with pytest.raises(ValueError, match="vertex count must be a nonnegative int"):
+        Graph(n, (0, 0))
+
+
 def _checked_copy(g):
     """``g`` rebuilt through the validating public constructor."""
     return Graph(g.n, tuple(g.adj))
@@ -173,8 +181,8 @@ def test_derived_graphs_pass_validation():
 
 
 def test_equal_graphs_hash_alike_and_share_one_memo_entry():
-    # Each instance keeps its hash; graphs equal in value, however built,
-    # must hash alike, print alike and land in one lru_cache entry.
+    # Graphs equal in value, however built, must hash alike and print alike,
+    # so a cache keyed by graphs (here an lru_cache) gives them one entry.
     misses = []
 
     @functools.lru_cache(maxsize=None)

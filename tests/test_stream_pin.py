@@ -12,6 +12,7 @@ import hashlib
 import json
 import operator
 import random
+import sys
 
 import pytest
 
@@ -38,7 +39,7 @@ from stingycolor.coloring import (
     enumerate_p_optimal,
     one_optimal_coloring,
 )
-from stingycolor.graphs import bits, graph_from_mask
+from stingycolor.graphs import bits, graph_from_mask, per_graph
 from stingycolor.lonely import (
     ColoredGraph,
     LonelyDigraph,
@@ -346,17 +347,29 @@ def test_mask_view_errors_match_coloring_view():
             ColoredGraph(g, Coloring.from_masks(masks))
 
 
-def test_graph6_encoded_once_per_graph():
+def test_graph6_encoded_once_per_graph(monkeypatch):
     # The bound-claims path (evaluate_bounds plus evaluate_generalized for
     # r = 1, 2, 3) and full_report each name a graph by its graph6 four times.
+    # A counting encoder, kept per graph the same way, stands in for
+    # emit_graph6 in every module that calls it.
+    encoded = []
+
+    def encode(g):
+        encoded.append(id(g))
+        return emit_graph6.__wrapped__(g)
+
+    counted = per_graph(encode)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "stingycolor" and vars(module).get("emit_graph6") is emit_graph6:
+            monkeypatch.setattr(module, "emit_graph6", counted)
     graphs = _gnm_graphs()[:6]
-    emit_graph6.cache_clear()
     for g in graphs:
         evaluate_bounds(g)
         for r in (1, 2, 3):
             evaluate_generalized(g, r)
-    assert emit_graph6.cache_info().misses == len(set(graphs))
-    emit_graph6.cache_clear()
+    assert encoded == [id(g) for g in graphs]
+    encoded.clear()
+    graphs = _gnm_graphs()[:6]
     for g in graphs:
         full_report(g)
-    assert emit_graph6.cache_info().misses == len(set(graphs))
+    assert encoded == [id(g) for g in graphs]
