@@ -87,10 +87,6 @@ class ClaimRecord:
             "witness": self.witness,
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "ClaimRecord":
-        return ClaimRecord(d["name"], d["hyp"], d["concl"], d["verdict"], d["witness"])
-
 
 def _claim(name: str, hyp: bool, concl: bool | None, witness: dict) -> ClaimRecord:
     if not hyp:
@@ -119,12 +115,6 @@ class BoundsReport:
             "claims": [c.to_dict() for c in self.claims],
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "BoundsReport":
-        return BoundsReport(
-            d["g6"], d["inv"], tuple(ClaimRecord.from_dict(c) for c in d["claims"])
-        )
-
 
 @dataclass(frozen=True)
 class GeneralizedReport:
@@ -149,14 +139,6 @@ class GeneralizedReport:
             "claims": [c.to_dict() for c in self.claims],
             "counterexamples": list(self.counterexamples),
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "GeneralizedReport":
-        return GeneralizedReport(
-            d["g6"], d["r"], d["chi_r"], d["m_r"], d["iota_r"],
-            tuple(ClaimRecord.from_dict(c) for c in d["claims"]),
-            tuple(d["counterexamples"]),
-        )
 
 
 CLASSIC, GENERALIZED, LONELY = "classic", "generalized", "lonely"
@@ -517,12 +499,12 @@ def stream_claims(g: Graph, r: int | None, views: Sequence[lonely.ColoredGraph],
 
 def _lonely_claims(g: Graph, params: VerificationParams) -> list[ClaimRecord]:
     """The lonely-edge lemma records. Each optimal-coloring stream (uncapped,
-    then capped at each r) is built once and feeds every claim on it (see
-    ``lonely.optimal_views``: a stream capped at r >= alpha is the uncapped
-    one); each distinct coloring gets one view, built from its class masks,
-    and one join check, shared by the streams it appears in."""
+    then capped at each r) is built once and feeds every claim on it. Each
+    capped stream is built from the uncapped list (see
+    ``lonely.optimal_views``): at r >= alpha it is that list, and below, a
+    coloring in it keeps its view. Each distinct coloring, keyed by its class
+    masks, gets one join check, shared by the streams it appears in."""
     guards = params.guards
-    views = lonely.ViewCache()
     joins: dict[tuple[int, ...], tuple[int, list[dict]]] = {}
 
     def join(cg: lonely.ColoredGraph) -> tuple[int, list[dict]]:
@@ -532,7 +514,7 @@ def _lonely_claims(g: Graph, params: VerificationParams) -> list[ClaimRecord]:
         return found
 
     try:
-        optimal = lonely.optimal_views(g, None, guards, views)
+        optimal = lonely.optimal_views(g, None, guards)
     except GuardExceededError as exc:
         return [_not_evaluated(LONELY_REFUSED, str(exc))]
     out = [stream_record("lonely-path-join", optimal, join, extra=_ALL_OPTIMAL)]
@@ -543,7 +525,7 @@ def _lonely_claims(g: Graph, params: VerificationParams) -> list[ClaimRecord]:
         "doubly-critical-iff-two-singletons", True, dc.consistent,
         {"edges": [list(e) for e in dc.edges], "iota": dc.iota}))
     for r in params.r_list:
-        bounded = lonely.optimal_views(g, r, guards, views)
+        bounded = lonely.optimal_views(g, r, guards, optimal)
         out.extend(stream_claims(g, r, bounded, params.t2_list, guards))
         if r >= 2:
             # The optimal r-bounded colorings are the B_r-optimal ones, in the

@@ -5,7 +5,8 @@ Subcommands: ``analyze`` one graph, ``sweep`` a corpus or exhaustive range,
 
 Exit codes: 0 clean, 1 a VIOLATION verdict or counterexample was found,
 2 usage or structural error (bad graph6 input, unreadable corpus, unknown
-claim or suite, out-of-range option), reported as one ``error:`` line.
+claim or suite, out-of-range option, a graph too large for a recursive
+search), reported as one ``error:`` line.
 
 Guard overrides via environment: STINGYCOLOR_OPTIMAL_GUARD and
 STINGYCOLOR_FULL_GUARD (vertex-count ceilings for optimal-coloring work and
@@ -346,6 +347,10 @@ def main(argv=None) -> int:
         return args.func(args, _params(args))
     except (UsageError, GuardExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        print("error: graph too large: a recursive search exceeded Python's "
+              "recursion limit", file=sys.stderr)
         return EXIT_ERROR
 
 

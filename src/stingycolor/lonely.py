@@ -21,8 +21,8 @@ coloring stream; ``optimal_views`` builds those streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from .graphs import Graph, bits, independence_number, max_clique_mask
 from .coloring import (
@@ -147,44 +147,28 @@ def lonely_digraph(g: Graph, c: Coloring) -> LonelyDigraph:
     return ColoredGraph(g, c).ld
 
 
-@dataclass
-class ViewCache:
-    """The views built on one graph: each distinct coloring's, keyed by its
-    class masks, and the uncapped optimal stream once it is built."""
-
-    by_masks: dict[tuple[int, ...], ColoredGraph] = field(default_factory=dict)
-    optimal: list[ColoredGraph] | None = None
-
-
 def optimal_views(g: Graph, cap: int | None, guards: Guards,
-                  seen: ViewCache) -> list[ColoredGraph]:
+                  uncapped: Sequence[ColoredGraph] = ()) -> Sequence[ColoredGraph]:
     """The optimal (with ``cap``: optimal cap-bounded) colorings of ``g`` as
-    views, in enumeration order. A coloring already in
-    ``seen`` keeps its view. A list, so several claims can read one stream,
-    and building it checks the guard before any claim computes its
-    hypothesis. At cap >= alpha no independent set exceeds the cap, so the
+    views, in enumeration order. A list, so several claims can read one
+    stream, and building it checks the guard before any claim computes its
+    hypothesis. ``uncapped``, when given, is the uncapped list this returned
+    for ``g``. At cap >= alpha no independent set exceeds the cap, so the
     capped stream is the uncapped one, the same masks in the same order (as
-    in ``bounded_stats``), and the uncapped list is returned. Below that, at
-    cap = 1 the only optimal coloring is the discrete partition."""
+    in ``bounded_stats``), and ``uncapped`` itself is returned. Below that, a
+    coloring in ``uncapped`` keeps its view, and at cap = 1 the only optimal
+    coloring is the discrete partition."""
     check_optimal_guard(g, guards)
-    if cap is not None and cap >= independence_number(g):
-        return optimal_views(g, None, guards, seen)
-    if cap is None and seen.optimal is not None:
-        return seen.optimal
+    if cap is None or cap >= independence_number(g):
+        if uncapped:
+            return uncapped
+        cap = None
     if cap == 1:
         stream = [Coloring(tuple(1 << v for v in range(g.n)))]
     else:
         stream = enumerate_optimal_colorings(g, cap, guards)
-    by_masks = seen.by_masks
-    out = []
-    for c in stream:
-        cg = by_masks.get(c.masks)
-        if cg is None:
-            cg = by_masks[c.masks] = ColoredGraph(g, c)
-        out.append(cg)
-    if cap is None:
-        seen.optimal = out
-    return out
+    shared = {cg.masks: cg for cg in uncapped}
+    return [shared.get(c.masks) or ColoredGraph(g, c) for c in stream]
 
 
 def _swapped_masks(masks, by_vertex, v: int, w: int) -> list[int]:

@@ -191,9 +191,9 @@ def suite_replete(max_n: int, t2s: tuple[int, ...] = (0, 1),
     classic and r-bounded."""
     result = SuiteResult("replete", {"max_n": max_n, "t2s": list(t2s), "rs": list(rs)})
     for g in exhaustive_graphs(0, max_n):
-        views = lonely.ViewCache()
+        optimal = lonely.optimal_views(g, None, guards)
         for r in (None, *rs):
-            stream = lonely.optimal_views(g, r, guards, views)
+            stream = lonely.optimal_views(g, r, guards, optimal)
             for rec in stream_claims(g, r, stream, t2s, guards):
                 _absorb(result, rec, g6=emit_graph6(g), claim=rec.name)
     return result

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from stingycolor import complete, cycle, empty, er_random, path, petersen
+from stingycolor import complete, cycle, emit_graph6, empty, er_random, path, petersen
 from stingycolor.cli import _parse_gen_spec, main
 from stingycolor.suites import SUITES
 
@@ -212,6 +212,22 @@ def test_sweep_corpus_with_bad_line(capsys, tmp_path):
     assert code == 2  # structural error, but processing continued
     assert ":2:" in err
     assert len(out_path.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("source", ["complete", "empty", "corpus"])
+def test_recursion_too_deep_is_an_error_not_a_violation(capsys, tmp_path, source):
+    # The clique search on K1500, and the one on the complement of the
+    # edgeless graph, recurse once per vertex: past Python's recursion limit
+    # that is a structural error (exit 2), never a VIOLATION (exit 1).
+    if source == "corpus":
+        corpus = tmp_path / "k1500.g6"
+        corpus.write_text(emit_graph6(complete(1500)) + "\n")
+        argv = ("sweep", "--input", str(corpus))
+    else:
+        argv = ("analyze", "--gen", f"{source}:1500")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sweep_csv(capsys, tmp_path):

@@ -35,7 +35,6 @@ from stingycolor.graphs import EXHAUSTIVE_MAX_N, er_random, max_clique_mask
 from stingycolor.lonely import (
     ColoredGraph,
     PropertyNotApplicableError,
-    ViewCache,
     check_path_join_property,
     join_failures,
     optimal_views,
@@ -228,12 +227,12 @@ def test_path_length_below_1_is_refused(max_len):
 
 def _path_join(g, views=None):
     if views is None:
-        views = optimal_views(g, None, DEFAULT_GUARDS, ViewCache())
+        views = optimal_views(g, None, DEFAULT_GUARDS)
     return stream_record("lonely-path-join", views, lambda cg: join_failures(cg, 3))
 
 
 def _stream_claims(g, r=None, t2s=(0,)):
-    views = optimal_views(g, r, DEFAULT_GUARDS, ViewCache())
+    views = optimal_views(g, r, DEFAULT_GUARDS)
     return stream_claims(g, r, views, t2s, DEFAULT_GUARDS)
 
 

@@ -43,7 +43,6 @@ from stingycolor.graphs import bits, graph_from_mask, per_graph
 from stingycolor.lonely import (
     ColoredGraph,
     LonelyDigraph,
-    ViewCache,
     is_lonely,
     optimal_views,
 )
@@ -251,23 +250,32 @@ def test_enum_partitions_matches_recursive_reference():
 def test_optimal_views_at_cap_1_and_from_alpha_match_enumeration():
     # The cap = 1 stream is read as the discrete partition and a cap >= alpha
     # stream as the uncapped list; both must be the enumerator's stream, mask
-    # for mask and in order, whether or not the uncapped list was built first.
+    # for mask and in order, whether or not the uncapped list is handed in.
     for g in _stream_graphs():
         alpha = independence_number(g)
-        seen = ViewCache()
-        uncapped = optimal_views(g, None, DEFAULT_GUARDS, seen)
+        uncapped = optimal_views(g, None, DEFAULT_GUARDS)
+        assert optimal_views(g, None, DEFAULT_GUARDS, uncapped) is uncapped
+        before = list(uncapped)
+        shared = {cg.masks: cg for cg in uncapped}
         for cap in range(1, alpha + 2):
             want = [c.masks for c in enumerate_optimal_colorings(g, cap)]
-            for cache in (seen, ViewCache()):
-                got = optimal_views(g, cap, DEFAULT_GUARDS, cache)
+            for given in (uncapped, ()):
+                got = optimal_views(g, cap, DEFAULT_GUARDS, given)
                 assert [cg.masks for cg in got] == want, (g.adj, cap)
             if cap >= alpha:
-                assert optimal_views(g, cap, DEFAULT_GUARDS, seen) is uncapped
+                assert optimal_views(g, cap, DEFAULT_GUARDS, uncapped) is uncapped
+            # A capped coloring in the uncapped list is read through its view,
+            # and the list handed in is left as it was.
+            got = optimal_views(g, cap, DEFAULT_GUARDS, uncapped)
+            assert all(cg is shared.get(cg.masks, cg) for cg in got)
+            assert uncapped == before
     big = cycle(9)
+    big_uncapped = optimal_views(big, None, Guards(optimal=9))
     for cap in (None, 1, 4, 5):
-        with pytest.raises(GuardExceededError,
-                           match=r"enumeration guarded at n <= 8 \(graph has 9\)"):
-            optimal_views(big, cap, Guards(optimal=8), ViewCache())
+        for given in ((), big_uncapped):
+            with pytest.raises(GuardExceededError,
+                               match=r"enumeration guarded at n <= 8 \(graph has 9\)"):
+                optimal_views(big, cap, Guards(optimal=8), given)
 
 
 def _streamed_colorings(g, rng):
