@@ -150,31 +150,29 @@ LONELY_REFUSED = "lonely-claims"
 
 @dataclass(frozen=True)
 class Claim:
-    """One row of the claim table. A row without ``compute`` is decided by
-    ``_claim`` from ``hyp`` (absent: always holds) and ``concl``. A row with
-    it builds its records: a classic row as ``compute(row, g, guards)``, one
-    record per name in ``names``; a generalized row as
-    ``compute(name, g, bounded_stats, guards)``."""
+    """One row of the claim table, making one record per graph (per r for a
+    generalized row) from the graph's quantities ``q``. A row without
+    ``compute`` is decided by ``_claim`` from ``hyp`` (absent: always holds)
+    and ``concl``; a row with it builds its record as
+    ``compute(name, g, q, guards)``."""
 
     name: str
     family: str
     hyp: Callable | None = None
     concl: Callable | None = None
     compute: Callable | None = None
-    also: tuple[str, ...] = ()  # the further records of a classic compute row
     rs: tuple[int, ...] = ()  # generalized: only these r, and the bare name
     counterexample: bool = False  # generalized: a violation yields an artifact
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return (self.name, *self.also)
-
-    def record(self, name: str, q: SimpleNamespace, witness: dict) -> ClaimRecord:
+    def record(self, name: str, g: Graph, q: SimpleNamespace, witness: dict,
+               guards: Guards) -> ClaimRecord:
+        if self.compute:
+            return self.compute(name, g, q, guards)
         hyp = self.hyp is None or self.hyp(q)
         return _claim(name, hyp, hyp and self.concl(q), witness)
 
 
-def _patching_claim(row: Claim, g: Graph, guards: Guards) -> list[ClaimRecord]:
+def _patching_claim(name: str, g: Graph, q: SimpleNamespace, guards: Guards) -> ClaimRecord:
     """Stinginess of patched colorings, tested constructively on H = one
     maximum independent set: when chi(G) = chi(G - H) + chi(H), require
     iota(G) >= iota(G - H) + iota(H). H is independent, so the one class H
@@ -183,45 +181,44 @@ def _patching_claim(row: Claim, g: Graph, guards: Guards) -> list[ClaimRecord]:
     h_mask = max_independent_set_mask(g)
     h = list(bits(h_mask))
     rest = g._induced_mask(((1 << g.n) - 1) ^ h_mask)
-    chi_g = stats(g, guards).chi
     chi_rest = chromatic_number(rest)
     chi_h = 1 if h else 0
-    hyp = chi_g == chi_rest + chi_h
-    witness = {"H": h, "chi": chi_g, "chi_rest": chi_rest, "chi_H": chi_h}
+    hyp = q.chi == chi_rest + chi_h
+    witness = {"H": h, "chi": q.chi, "chi_rest": chi_rest, "chi_H": chi_h}
     if not hyp:
-        return [_claim(row.name, False, None, witness)]
-    iota_g = stats(g, guards).iota
+        return _claim(name, False, None, witness)
     iota_rest = stats(rest, guards).iota
     iota_h = 1 if len(h) == 1 else 0
-    witness.update({"iota": iota_g, "iota_rest": iota_rest, "iota_H": iota_h})
-    return [_claim(row.name, True, iota_g >= iota_rest + iota_h, witness)]
+    witness.update({"iota": q.iota, "iota_rest": iota_rest, "iota_H": iota_h})
+    return _claim(name, True, q.iota >= iota_rest + iota_h, witness)
+
+
+def _matching_bound(name: str, g: Graph, q, guards: Guards) -> ClaimRecord:
+    """4*nu >= n - alpha + min_deg."""
+    return _claim(name, True, 4 * q.nu >= g.n - q.alpha + q.min_deg,
+                  {"n": g.n, "alpha": q.alpha, "min_deg": q.min_deg, "nu": q.nu})
+
+
+def _matching_identity(name: str, g: Graph, q, guards: Guards) -> ClaimRecord:
+    """The cross-check identity iota_2 = n - 2*nu(complement)."""
+    try:
+        bs2 = bounded_stats(g, 2, guards)
+    except GuardExceededError as exc:
+        return _not_evaluated(name, str(exc))
+    nu_comp = matching_number(g.complement())
+    return _claim(name, True, bs2.iota_r == g.n - 2 * nu_comp,
+                  {"iota_2": bs2.iota_r, "n": g.n, "nu_complement": nu_comp})
 
 
 def verify_matching_corollary(g: Graph, guards: Guards = DEFAULT_GUARDS) -> list[ClaimRecord]:
     """4*nu >= n - alpha + min_deg, plus the cross-check identity
     iota_2 = n - 2*nu(complement)."""
-    bound_name, identity_name = MATCHING_PAIR.names
     inv = invariants(g)
-    base = {"n": g.n, "alpha": inv.alpha, "min_deg": inv.min_deg, "nu": inv.nu}
-    out = [
-        _claim(bound_name, True,
-               4 * inv.nu >= g.n - inv.alpha + inv.min_deg, base)
-    ]
-    try:
-        bs2 = bounded_stats(g, 2, guards)
-    except GuardExceededError as exc:
-        out.append(_not_evaluated(identity_name, str(exc)))
-        return out
-    nu_comp = matching_number(g.complement())
-    out.append(
-        _claim(identity_name, True,
-               bs2.iota_r == g.n - 2 * nu_comp,
-               {"iota_2": bs2.iota_r, "n": g.n, "nu_complement": nu_comp})
-    )
-    return out
+    return [_matching_bound("matching-bound", g, inv, guards),
+            _matching_identity("iota2-matching-identity", g, inv, guards)]
 
 
-def _gen_patching_claim(name: str, g: Graph, bs, guards: Guards) -> ClaimRecord:
+def _gen_patching_claim(name: str, g: Graph, q: SimpleNamespace, guards: Guards) -> ClaimRecord:
     """r-bounded patching, tested on H = the union of the size-r classes of
     the M_r witness coloring. G[H] splits into M_r independent r-sets, and no
     r-bounded coloring of it has fewer than |H| / r classes, so its optimal
@@ -233,6 +230,7 @@ def _gen_patching_claim(name: str, g: Graph, bs, guards: Guards) -> ClaimRecord:
     |G - H| (always at r = 1, 2) the discrete partition is the only one, and
     iota_r(G - H) = |G - H| is read; otherwise one singleton search at k
     gives it. G - H is within the guard that ``bounded_stats`` passed."""
+    bs = q.bs
     r = bs.r
     h_mask = sum(m for m in bs.m_masks if m.bit_count() == r)  # disjoint classes
     k_rest = bs.chi_r - bs.m_r
@@ -249,12 +247,10 @@ def _gen_patching_claim(name: str, g: Graph, bs, guards: Guards) -> ClaimRecord:
     return _claim(name, True, bs.iota_r >= iota_rest + iota_h, witness)
 
 
-MATCHING_PAIR = Claim("matching-bound", CLASSIC, also=("iota2-matching-identity",),
-                      compute=lambda row, g, guards: verify_matching_corollary(g, guards))
-
-# Every claim in report order. Classic rows read n, omega, alpha, max_deg, chi
-# and iota; generalized rows r, n, omega, max_deg, chi_r, m_r, iota_r and
-# gap = chi_r - m_r. A ceiling ceil((x + 1) / 2) is written (x + 2) // 2.
+# Every claim in report order. Classic rows read n, omega, alpha, max_deg, chi,
+# iota, min_deg and nu; generalized rows r, n, omega, max_deg, chi_r, m_r,
+# iota_r, gap = chi_r - m_r and bs, the ``bounded_stats`` record. A ceiling
+# ceil((x + 1) / 2) is written (x + 2) // 2.
 CLAIMS = (
     Claim("very-stingy-reed", CLASSIC, lambda q: 2 * q.iota > q.omega,
           lambda q: 2 * q.chi <= q.omega + q.max_deg + 1),
@@ -275,7 +271,8 @@ CLAIMS = (
           lambda q: q.chi <= (q.omega + q.max_deg + 2) // 2),
     Claim("ceil-reed-gap", CLASSIC, lambda q: q.chi > (q.omega + q.max_deg + 2) // 2,
           lambda q: q.n - q.max_deg >= q.alpha + q.omega),
-    MATCHING_PAIR,
+    Claim("matching-bound", CLASSIC, compute=_matching_bound),
+    Claim("iota2-matching-identity", CLASSIC, compute=_matching_identity),
     Claim("gen-very-stingy-reed", GENERALIZED, lambda q: 2 * q.iota_r > q.omega,
           lambda q: 2 * q.gap <= q.omega + q.max_deg + 1),
     Claim("gen-reed-conjecture", GENERALIZED, counterexample=True,
@@ -305,9 +302,9 @@ CLAIMS = (
     Claim("singleton-meets-small-classes", LONELY),
     Claim("gen-lonely-degree-bound", LONELY),
 )
-CLASSIC_ROWS = tuple(row for row in CLAIMS if row.family == CLASSIC)
-GENERALIZED_ROWS = tuple(row for row in CLAIMS if row.family == GENERALIZED)
-_ROW_BY_NAME = {name: row for row in CLAIMS for name in row.names}
+# Each classic row with its record name, as ``_generalized_rows`` gives them.
+CLASSIC_ROWS = tuple((row, row.name) for row in CLAIMS if row.family == CLASSIC)
+_ROW_BY_NAME = {row.name: row for row in CLAIMS}
 
 
 def base_name(claim: str) -> str:
@@ -327,26 +324,22 @@ def evaluate_bounds(g: Graph, params: VerificationParams = VerificationParams())
         st = stats(g, params.guards)
     except GuardExceededError as exc:
         return BoundsReport(g6, inv_dict, tuple(
-            _not_evaluated(name, str(exc)) for row in CLASSIC_ROWS for name in row.names))
+            _not_evaluated(name, str(exc)) for _, name in CLASSIC_ROWS))
     inv_dict["chi"] = st.chi
     inv_dict["iota"] = st.iota
     base = {"n": g.n, "omega": inv.omega, "alpha": inv.alpha, "max_deg": inv.max_deg,
             "chi": st.chi, "iota": st.iota}
-    q = SimpleNamespace(**base)
-    claims = []
-    for row in CLASSIC_ROWS:
-        if row.compute:
-            claims.extend(row.compute(row, g, params.guards))
-        else:
-            claims.append(row.record(row.name, q, base))
-    return BoundsReport(g6, inv_dict, tuple(claims))
+    q = SimpleNamespace(min_deg=inv.min_deg, nu=inv.nu, **base)
+    return BoundsReport(g6, inv_dict, tuple(row.record(name, g, q, base, params.guards)
+                                            for row, name in CLASSIC_ROWS))
 
 
 @functools.lru_cache(maxsize=None)
 def _generalized_rows(r: int) -> tuple[tuple[Claim, str], ...]:
     """The generalized rows that apply at ``r``, each with its record name."""
     return tuple((row, row.name if row.rs else f"{row.name}[r={r}]")
-                 for row in GENERALIZED_ROWS if not row.rs or r in row.rs)
+                 for row in CLAIMS
+                 if row.family == GENERALIZED and (not row.rs or r in row.rs))
 
 
 def evaluate_generalized(g: Graph, r: int,
@@ -365,14 +358,11 @@ def evaluate_generalized(g: Graph, r: int,
     chi_r, m_r, iota_r = bs.chi_r, bs.m_r, bs.iota_r
     base = {"r": r, "n": g.n, "omega": inv.omega, "max_deg": inv.max_deg,
             "chi_r": chi_r, "m_r": m_r, "iota_r": iota_r}
-    q = SimpleNamespace(gap=chi_r - m_r, **base)
+    q = SimpleNamespace(gap=chi_r - m_r, bs=bs, **base)
     claims = []
     counterexamples = []
     for row, name in rows:
-        if row.compute:
-            rec = row.compute(name, g, bs, params.guards)
-        else:
-            rec = row.record(name, q, base)
+        rec = row.record(name, g, q, base, params.guards)
         claims.append(rec)
         if row.counterexample and rec.verdict == VERDICT_VIOLATION:
             counterexamples.append({

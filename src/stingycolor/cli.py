@@ -92,6 +92,8 @@ def _parse_gen_spec(spec: str) -> Graph:
             raise ValueError(f"{family} takes one size, e.g. {family}:5")
         return sized[family](int(args[0]))
     if family == "petersen":
+        if args:
+            raise ValueError("petersen takes no arguments")
         return petersen()
     if family in ("er", "er_random"):
         if len(args) != 3:

@@ -233,23 +233,23 @@ def _greedy_dsatur(adj: tuple[int, ...], n: int, cap: int | None,
     return classes
 
 
-def _color_bb(adj: tuple[int, ...], n: int, cap: int | None,
-              rank: list[int] | None = None, omega: int | None = None) -> tuple[int, list[int]]:
+def _color_bb(g: Graph, cap: int | None,
+              rank: list[int] | None = None) -> tuple[int, list[int]]:
     """Exact minimum class count (size cap optional) with one witness.
 
-    The lower bound is ceil(n / cap), or the clique number ``omega`` (looked
-    up if not given) when larger and ceil(n / cap) < n. At lower == n the
-    discrete partition is the only witness; otherwise DSATUR's greedy
-    coloring is the first incumbent, and the search runs only when it uses
-    more classes than the bound. The greedy coloring and the search's
+    The lower bound is ceil(n / cap), or the clique number when larger and
+    ceil(n / cap) < n. At lower == n the discrete partition is the only
+    witness; otherwise DSATUR's greedy coloring is the first incumbent, and
+    the search runs only when it uses more classes than the bound. The greedy coloring and the search's
     branching order break DSATUR ties by ``rank``; nothing else reads vertex
     labels, so the witness is the one the graph relabeled by ``rank`` gets,
     mapped back."""
+    adj, n = g.adj, g.n
     if n == 0:
         return 0, []
     lower = 0 if cap is None else -(-n // cap)
     if lower < n:
-        lower = max(lower, clique_number(Graph._unchecked(n, adj)) if omega is None else omega)
+        lower = max(lower, clique_number(g))
     if lower == n:
         return n, [1 << v for v in range(n)]
     best_masks = _greedy_dsatur(adj, n, cap, rank)
@@ -310,7 +310,7 @@ def _chi(g: Graph, cap: int | None) -> int:
         # A 2-bounded coloring is a matching of the complement (its pairs)
         # plus singletons, so the fewest classes is n - nu(complement).
         return g.n - matching_number(g.complement())
-    return _color_bb(g.adj, g.n, cap, omega=clique_number(g))[0]
+    return _color_bb(g, cap)[0]
 
 
 def _check_cap(cap: int | None) -> None:
@@ -340,7 +340,7 @@ def one_optimal_coloring(g: Graph, cap: int | None = None,
         rank = [0] * g.n
         for new, old in enumerate(perm):
             rank[old] = new
-    return Coloring(_coloring_order(_color_bb(g.adj, g.n, cap, rank, clique_number(g))[1]))
+    return Coloring(_coloring_order(_color_bb(g, cap, rank)[1]))
 
 
 # ---------------------------------------------------------------------------

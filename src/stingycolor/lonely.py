@@ -156,19 +156,15 @@ def optimal_views(g: Graph, cap: int | None, guards: Guards,
     for ``g``. At cap >= alpha no independent set exceeds the cap, so the
     capped stream is the uncapped one, the same masks in the same order (as
     in ``bounded_stats``), and ``uncapped`` itself is returned. Below that, a
-    coloring in ``uncapped`` keeps its view, and at cap = 1 the only optimal
-    coloring is the discrete partition."""
+    coloring in ``uncapped`` keeps its view."""
     check_optimal_guard(g, guards)
     if cap is None or cap >= independence_number(g):
         if uncapped:
             return uncapped
         cap = None
-    if cap == 1:
-        stream = [Coloring(tuple(1 << v for v in range(g.n)))]
-    else:
-        stream = enumerate_optimal_colorings(g, cap, guards)
     shared = {cg.masks: cg for cg in uncapped}
-    return [shared.get(c.masks) or ColoredGraph(g, c) for c in stream]
+    return [shared.get(c.masks) or ColoredGraph(g, c)
+            for c in enumerate_optimal_colorings(g, cap, guards)]
 
 
 def _swapped_masks(masks, by_vertex, v: int, w: int) -> list[int]:

@@ -299,7 +299,7 @@ SUITES = {
         max_n, t2s=params.t2_list, rs=params.r_list, guards=params.guards),
     "swap": lambda max_n, params, args: suite_swap(max_n, guards=params.guards),
     "properties": lambda max_n, params, args: suite_properties(
-        seed=params.seed, predicates=args.predicates, max_n_br=min(max_n, 5),
+        seed=params.seed, predicates=args.predicates, max_n_br=max_n,
         guards=params.guards),
     "identities": lambda max_n, params, args: suite_identities(max_n, guards=params.guards),
 }

@@ -49,7 +49,7 @@ def one_optimal_coloring_relabeled(g: Graph, cap: int | None,
         inv[old] = new
     # row ``new`` of the relabeled graph is old vertex perm[new]'s row, relabeled
     shuffled = tuple(sum(1 << inv[u] for u in bits(g.adj[old])) for old in perm)
-    _, masks = _color_bb(shuffled, g.n, cap)
+    _, masks = _color_bb(Graph._unchecked(g.n, shuffled), cap)
     return Coloring.from_masks(sum(1 << perm[v] for v in bits(m)) for m in masks)
 
 

@@ -189,11 +189,11 @@ def test_rest_of_m_r_witness_read_not_searched():
     for g in graphs:
         for r in (1, 2, 3, 4):
             bs = bounded_stats(g, r)
-            chi_r = _color_bb(g.adj, g.n, r)[0]
+            chi_r = _color_bb(g, r)[0]
             iota_r, i_masks = _best_partition_score(g.adj, g.n, chi_r, r, "singletons")
             assert (bs.chi_r, bs.iota_r, bs.iota_masks) == (chi_r, iota_r, tuple(i_masks))
             rest = g.without(v for m in bs.m_masks if m.bit_count() == r for v in bits(m))
-            chi_rest = _color_bb(rest.adj, rest.n, r)[0]
+            chi_rest = _color_bb(rest, r)[0]
             assert chi_rest == bs.chi_r - bs.m_r
             iota_rest = _best_partition_score(rest.adj, rest.n, chi_rest, r, "singletons")[0]
             rest_bs = bounded_stats(rest, r)

@@ -196,6 +196,16 @@ def test_verify_properties_golden_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PROPERTIES_N5_SHA256
 
 
+def test_verify_properties_checks_b_r_up_to_max_n(capsys):
+    # B_r's checks run without enumeration, so --max-n 6 reaches n = 6
+    # rather than stopping at n = 5.
+    code, out, _ = run(capsys, "verify", "--suite", "properties", "--max-n", "6")
+    assert code == 1
+    result = json.loads(out)
+    assert result["config"]["max_n_br"] == 6
+    assert result["checked"] == 1018
+
+
 def test_verify_gen_lonely_path_reads_p_optimal_stream(capsys, monkeypatch):
     # generalized-lonely-path enumerates the B_r-optimal colorings through
     # chi_P, so the guard that refuses it is chi_P's.
@@ -396,6 +406,7 @@ def test_bad_guard_env_is_usage_error(capsys, monkeypatch, var, value):
     ("analyze", "--gen", "cycle:5", "--t", "x"),
     ("analyze", "--gen", "cycle:5", "--max-path-len", "x"),
     ("analyze", "--gen", "hypercube:3"),
+    ("analyze", "--gen", "petersen:3"),
     ("search", "--claim", "reed-disjunct", "--max-n", "3", "--samples", "2"),
     ("verify", "--suite", "lonely-path", "--max-n", "2", "--samples", "2"),
     # without --samples, --sample-ns is read by nothing and --seed only by

@@ -280,7 +280,7 @@ def test_search_past_first_descent_matches_oracles():
                     if greedy == lower:
                         continue
                     searched += 1
-                    k, masks = _color_bb(g.adj, n, cap)
+                    k, masks = _color_bb(g, cap)
                     improved += k < greedy
                     witness = Coloring.from_masks(masks)
                     assert is_proper(g, witness) and len(witness) == k
@@ -389,7 +389,7 @@ def test_bounded_stats_at_cap_from_alpha_on_matches_capped_searches():
     for g in _score_oracle_graphs():
         alpha = independence_number(g)
         for r in range(max(1, alpha - 1), alpha + 2):
-            chi_r, _ = _color_bb(g.adj, g.n, r)
+            chi_r, _ = _color_bb(g, r)
             m_r, m_masks = _best_partition_score(g.adj, g.n, chi_r, r, "exact", r)
             iota_r, i_masks = _best_partition_score(g.adj, g.n, chi_r, r, "singletons")
             assert bounded_stats(g, r) == BoundedStats(
@@ -412,7 +412,7 @@ def test_chi_2_read_from_complement_matching():
     # capped branch and bound and, up to n = 7, the brute-force oracle.
     for g in _derived_value_graphs():
         chi_2 = chromatic_number(g, cap=2)
-        assert chi_2 == _color_bb(g.adj, g.n, 2)[0], g.adj
+        assert chi_2 == _color_bb(g, 2)[0], g.adj
         if g.n <= 7:
             assert chi_2 == oracles.bounded_oracle(g, 2)[0], g.adj
 

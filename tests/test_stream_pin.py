@@ -248,8 +248,8 @@ def test_enum_partitions_matches_recursive_reference():
 
 
 def test_optimal_views_at_cap_1_and_from_alpha_match_enumeration():
-    # The cap = 1 stream is read as the discrete partition and a cap >= alpha
-    # stream as the uncapped list; both must be the enumerator's stream, mask
+    # A cap >= alpha stream is read as the uncapped list; it and every capped
+    # stream below, cap = 1 included, must be the enumerator's stream, mask
     # for mask and in order, whether or not the uncapped list is handed in.
     for g in _stream_graphs():
         alpha = independence_number(g)

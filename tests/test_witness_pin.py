@@ -39,7 +39,7 @@ def _digest(lines) -> str:
 def _color_bb_lines(graphs):
     for g in graphs:
         for cap in CAPS:
-            k, masks = _color_bb(g.adj, g.n, cap)
+            k, masks = _color_bb(g, cap)
             yield g.adj, cap, k, sorted(masks)
 
 
