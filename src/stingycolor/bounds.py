@@ -35,6 +35,7 @@ from .coloring import (
     b_r,
     bounded_stats,
     chromatic_number,
+    colorable,
     stats,
 )
 from . import lonely
@@ -177,17 +178,21 @@ def _patching_claim(name: str, g: Graph, q: SimpleNamespace, guards: Guards) -> 
     maximum independent set: when chi(G) = chi(G - H) + chi(H), require
     iota(G) >= iota(G - H) + iota(H). H is independent, so the one class H
     is the only optimal coloring of G[H]: chi(H) is 1 (0 for H empty) and
-    iota(H) is 1 only when |H| = 1."""
+    iota(H) is 1 only when |H| = 1. For H nonempty, chi(G - H) is chi - 1 or
+    chi (H back as one class gives >= chi - 1), so the hypothesis is that
+    G - H is (chi - 1)-colorable, and chi(G - H) is read from that decision;
+    for n = 0 both sides are 0. Under the hypothesis one singleton search at
+    chi(G - H) gives iota(G - H)."""
     h_mask = max_independent_set_mask(g)
     h = list(bits(h_mask))
     rest = g._induced_mask(((1 << g.n) - 1) ^ h_mask)
-    chi_rest = chromatic_number(rest)
     chi_h = 1 if h else 0
-    hyp = q.chi == chi_rest + chi_h
+    hyp = colorable(rest, q.chi - chi_h)
+    chi_rest = q.chi - chi_h if hyp else q.chi
     witness = {"H": h, "chi": q.chi, "chi_rest": chi_rest, "chi_H": chi_h}
     if not hyp:
         return _claim(name, False, None, witness)
-    iota_rest = stats(rest, guards).iota
+    iota_rest = _best_partition_score(rest.adj, rest.n, chi_rest, None, "singletons")[0]
     iota_h = 1 if len(h) == 1 else 0
     witness.update({"iota": q.iota, "iota_rest": iota_rest, "iota_H": iota_h})
     return _claim(name, True, q.iota >= iota_rest + iota_h, witness)

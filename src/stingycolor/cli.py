@@ -84,8 +84,10 @@ def _parse_t_list(text: str) -> tuple[int, ...]:
 
 
 def _parse_gen_spec(spec: str) -> Graph:
-    family, _, rest = spec.partition(":")
-    args = [tok for tok in rest.split(",") if tok] if rest else []
+    family, colon, rest = spec.partition(":")
+    args = rest.split(",") if colon else []
+    if "" in args:
+        raise ValueError(f"empty argument in generator spec {spec!r}")
     sized = {"complete": complete, "cycle": cycle, "path": path, "empty": empty}
     if family in sized:
         if len(args) != 1:

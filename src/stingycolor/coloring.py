@@ -325,6 +325,37 @@ def chromatic_number(g: Graph, cap: int | None = None) -> int:
     return _chi(g, cap)
 
 
+def colorable(g: Graph, k: int, drop: int = 0) -> bool:
+    """Whether g minus the vertex mask ``drop`` is k-colorable, decided on
+    g's own rows for k <= 2: no kept vertex (k <= 0), no kept edge (k = 1),
+    no odd cycle (k = 2). Each component's two sides grow as bitsets from its
+    least vertex, a BFS layer at a time; a vertex adjacent to its own side
+    lies on an odd cycle. For k >= 3 the kept subgraph's chromatic number is
+    searched."""
+    keep = (1 << g.n) - 1 & ~drop
+    adj = g.adj
+    if k <= 0:
+        return not keep
+    if k == 1:
+        return not any(adj[v] & keep for v in bits(keep))
+    if k == 2:
+        left = keep
+        while left:
+            frontier = here = left & -left  # here: the frontier's side
+            there = 0
+            while frontier:
+                reach = 0
+                for v in bits(frontier):
+                    reach |= adj[v]
+                if reach & here:
+                    return False
+                frontier = reach & keep & ~there
+                here, there = there | frontier, here
+            left &= ~(here | there)
+        return True
+    return chromatic_number(g._induced_mask(keep) if drop else g) <= k
+
+
 def one_optimal_coloring(g: Graph, cap: int | None = None,
                          rng: random.Random | None = None) -> Coloring:
     """A single optimal (optionally cap-bounded) coloring.

@@ -34,6 +34,7 @@ from .coloring import (
     _check_partition,
     check_optimal_guard,
     chromatic_number,
+    colorable,
     enumerate_optimal_colorings,
     is_frame_property,
     is_singleton_friendly,
@@ -383,17 +384,19 @@ class DoublyCriticalResult:
 
 
 def doubly_critical_edges(g: Graph, guards: Guards = DEFAULT_GUARDS) -> DoublyCriticalResult:
-    """An edge ab is doubly critical iff chi(G - a - b) = chi - 2. A maximum
-    clique Q of G stays a clique of G - a - b, so chi(G - a - b) >=
-    |Q - {a, b}|; an edge with |Q - {a, b}| > chi - 2 is rejected without
-    computing chi(G - a - b)."""
+    """An edge ab is doubly critical iff chi(G - a - b) = chi - 2. Removing
+    a vertex lowers chi by at most 1, so chi(G - a - b) >= chi - 2 always,
+    and ab is doubly critical iff G - a - b is (chi - 2)-colorable, which
+    ``colorable`` decides without a search for chi - 2 <= 2. A maximum
+    clique Q of G stays a clique of G - a - b, so an edge with
+    |Q - {a, b}| > chi - 2 is rejected without that decision."""
     chi = chromatic_number(g)
     clique = max_clique_mask(g)
     hits = tuple(
         (a, b)
         for a, b in g.edges()
         if (clique & ~(1 << a | 1 << b)).bit_count() <= chi - 2
-        and chromatic_number(g.without((a, b))) == chi - 2
+        and colorable(g, chi - 2, 1 << a | 1 << b)
     )
     iota = stats(g, guards).iota
     return DoublyCriticalResult(

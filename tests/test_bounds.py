@@ -208,6 +208,26 @@ def test_rest_of_m_r_witness_read_not_searched():
     assert read[True] and read[False], read
 
 
+def test_patching_rest_side_matches_search_on_g_minus_h():
+    # stinginess-patching decides its hypothesis as (chi - 1)-colorability of
+    # G - H and reads chi(G - H) from it (chi - 1 or chi for H nonempty);
+    # under the hypothesis one singleton search gives iota(G - H). Both must
+    # equal the full searches on G - H built by Graph.without.
+    rng = random.Random(2929)
+    graphs = [g for n in range(7) for g in all_graphs(n)]
+    graphs += [er_random(n, p, seed=rng.getrandbits(32))
+               for n in range(7, 11) for p in (0.3, 0.5, 0.8) for _ in range(10)]
+    seen = set()
+    for g in graphs:
+        rec = claims_by_name(evaluate_bounds(g, PARAMS))["stinginess-patching"]
+        rest = g.without(rec.witness["H"])
+        assert rec.witness["chi_rest"] == chromatic_number(rest), (g.n, g.adj)
+        if rec.hyp:
+            assert rec.witness["iota_rest"] == stats(rest).iota, (g.n, g.adj)
+        seen.add((rec.hyp, rec.witness["chi"] - rec.witness["chi_rest"]))
+    assert seen == {(True, 1), (True, 0), (False, 0)}, seen
+
+
 def test_patching_h_side_matches_search_on_induced_subgraph():
     # The patching claims read chi, iota, chi_r and iota_r of G[H] from |H|
     # alone; each value a record reports must equal the search on G[H].

@@ -407,6 +407,10 @@ def test_bad_guard_env_is_usage_error(capsys, monkeypatch, var, value):
     ("analyze", "--gen", "cycle:5", "--max-path-len", "x"),
     ("analyze", "--gen", "hypercube:3"),
     ("analyze", "--gen", "petersen:3"),
+    ("analyze", "--gen", "cycle:5,"),
+    ("analyze", "--gen", "complete:3,"),
+    ("analyze", "--gen", "er:8,,0.5,42"),
+    ("analyze", "--gen", "petersen:"),
     ("search", "--claim", "reed-disjunct", "--max-n", "3", "--samples", "2"),
     ("verify", "--suite", "lonely-path", "--max-n", "2", "--samples", "2"),
     # without --samples, --sample-ns is read by nothing and --seed only by

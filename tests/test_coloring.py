@@ -34,6 +34,7 @@ from stingycolor import (
     petersen,
     stats,
 )
+from stingycolor import coloring
 from stingycolor.coloring import (
     BoundedStats,
     _best_partition_score,
@@ -126,6 +127,54 @@ def test_chromatic_matches_oracle_small():
 
 def test_chromatic_petersen_via_oracle(pete):
     assert oracles.chromatic_number_oracle(pete) == 3
+
+
+def test_colorable_matches_subgraph_chromatic_number(monkeypatch):
+    # colorable(g, k, drop) decides k <= 2 on g's own rows: it must agree
+    # with the oracle (n <= 6) and the search (n = 7..10) on the kept
+    # subgraph, reach every branch with both answers, and for k <= 2 build
+    # no subgraph and search nothing.
+    calls = {"induced": 0, "chi": 0}
+    induced, chi = Graph._induced_mask, coloring.chromatic_number
+
+    def counted_induced(self, keep):
+        calls["induced"] += 1
+        return induced(self, keep)
+
+    def counted_chi(g, cap=None):
+        calls["chi"] += 1
+        return chi(g, cap)
+
+    monkeypatch.setattr(Graph, "_induced_mask", counted_induced)
+    monkeypatch.setattr(coloring, "chromatic_number", counted_chi)
+    seen = set()
+
+    def check(g, drop, expected_chi):
+        for k in range(g.n + 2):
+            before = dict(calls)
+            answer = coloring.colorable(g, k, drop)
+            assert answer == (expected_chi <= k), (g.adj, k, drop)
+            if k <= 2:
+                assert calls == before, (g.adj, k, drop)
+            seen.add((min(k, 3), answer))
+
+    def drops(n):
+        return [0] + [1 << a for a in range(n)] + [
+            1 << a | 1 << b for a, b in combinations(range(n), 2)]
+
+    for g in exhaustive_graphs(0, 6):
+        for drop in drops(g.n):
+            kept = [v for v in range(g.n) if not drop >> v & 1]
+            check(g, drop, oracles.chromatic_number_oracle(g.induced(kept)))
+    rng = random.Random(2929)
+    for n in range(7, 11):
+        pairs = n * (n - 1) // 2
+        for frac in (0.2, 0.5, 0.8):
+            for _ in range(3):
+                g = _gnm(n, round(frac * pairs), rng)
+                for drop in drops(n):
+                    check(g, drop, chi(induced(g, (1 << n) - 1 & ~drop)))
+    assert seen == {(k, answer) for k in range(4) for answer in (True, False)}, seen
 
 
 # --- optimal coloring enumeration -------------------------------------------
