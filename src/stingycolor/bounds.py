@@ -54,7 +54,6 @@ class VerificationParams:
     r_list: tuple[int, ...] = (1, 2, 3)
     t2_list: tuple[int, ...] = (0, 1)
     guards: Guards = DEFAULT_GUARDS
-    seed: int = 0
     max_path_len: int = 3
 
     def __post_init__(self):
@@ -192,7 +191,7 @@ def _patching_claim(name: str, g: Graph, q: SimpleNamespace, guards: Guards) -> 
     witness = {"H": h, "chi": q.chi, "chi_rest": chi_rest, "chi_H": chi_h}
     if not hyp:
         return _claim(name, False, None, witness)
-    iota_rest = _best_partition_score(rest.adj, rest.n, chi_rest, None, "singletons")[0]
+    iota_rest = _best_partition_score(rest, chi_rest, None, 1)[0]
     iota_h = 1 if len(h) == 1 else 0
     witness.update({"iota": q.iota, "iota_rest": iota_rest, "iota_H": iota_h})
     return _claim(name, True, q.iota >= iota_rest + iota_h, witness)
@@ -244,7 +243,7 @@ def _gen_patching_claim(name: str, g: Graph, q: SimpleNamespace, guards: Guards)
         iota_rest = n_rest
     else:
         rest = g._induced_mask(((1 << g.n) - 1) ^ h_mask)
-        iota_rest = _best_partition_score(rest.adj, n_rest, k_rest, r, "singletons")[0]
+        iota_rest = _best_partition_score(rest, k_rest, r, 1)[0]
     iota_h = h_mask.bit_count() if r == 1 else 0
     witness = {"r": r, "H": list(bits(h_mask)), "chi_r": bs.chi_r, "chi_r_rest": k_rest,
                "chi_r_H": bs.m_r, "iota_r": bs.iota_r, "iota_r_rest": iota_rest,
@@ -320,21 +319,17 @@ def evaluate_bounds(g: Graph, params: VerificationParams = VerificationParams())
     """All unparameterized claims on one graph."""
     inv = invariants(g)
     g6 = emit_graph6(g)
-    inv_dict = {
-        "n": g.n, "omega": inv.omega, "alpha": inv.alpha,
-        "max_deg": inv.max_deg, "min_deg": inv.min_deg, "nu": inv.nu,
-        "chi": None, "iota": None,
-    }
     try:
-        st = stats(g, params.guards)
+        st, refused = stats(g, params.guards), None
     except GuardExceededError as exc:
-        return BoundsReport(g6, inv_dict, tuple(
-            _not_evaluated(name, str(exc)) for _, name in CLASSIC_ROWS))
-    inv_dict["chi"] = st.chi
-    inv_dict["iota"] = st.iota
+        st, refused = None, str(exc)
     base = {"n": g.n, "omega": inv.omega, "alpha": inv.alpha, "max_deg": inv.max_deg,
-            "chi": st.chi, "iota": st.iota}
-    q = SimpleNamespace(min_deg=inv.min_deg, nu=inv.nu, **base)
+            "chi": st and st.chi, "iota": st and st.iota}
+    inv_dict = {**base, "min_deg": inv.min_deg, "nu": inv.nu}
+    if refused:
+        return BoundsReport(g6, inv_dict, tuple(
+            _not_evaluated(name, refused) for _, name in CLASSIC_ROWS))
+    q = SimpleNamespace(**inv_dict)
     return BoundsReport(g6, inv_dict, tuple(row.record(name, g, q, base, params.guards)
                                             for row, name in CLASSIC_ROWS))
 

@@ -61,17 +61,22 @@ def _guard_from_env(var: str, default: int) -> int:
     return value
 
 
+def _list_tokens(text: str) -> list[str]:
+    """The stripped items of a comma-separated option; an empty one is an error."""
+    tokens = [tok.strip() for tok in text.split(",")]
+    if "" in tokens:
+        raise argparse.ArgumentTypeError(f"empty item in list {text!r}")
+    return tokens
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    return tuple(int(tok) for tok in _list_tokens(text))
 
 
 def _parse_t_list(text: str) -> tuple[int, ...]:
     """Half-integer slacks, exactly: '0,1/2,1' -> doubled ints (0, 1, 2)."""
     out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    for tok in _list_tokens(text):
         try:
             doubled = Fraction(tok) * 2
         except ZeroDivisionError:
@@ -139,7 +144,6 @@ def _params(args) -> VerificationParams:
                 optimal=_guard_from_env("STINGYCOLOR_OPTIMAL_GUARD", Guards.optimal),
                 full=_guard_from_env("STINGYCOLOR_FULL_GUARD", Guards.full),
             ),
-            seed=getattr(args, "seed", 0) or 0,
             max_path_len=args.max_path_len,
         )
     except ValueError as exc:
@@ -237,7 +241,7 @@ def cmd_search(args, params: VerificationParams) -> int:
             max_n=args.max_n,
             samples=args.samples,
             sample_ns=tuple(args.sample_ns),
-            seed=params.seed,
+            seed=args.seed or 0,
         )
     except suites_mod.UnknownClaimError as exc:
         raise UsageError(exc) from exc
@@ -266,8 +270,11 @@ def cmd_verify(args, params: VerificationParams) -> int:
     if args.samples and suite != "lonely-path":
         raise UsageError(f"suite {suite} takes no --samples; only lonely-path samples")
     _check_unread_sample_options(args, reads_seed=suite == "properties")
-    if args.predicates < 0:
-        raise UsageError(f"--predicates must be nonnegative, got {args.predicates}")
+    if args.predicates is not None:
+        if suite != "properties":
+            raise UsageError("--predicates is read only by the properties suite")
+        if args.predicates < 0:
+            raise UsageError(f"--predicates must be nonnegative, got {args.predicates}")
     result = suites_mod.SUITES[suite](args.max_n, params, args)
     if not (result.checked or result.vacuous):
         raise UsageError(f"suite {suite} found nothing to check (0 checked, 0 vacuous) "
@@ -336,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=0)
     p.add_argument("--sample-ns", type=_parse_int_list, default=())
     p.add_argument("--seed", type=int)
-    p.add_argument("--predicates", type=int, default=100,
-                   help="random predicates per graph in the properties suite")
+    p.add_argument("--predicates", type=int,
+                   help="random predicates per graph, properties suite only (default 100)")
     common(p)
     p.set_defaults(func=cmd_verify)
     return parser

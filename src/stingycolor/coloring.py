@@ -139,6 +139,7 @@ class Coloring:
         return sum(s for s in self.frame() if s <= 2)
 
     def singleton_vertices(self) -> tuple[int, ...]:
+        """In increasing order: size-1 classes lead, by their vertex."""
         return tuple(m.bit_length() - 1 for m in self.masks if m & (m - 1) == 0)
 
     def as_lists(self) -> list[list[int]]:
@@ -479,30 +480,29 @@ def _score_ceiling(n: int, k: int, cap: int | None, target: int) -> int:
     return min(k, n // target, (n - k) // (target - 1))
 
 
-def _best_partition_score(adj: tuple[int, ...], n: int, k: int, cap: int | None,
-                          score: str, r: int = 0) -> tuple[int, list[int]]:
-    """Maximize a per-class score over proper partitions into exactly ``k``
-    classes (sizes <= cap). score: 'singletons' counts size-1 classes,
-    'exact' counts classes of size exactly ``r``. Returns (best, witness).
+def _best_partition_score(g: Graph, k: int, cap: int | None,
+                          target: int) -> tuple[int, list[int]]:
+    """Maximize the number of classes of size exactly ``target`` over proper
+    partitions of g into exactly ``k`` classes (sizes <= cap): target 1 gives
+    iota, target r gives M_r. Returns (best, witness).
 
     The witness is the first partition in ``_enum_partitions`` order that
     attains the maximum: the bound only prunes subtrees that cannot beat the
     incumbent, and only a strictly better leaf replaces it. The search stops
     once the incumbent reaches a ceiling from counting alone (it does not
     rely on k being optimal):
-    - singletons: with c = min(cap, n - k + 1), the largest size a class of
+    - target 1: with c = min(cap, n - k + 1), the largest size a class of
       a k-partition can have, n - s <= c * (k - s), so
       s <= (c*k - n) // (c - 1) for c >= 2, and s <= k for c = 1. For
       iota_2 this is 2k - n, always attained, so the first partition ends it.
-    - exact, r >= 2: the other k - M classes are nonempty, so
+    - target r >= 2: the other k - M classes are nonempty, so
       M <= min(k, n // r, (n - k) // (r - 1)); and M = 0 when cap < r, so
       the first partition ends the search.
     A cap of alpha leaves the partitions and their order unchanged (no
     class of alpha vertices admits another) and only tightens the ceiling.
-    At k = n the discrete partition is the only one; its score is n when
-    singletons count, else 0. Returns (-1, []) when no such partition
-    exists."""
-    target = 1 if score == "singletons" else r
+    At k = n the discrete partition is the only one; its score is n for
+    target 1, else 0. Returns (-1, []) when no such partition exists."""
+    adj, n = g.adj, g.n
     if k == n:
         return (n if target == 1 else 0), [1 << v for v in range(n)]
     ceiling = _score_ceiling(n, k, cap, target)
@@ -582,8 +582,7 @@ class ColoringStats:
 @per_graph
 def _stats(g: Graph) -> ColoringStats:
     chi = chromatic_number(g)
-    iota, masks = _best_partition_score(g.adj, g.n, chi, independence_number(g),
-                                        "singletons")
+    iota, masks = _best_partition_score(g, chi, independence_number(g), 1)
     return ColoringStats(chi, iota, tuple(masks))
 
 
@@ -627,13 +626,13 @@ def _bounded(g: Graph, r: int) -> BoundedStats:
         chi_r, iota_r, i_masks = st.chi, st.iota, st.stingy_masks
     else:
         chi_r = chromatic_number(g, cap=r)
-        iota_r, masks = _best_partition_score(g.adj, g.n, chi_r, r, "singletons")
+        iota_r, masks = _best_partition_score(g, chi_r, r, 1)
         i_masks = tuple(masks)
     if r == 2:
         # Every 2-bounded chi_2-partition has n - chi_2 pairs and 2*chi_2 - n
         # singletons, so both searches stop at the stream's first partition.
         return BoundedStats(r, chi_r, g.n - chi_r, iota_r, i_masks, i_masks)
-    m_r, m_masks = _best_partition_score(g.adj, g.n, chi_r, min(r, alpha), "exact", r)
+    m_r, m_masks = _best_partition_score(g, chi_r, min(r, alpha), r)
     return BoundedStats(r, chi_r, m_r, iota_r, tuple(m_masks), i_masks)
 
 

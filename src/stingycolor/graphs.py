@@ -135,10 +135,6 @@ class Graph:
         """Induced subgraph on ``keep``, relabeled to 0..k-1 in sorted order."""
         return self._induced_mask(self._vertex_mask(keep))
 
-    def without(self, drop) -> "Graph":
-        """Induced subgraph on the vertices not in ``drop``."""
-        return self._induced_mask((1 << self.n) - 1 & ~self._vertex_mask(drop))
-
     def _vertex_mask(self, vertices) -> int:
         mask = 0
         for v in vertices:

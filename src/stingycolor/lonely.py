@@ -139,10 +139,6 @@ class ColoredGraph:
             self._ld = LonelyDigraph(self.g.n, tuple(out))
         return self._ld
 
-    def singletons(self) -> list[int]:
-        """The vertices of the singleton classes, in increasing order."""
-        return sorted(m.bit_length() - 1 for m in self.masks if m & (m - 1) == 0)
-
 
 def lonely_digraph(g: Graph, c: Coloring) -> LonelyDigraph:
     return ColoredGraph(g, c).ld
@@ -233,7 +229,7 @@ def join_failures(cg: ColoredGraph, max_len: int = 3) -> tuple[int, list[dict]]:
     indices build payloads, in ascending (list) order, each listing the
     missing edges, u over pa, then w over pb."""
     check_max_len(max_len)
-    singles = cg.singletons()
+    singles = cg.c.singleton_vertices()
     if len(singles) < 2:
         return 0, []
     n, adj = cg.g.n, cg.g.adj
@@ -379,7 +375,6 @@ class DoublyCriticalResult:
 
     edges: tuple[tuple[int, int], ...]
     iota: int
-    iota_ge_2: bool
     consistent: bool
 
 
@@ -399,9 +394,4 @@ def doubly_critical_edges(g: Graph, guards: Guards = DEFAULT_GUARDS) -> DoublyCr
         and colorable(g, chi - 2, 1 << a | 1 << b)
     )
     iota = stats(g, guards).iota
-    return DoublyCriticalResult(
-        edges=hits,
-        iota=iota,
-        iota_ge_2=iota >= 2,
-        consistent=bool(hits) == (iota >= 2),
-    )
+    return DoublyCriticalResult(edges=hits, iota=iota, consistent=bool(hits) == (iota >= 2))

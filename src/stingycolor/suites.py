@@ -30,7 +30,6 @@ from .coloring import (
     Coloring,
     ColoringProperty,
     enumerate_colorings,
-    enumerate_optimal_colorings,
     enumerate_p_optimal,
     is_frame_property,
     is_singleton_friendly,
@@ -144,8 +143,7 @@ def suite_lonely_path(max_n: int, max_len: int = 3, samples: int = 0,
 
     def views() -> Iterator[lonely.ColoredGraph]:
         for g in exhaustive_graphs(0, max_n):
-            for c in enumerate_optimal_colorings(g, guards=guards):
-                yield lonely.ColoredGraph(g, c)
+            yield from lonely.optimal_views(g, None, guards)
         if not samples:
             return
         rng = random.Random(seed)
@@ -290,7 +288,7 @@ def suite_properties(seed: int = 0, predicates: int = 100, max_n_br: int = 5,
 SUITES = {
     "lonely-path": lambda max_n, params, args: suite_lonely_path(
         max_n, max_len=params.max_path_len, samples=args.samples,
-        sample_ns=tuple(args.sample_ns) or (7, 8), seed=params.seed,
+        sample_ns=tuple(args.sample_ns) or (7, 8), seed=args.seed or 0,
         guards=params.guards),
     "generalized-lonely-path": lambda max_n, params, args: suite_gen_lonely_path(
         max_n, rs=tuple(r for r in params.r_list if r >= 2),
@@ -299,7 +297,8 @@ SUITES = {
         max_n, t2s=params.t2_list, rs=params.r_list, guards=params.guards),
     "swap": lambda max_n, params, args: suite_swap(max_n, guards=params.guards),
     "properties": lambda max_n, params, args: suite_properties(
-        seed=params.seed, predicates=args.predicates, max_n_br=max_n,
+        seed=args.seed or 0, max_n_br=max_n,
+        predicates=100 if args.predicates is None else args.predicates,
         guards=params.guards),
     "identities": lambda max_n, params, args: suite_identities(max_n, guards=params.guards),
 }

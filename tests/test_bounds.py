@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from stingycolor import (
     stats,
     verify_matching_corollary,
 )
+from stingycolor import bounds
 from stingycolor.bounds import (
     VERDICT_CHECKED,
     VERDICT_NOT_EVALUATED,
@@ -109,6 +111,37 @@ def test_c5_generalized_r2(c5):
     assert by["gen-reed-conjecture[r=2]"].verdict == VERDICT_CHECKED  # 1 <= 3
     assert by["chi2-identity"].verdict == VERDICT_CHECKED
     assert rep.counterexamples == ()
+
+
+def test_conjecture_violation_yields_an_artifact(monkeypatch):
+    # No graph here breaks gen-reed-conjecture, so the row's conclusion is
+    # forced false in the rows _generalized_rows hands out (the wrapper
+    # leaves its cache and the claim table as they are). The artifact must
+    # carry the graph's values and witnesses, full_report must carry the
+    # artifacts, and the artifact must re-check as a violation.
+    g = er_random(7, 0.5, seed=31)
+    assert "counterexamples" not in full_report(g, PARAMS)
+    rows = bounds._generalized_rows
+    monkeypatch.setattr(bounds, "_generalized_rows", lambda r: tuple(
+        (replace(row, concl=lambda q: False) if row.name == "gen-reed-conjecture" else row,
+         name) for row, name in rows(r)))
+    inv = invariants(g)
+    artifacts = []
+    for r in PARAMS.r_list:
+        bs = bounded_stats(g, r)
+        (art,) = evaluate_generalized(g, r, PARAMS).counterexamples
+        assert {k: v for k, v in art.items() if not k.endswith("_witness")} == {
+            "claim": f"gen-reed-conjecture[r={r}]", "g6": emit_graph6(g), "r": r,
+            "chi_r": bs.chi_r, "m_r": bs.m_r, "omega": inv.omega, "max_deg": inv.max_deg}
+        assert art["m_witness"] == bs.m_witness.as_lists()
+        assert art["iota_witness"] == bs.iota_witness.as_lists()
+        for witness in (art["m_witness"], art["iota_witness"]):
+            assert len(witness) == bs.chi_r and all(len(c) <= r for c in witness)
+        assert sum(len(c) == r for c in art["m_witness"]) == bs.m_r
+        assert sum(len(c) == 1 for c in art["iota_witness"]) == bs.iota_r
+        assert recheck_counterexample(art, PARAMS)
+        artifacts.append(art)
+    assert full_report(g, PARAMS)["counterexamples"] == artifacts
 
 
 def test_r1_sanity_everywhere():
@@ -190,12 +223,13 @@ def test_rest_of_m_r_witness_read_not_searched():
         for r in (1, 2, 3, 4):
             bs = bounded_stats(g, r)
             chi_r = _color_bb(g, r)[0]
-            iota_r, i_masks = _best_partition_score(g.adj, g.n, chi_r, r, "singletons")
+            iota_r, i_masks = _best_partition_score(g, chi_r, r, 1)
             assert (bs.chi_r, bs.iota_r, bs.iota_masks) == (chi_r, iota_r, tuple(i_masks))
-            rest = g.without(v for m in bs.m_masks if m.bit_count() == r for v in bits(m))
+            h = {v for m in bs.m_masks if m.bit_count() == r for v in bits(m)}
+            rest = g.induced(v for v in range(g.n) if v not in h)
             chi_rest = _color_bb(rest, r)[0]
             assert chi_rest == bs.chi_r - bs.m_r
-            iota_rest = _best_partition_score(rest.adj, rest.n, chi_rest, r, "singletons")[0]
+            iota_rest = _best_partition_score(rest, chi_rest, r, 1)[0]
             rest_bs = bounded_stats(rest, r)
             assert (rest_bs.chi_r, rest_bs.iota_r) == (chi_rest, iota_rest)
             rec = claims_by_name(evaluate_generalized(g, r, PARAMS))[
@@ -212,7 +246,7 @@ def test_patching_rest_side_matches_search_on_g_minus_h():
     # stinginess-patching decides its hypothesis as (chi - 1)-colorability of
     # G - H and reads chi(G - H) from it (chi - 1 or chi for H nonempty);
     # under the hypothesis one singleton search gives iota(G - H). Both must
-    # equal the full searches on G - H built by Graph.without.
+    # equal the full searches on G - H built by Graph.induced.
     rng = random.Random(2929)
     graphs = [g for n in range(7) for g in all_graphs(n)]
     graphs += [er_random(n, p, seed=rng.getrandbits(32))
@@ -220,7 +254,7 @@ def test_patching_rest_side_matches_search_on_g_minus_h():
     seen = set()
     for g in graphs:
         rec = claims_by_name(evaluate_bounds(g, PARAMS))["stinginess-patching"]
-        rest = g.without(rec.witness["H"])
+        rest = g.induced(v for v in range(g.n) if v not in rec.witness["H"])
         assert rec.witness["chi_rest"] == chromatic_number(rest), (g.n, g.adj)
         if rec.hyp:
             assert rec.witness["iota_rest"] == stats(rest).iota, (g.n, g.adj)

@@ -422,6 +422,13 @@ def test_bad_guard_env_is_usage_error(capsys, monkeypatch, var, value):
     ("search", "--claim", "reed-disjunct", "--max-n", "3", "--seed", "9"),
     ("verify", "--suite", "lonely-path", "--max-n", "2", "--seed", "4"),
     ("verify", "--suite", "identities", "--max-n", "2", "--samples", "0", "--seed", "4"),
+    # an empty item in a list option is rejected, not dropped
+    ("analyze", "--gen", "cycle:5", "--r", "1,,2"),
+    ("analyze", "--gen", "cycle:5", "--r", "2,"),
+    ("analyze", "--gen", "cycle:5", "--r", ","),
+    ("analyze", "--gen", "cycle:5", "--t", "0,,1/2"),
+    ("verify", "--suite", "lonely-path", "--max-n", "3", "--samples", "3",
+     "--sample-ns", "7,,8", "--seed", "1"),
 ], ids=" ".join)
 def test_bad_option_is_usage_error(capsys, argv):
     # Options rejected while the argv is parsed (a bad value type, --samples
@@ -439,6 +446,15 @@ def test_verify_samples_on_unsampled_suite_is_usage_error(capsys, suite):
                          "--samples", "3", "--sample-ns", "7", "--seed", "1")
     assert (code, out) == (2, "")
     assert err == f"error: suite {suite} takes no --samples; only lonely-path samples\n"
+
+
+@pytest.mark.parametrize("suite", sorted(set(SUITES) - {"properties"}))
+def test_verify_predicates_on_other_suite_is_usage_error(capsys, suite):
+    # Only the properties suite draws predicates; any other would drop them unread.
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", "3",
+                         "--predicates", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: --predicates is read only by the properties suite\n"
 
 
 def test_properties_suite_reads_seed_without_samples(capsys):
@@ -535,15 +551,19 @@ def _fuzz_argv(rng):
         if rng.random() < 0.4:
             argv += ["--min-n", pick(*small_n)]
     else:
-        argv += ["--suite", pick(sorted(SUITES), ("nope",)),
-                 "--max-n", pick(*small_n), "--predicates", pick(("0", "2", "100"), ("-2",))]
+        suite = pick(sorted(SUITES), ("nope",))
+        argv += ["--suite", suite, "--max-n", pick(*small_n)]
+        if suite == "properties":
+            argv += ["--predicates", pick(("0", "2", "100"), ("-2",))]
+        elif rng.random() < 0.12:
+            argv += ["--predicates", "2"]  # read only by properties: a bad pick
     if command in ("search", "verify") and rng.random() < 0.5:
         argv += ["--samples", pick(("0", "1", "3"), ("-5", "x")),
                  "--sample-ns", pick(("7", "8,7", "0"), ("-1", "", "x"))]
     if command in ("search", "verify") and rng.random() < 0.8:
         argv += ["--seed", pick(("1", "-3", "12345"), ("x",))]
     if rng.random() < 0.3:
-        argv += ["--r", pick(("1,2,3", "2", "1,,3"), ("0", "-1", "x"))]
+        argv += ["--r", pick(("1,2,3", "2"), ("0", "-1", "x", "1,,3"))]
     if rng.random() < 0.3:
         argv += ["--t", pick(("0,1/2", "1"), ("1/3", "-1", "x", "1/0"))]
     if rng.random() < 0.2:

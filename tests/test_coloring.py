@@ -275,29 +275,26 @@ def test_best_partition_score_pins_first_maximum():
             chi_cap = chromatic_number(g, cap)
             for k in range(chi_cap, min(g.n, chi_cap + 1) + 1):
                 stream = list(_enum_partitions(g.adj, g.n, k, cap))
-                for score, r in (("singletons", 0), ("exact", 1), ("exact", 2),
-                                 ("exact", 3), ("exact", 4)):
-                    target = r or 1
+                for target in (1, 2, 3, 4):
                     best, witness = -1, []
                     for masks in stream:
                         got = sum(1 for m in masks if m.bit_count() == target)
                         if got > best:
                             best, witness = got, masks
-                    assert _best_partition_score(g.adj, g.n, k, cap, score, r) == (
-                        best, witness), (g.n, g.adj, cap, k, score, r)
+                    assert _best_partition_score(g, k, cap, target) == (
+                        best, witness), (g.n, g.adj, cap, k, target)
 
 
 def test_best_partition_score_at_k_equal_n_is_discrete():
-    # Only the discrete partition has n classes: counting singletons or
-    # exact r = 1 it scores n, exact r >= 2 scores 0.
+    # Only the discrete partition has n classes: at target 1 it scores n,
+    # at target r >= 2 it scores 0.
     for g in _score_oracle_graphs():
         discrete = [1 << v for v in range(g.n)]
         assert list(_enum_partitions(g.adj, g.n, g.n, None)) == [discrete]
         for cap in (None, 1, 2, 3):
-            for score, r, want in (("singletons", 0, g.n), ("exact", 1, g.n),
-                                   ("exact", 2, 0), ("exact", 3, 0)):
-                assert _best_partition_score(g.adj, g.n, g.n, cap, score, r) == (
-                    want, discrete), (g.adj, cap, score, r)
+            for target, want in ((1, g.n), (2, 0), (3, 0)):
+                assert _best_partition_score(g, g.n, cap, target) == (
+                    want, discrete), (g.adj, cap, target)
 
 
 def _grotzsch():
@@ -439,8 +436,8 @@ def test_bounded_stats_at_cap_from_alpha_on_matches_capped_searches():
         alpha = independence_number(g)
         for r in range(max(1, alpha - 1), alpha + 2):
             chi_r, _ = _color_bb(g, r)
-            m_r, m_masks = _best_partition_score(g.adj, g.n, chi_r, r, "exact", r)
-            iota_r, i_masks = _best_partition_score(g.adj, g.n, chi_r, r, "singletons")
+            m_r, m_masks = _best_partition_score(g, chi_r, r, r)
+            iota_r, i_masks = _best_partition_score(g, chi_r, r, 1)
             assert bounded_stats(g, r) == BoundedStats(
                 r, chi_r, m_r, iota_r, tuple(m_masks), tuple(i_masks)), (g.adj, r)
 
@@ -476,19 +473,19 @@ def test_alpha_capped_searches_match_uncapped():
         alpha = independence_number(g)
         st = stats(g)
         assert (st.iota, list(st.stingy_masks)) == _best_partition_score(
-            g.adj, g.n, st.chi, None, "singletons"), g.adj
+            g, st.chi, None, 1), g.adj
         for k in range(st.chi, min(g.n, st.chi + 1) + 1):
-            assert (_best_partition_score(g.adj, g.n, k, alpha, "singletons")
-                    == _best_partition_score(g.adj, g.n, k, None, "singletons")), (g.adj, k)
+            assert (_best_partition_score(g, k, alpha, 1)
+                    == _best_partition_score(g, k, None, 1)), (g.adj, k)
         for r in (1, 2, 3, 4):
             bs = bounded_stats(g, r)
             assert (bs.m_r, list(bs.m_masks)) == _best_partition_score(
-                g.adj, g.n, bs.chi_r, r, "exact", r), (g.adj, r)
+                g, bs.chi_r, r, r), (g.adj, r)
             if g.n <= 7:
                 assert (bs.chi_r, bs.m_r, bs.iota_r) == oracles.bounded_oracle(g, r)
             for k in range(bs.chi_r, min(g.n, bs.chi_r + 1) + 1):
-                assert (_best_partition_score(g.adj, g.n, k, min(r, alpha), "exact", r)
-                        == _best_partition_score(g.adj, g.n, k, r, "exact", r)), (g.adj, r, k)
+                assert (_best_partition_score(g, k, min(r, alpha), r)
+                        == _best_partition_score(g, k, r, r)), (g.adj, r, k)
 
 
 def test_score_ceiling_is_zero_below_target():

@@ -166,13 +166,11 @@ def test_derived_graphs_pass_validation():
             (i, j) for j in range(len(keep)) for i in range(j)
             if g.has_edge(keep[i], keep[j])])
         for a, b in list(g.edges())[:3]:
-            dropped = g.without((a, b))
+            dropped = g.induced(v for v in range(n) if v not in (a, b))
             assert dropped == _checked_copy(dropped)
-            assert dropped == g.induced(v for v in range(n) if v not in (a, b))
         drop = rng.sample(range(n), rng.randint(0, n))
-        dropped = g.without(drop)
+        dropped = g.induced(v for v in range(n) if v not in drop)
         assert dropped == _checked_copy(dropped)
-        assert dropped == g.induced(v for v in range(n) if v not in drop)
         with pytest.raises(ValueError, match="outside"):
             g.induced([n])
         rebuilt = graph_from_mask(n, oracles.graph_to_mask(g))
@@ -202,10 +200,10 @@ def test_equal_graphs_hash_alike_and_share_one_memo_entry():
         for want, twins in (
             (g, [Graph(n, tuple(g.adj)), Graph._unchecked(n, tuple(g.adj)),
                  parse_graph6(emit_graph6(g)), g.complement().complement(),
-                 g.induced(range(n)), g.without(()),
+                 g.induced(range(n)),
                  graph_from_mask(n, oracles.graph_to_mask(g))]),
             (g.complement(), [Graph(n, g.complement().adj), g.complement().induced(range(n))]),
-            (sub, [g.induced(rest), g.without(drop), _checked_copy(sub)]),
+            (sub, [g.induced(rest), _checked_copy(sub)]),
         ):
             memo.cache_clear()
             misses.clear()
@@ -407,7 +405,7 @@ def test_canonical_mask_refuses_past_orbit_cap():
         canonical_mask(ORBIT_MAX_N + 1, 0)
 
 
-@pytest.mark.parametrize("method", ["induced", "without"])
+@pytest.mark.parametrize("method", ["induced"])
 @pytest.mark.parametrize("vertex", [-1, 5, 9])
 def test_vertex_helpers_reject_outside_vertices(method, vertex):
     with pytest.raises(ValueError, match=r"vertex outside 0\.\.4"):

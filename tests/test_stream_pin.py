@@ -199,7 +199,7 @@ def test_root_path_lists_filtered_match_pruned_walk():
         g = cg.g
         blocks = [list(bits(m)) for m in cg.masks]
         arcs, home = oracles.lonely_arcs_oracle(g, blocks), oracles.class_of(blocks)
-        singles = cg.singletons()
+        singles = cg.c.singleton_vertices()
         for max_len in (1, 2, 3, 4):
             for root in range(g.n):
                 listed = lonely._root_paths(cg, root, max_len)
@@ -331,7 +331,7 @@ def test_mask_views_match_coloring_views():
                     for v in range(g.n)))
                 assert cg.reach == [
                     sum(1 << v for v in range(g.n) if g.adj[v] & m) for m in c.masks]
-                assert cg.singletons() == sorted(c.singleton_vertices())
+                assert list(c.singleton_vertices()) == sorted(c.singleton_vertices())
 
 
 def test_swap_failures_match_vertex_pair_reference():
