@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
@@ -70,36 +71,34 @@ class VerificationParams:
             raise ValueError("max_path_len must be at least 1")
 
 
-@dataclass(slots=True)
-class ClaimRecord:
-    name: str
-    hyp: bool | None
-    concl: bool | None
-    verdict: str
-    witness: dict
+class ClaimRecord(dict):
+    """One claim's record on one graph, built once as the JSON object a report
+    writes: name, hyp, concl, verdict and witness, in that order. Its fields
+    read as attributes too."""
+
+    __slots__ = ()
+    name = property(itemgetter("name"))
+    hyp = property(itemgetter("hyp"))
+    concl = property(itemgetter("concl"))
+    verdict = property(itemgetter("verdict"))
+    witness = property(itemgetter("witness"))
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "hyp": self.hyp,
-            "concl": self.concl,
-            "verdict": self.verdict,
-            "witness": self.witness,
-        }
+        return self
 
 
 def _claim(name: str, hyp: bool, concl: bool | None, witness: dict) -> ClaimRecord:
-    if not hyp:
-        return ClaimRecord(name, False, None, VERDICT_VACUOUS, witness)
-    verdict = VERDICT_CHECKED if concl else VERDICT_VIOLATION
-    return ClaimRecord(name, True, bool(concl), verdict, witness)
+    verdict = VERDICT_VACUOUS if not hyp else VERDICT_CHECKED if concl else VERDICT_VIOLATION
+    return ClaimRecord(name=name, hyp=bool(hyp), concl=bool(concl) if hyp else None,
+                       verdict=verdict, witness=witness)
 
 
 def _not_evaluated(name: str, reason: str) -> ClaimRecord:
-    return ClaimRecord(name, None, None, VERDICT_NOT_EVALUATED, {"reason": reason})
+    return ClaimRecord(name=name, hyp=None, concl=None, verdict=VERDICT_NOT_EVALUATED,
+                       witness={"reason": reason})
 
 
-@dataclass(frozen=True)
+@dataclass
 class BoundsReport:
     g6: str
     inv: dict
@@ -116,7 +115,7 @@ class BoundsReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass
 class GeneralizedReport:
     g6: str
     r: int
@@ -330,8 +329,8 @@ def evaluate_bounds(g: Graph, params: VerificationParams = VerificationParams())
         return BoundsReport(g6, inv_dict, tuple(
             _not_evaluated(name, refused) for _, name in CLASSIC_ROWS))
     q = SimpleNamespace(**inv_dict)
-    return BoundsReport(g6, inv_dict, tuple(row.record(name, g, q, base, params.guards)
-                                            for row, name in CLASSIC_ROWS))
+    return BoundsReport(g6, inv_dict, tuple([row.record(name, g, q, base, params.guards)
+                                             for row, name in CLASSIC_ROWS]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -491,8 +490,8 @@ def _lonely_claims(g: Graph, params: VerificationParams) -> list[ClaimRecord]:
     """The lonely-edge lemma records. Each optimal-coloring stream (uncapped,
     then capped at each r) is built once and feeds every claim on it. Each
     capped stream is built from the uncapped list (see
-    ``lonely.optimal_views``): at r >= alpha it is that list, and below, a
-    coloring in it keeps its view. Each distinct coloring, keyed by its class
+    ``lonely.optimal_views``): at r >= alpha it is that list, and below, its
+    views that fit the cap when chi_r = chi. Each distinct coloring, keyed by its class
     masks, gets one join check, shared by the streams it appears in."""
     guards = params.guards
     joins: dict[tuple[int, ...], tuple[int, list[dict]]] = {}
@@ -545,7 +544,7 @@ def full_report(g: Graph, params: VerificationParams = VerificationParams()) -> 
     report = {
         "g6": base.g6,
         "inv": inv,
-        "claims": [c.to_dict() for c in claims],
+        "claims": claims,
     }
     if counterexamples:
         report["counterexamples"] = counterexamples

@@ -27,7 +27,8 @@ from fractions import Fraction
 from .graphs import (EXHAUSTIVE_MAX_N, Graph, GraphFormatError, complete, cycle, empty,
                      er_random, parse_graph6, path, petersen)
 from .coloring import Guards, GuardExceededError
-from .bounds import VerificationParams, full_report, report_violations
+from .bounds import (VerificationParams, base_name, claim_records_for, full_report,
+                     report_violations)
 from . import suites as suites_mod
 
 EXIT_OK = 0
@@ -160,6 +161,8 @@ def _check_samples(args):
         raise UsageError(f"--samples must be nonnegative, got {args.samples}")
     if any(n < 0 for n in args.sample_ns):
         raise UsageError("--sample-ns takes nonnegative vertex counts")
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
 
 
 def _check_unread_sample_options(args, reads_seed: bool = False):
@@ -235,6 +238,12 @@ def cmd_search(args, params: VerificationParams) -> int:
         raise UsageError(f"--min-n {min_n} > --max-n {args.max_n} and no --samples: "
                          f"nothing to search")
     try:
+        # no guard refuses the null graph, and its records carry every name
+        if not claim_records_for(empty(0), args.claim, params):
+            base = base_name(args.claim)
+            named = [rec.name for rec in claim_records_for(empty(0), base, params)]
+            raise UsageError(f"claim {args.claim!r} names no record under these --r and --t; "
+                             f"{base}'s records are named: {', '.join(named) or 'none'}")
         result = suites_mod.search_claim(
             args.claim, params,
             min_n=min_n,
@@ -245,9 +254,6 @@ def cmd_search(args, params: VerificationParams) -> int:
         )
     except suites_mod.UnknownClaimError as exc:
         raise UsageError(exc) from exc
-    if not result["records"]:
-        raise UsageError(f"claim {args.claim!r} has no record on the {result['graphs']} "
-                         f"graphs searched; check its parameters against --r and --t")
     skipped = result["not_evaluated"]
     if skipped == result["records"]:
         raise UsageError(f"claim {args.claim!r} was not evaluated on any of the "

@@ -302,6 +302,7 @@ def _color_bb(g: Graph, cap: int | None,
         assigned[v] = -1
 
     descend(0)
+    del descend  # the closure refers to itself: a cycle only the collector frees
     return best_k, best_masks
 
 
@@ -562,6 +563,7 @@ def _best_partition_score(g: Graph, k: int, cap: int | None,
         return False
 
     rec(0, 0, 0)
+    del rec  # the closure refers to itself: a cycle only the collector frees
     return best, best_masks
 
 

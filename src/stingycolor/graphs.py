@@ -39,12 +39,13 @@ class GraphFormatError(ValueError):
 
 def per_graph(fn):
     """Keep ``fn(g, *args)`` in ``g.__dict__``: computed once per graph (or
-    other object) and dropped with it. Callers check guards before the read."""
+    other object) and dropped with it. Callers check guards before the read.
+    A value without arguments is keyed by the function's name alone."""
     name = f"{fn.__module__}.{fn.__qualname__}"
 
     @functools.wraps(fn)
     def memo(g, *args):
-        key = (name, *args)
+        key = (name, *args) if args else name
         value = g.__dict__.get(key, memo)  # memo itself is never a kept value
         if value is memo:
             value = g.__dict__[key] = fn(g, *args)
@@ -344,8 +345,9 @@ def er_random(n: int, p: float, seed: int) -> Graph:
         raise ValueError("negative size")
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
-    if seed is None:
-        raise ValueError("er_random requires an explicit seed")
+    if seed is None or seed < 0:
+        # random.Random seeds by the absolute value: -1 would draw seed 1's graph
+        raise ValueError("er_random requires an explicit nonnegative seed")
     rng = random.Random(seed)
     rows = [0] * n
     for i, j in _pair_order(n):
@@ -397,6 +399,7 @@ def max_clique_mask(g: Graph) -> int:
                 extend(clique | low, size + 1, rest)
 
     extend(0, 0, (1 << g.n) - 1)
+    del extend  # the closure refers to itself: a cycle only the collector frees
     return best_mask
 
 
@@ -449,7 +452,9 @@ def matching_number(g: Graph) -> int:
         memo[avail] = best
         return best
 
-    return rec((1 << g.n) - 1)
+    best = rec((1 << g.n) - 1)
+    del rec  # the closure refers to itself: a cycle only the collector frees
+    return best
 
 
 @per_graph

@@ -33,7 +33,6 @@ from .coloring import (
     DEFAULT_GUARDS,
     _check_partition,
     check_optimal_guard,
-    chromatic_number,
     colorable,
     enumerate_optimal_colorings,
     is_frame_property,
@@ -152,16 +151,20 @@ def optimal_views(g: Graph, cap: int | None, guards: Guards,
     hypothesis. ``uncapped``, when given, is the uncapped list this returned
     for ``g``. At cap >= alpha no independent set exceeds the cap, so the
     capped stream is the uncapped one, the same masks in the same order (as
-    in ``bounded_stats``), and ``uncapped`` itself is returned. Below that, a
-    coloring in ``uncapped`` keeps its view."""
+    in ``bounded_stats``), and ``uncapped`` itself is returned. Below that,
+    the capped enumeration is the uncapped one cut where a class passes the
+    cap: if an optimal coloring's largest (last) class fits, chi_cap = chi
+    and the capped stream is the uncapped views that fit, in order."""
     check_optimal_guard(g, guards)
     if cap is None or cap >= independence_number(g):
         if uncapped:
             return uncapped
         cap = None
-    shared = {cg.masks: cg for cg in uncapped}
-    return [shared.get(c.masks) or ColoredGraph(g, c)
-            for c in enumerate_optimal_colorings(g, cap, guards)]
+    elif uncapped:
+        fits = [cg for cg in uncapped if cg.masks[-1].bit_count() <= cap]
+        if fits:
+            return fits
+    return [ColoredGraph(g, c) for c in enumerate_optimal_colorings(g, cap, guards)]
 
 
 def _swapped_masks(masks, by_vertex, v: int, w: int) -> list[int]:
@@ -385,7 +388,8 @@ def doubly_critical_edges(g: Graph, guards: Guards = DEFAULT_GUARDS) -> DoublyCr
     ``colorable`` decides without a search for chi - 2 <= 2. A maximum
     clique Q of G stays a clique of G - a - b, so an edge with
     |Q - {a, b}| > chi - 2 is rejected without that decision."""
-    chi = chromatic_number(g)
+    st = stats(g, guards)
+    chi = st.chi
     clique = max_clique_mask(g)
     hits = tuple(
         (a, b)
@@ -393,5 +397,4 @@ def doubly_critical_edges(g: Graph, guards: Guards = DEFAULT_GUARDS) -> DoublyCr
         if (clique & ~(1 << a | 1 << b)).bit_count() <= chi - 2
         and colorable(g, chi - 2, 1 << a | 1 << b)
     )
-    iota = stats(g, guards).iota
-    return DoublyCriticalResult(edges=hits, iota=iota, consistent=bool(hits) == (iota >= 2))
+    return DoublyCriticalResult(edges=hits, iota=st.iota, consistent=bool(hits) == (st.iota >= 2))

@@ -317,6 +317,70 @@ def test_no_graph_outlives_its_evaluation():
     assert ref() is None
 
 
+def _every_evaluation(g, params):
+    """full_report, then evaluate_bounds and evaluate_generalized per r, as JSON."""
+    return json.dumps([full_report(g, params), evaluate_bounds(g, params).to_dict(),
+                       *(evaluate_generalized(g, r, params).to_dict() for r in params.r_list)])
+
+
+def test_guards_still_refuse_once_quantities_are_handed_down():
+    # One graph object evaluated under wide guards keeps its quantities; the
+    # same object under narrow guards must still read as a fresh copy does, so
+    # no kept or handed-down value passes a refusal by.
+    g = er_random(9, 0.5, seed=5)
+    wide = VerificationParams(guards=Guards(optimal=20, full=20))
+    narrow = VerificationParams(guards=Guards(optimal=8, full=8))
+    _every_evaluation(g, wide)
+    got = _every_evaluation(g, narrow)
+    assert got == _every_evaluation(er_random(9, 0.5, seed=5), narrow)
+    records = full_report(g, narrow)["claims"]
+    assert len(records) == 34
+    assert {c["verdict"] for c in records} == {VERDICT_NOT_EVALUATED}
+
+
+class _CountingMemo(dict):
+    """A graph's ``__dict__`` that counts the per-graph memo's reads (its
+    ``get`` calls) and the reads that found nothing kept."""
+
+    def __init__(self, kept):
+        super().__init__(kept)
+        self.reads = self.misses = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        self.misses += key not in self
+        return super().get(key, default)
+
+
+def _bound_claims(g):
+    evaluate_bounds(g, PARAMS)
+    for r in PARAMS.r_list:
+        evaluate_generalized(g, r, PARAMS)
+
+
+@pytest.mark.parametrize("make, evaluate, reads", [
+    (lambda: complete(1), lambda g: full_report(g, PARAMS), 41),
+    (lambda: cycle(5), lambda g: full_report(g, PARAMS), 42),
+    (petersen, lambda g: full_report(g, PARAMS), 46),
+    (lambda: er_random(8, 0.5, seed=3), lambda g: full_report(g, PARAMS), 44),
+    (lambda: complete(1), _bound_claims, 27),
+    (lambda: cycle(5), _bound_claims, 27),
+    (petersen, _bound_claims, 29),
+    (lambda: er_random(8, 0.5, seed=3), _bound_claims, 28),
+], ids=["K1-report", "C5-report", "petersen-report", "er8-report",
+        "K1-bound-claims", "C5-bound-claims", "petersen-bound-claims", "er8-bound-claims"])
+def test_memo_reads_per_evaluation(make, evaluate, reads):
+    # A deterministic count of the per-graph memo's reads: each kept value is
+    # computed on its first read only, and a change in how often a report
+    # re-reads its graph's quantities shows up here.
+    g = make()
+    counting = _CountingMemo(vars(g))
+    object.__setattr__(g, "__dict__", counting)
+    evaluate(g)
+    assert counting.misses == len(counting) - 2  # every key but the fields n and adj
+    assert counting.reads == reads
+
+
 def test_guard_exceeded_gives_not_evaluated(c5):
     params = VerificationParams(guards=Guards(optimal=3, full=3))
     rep = evaluate_bounds(c5, params)

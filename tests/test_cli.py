@@ -429,6 +429,14 @@ def test_bad_guard_env_is_usage_error(capsys, monkeypatch, var, value):
     ("analyze", "--gen", "cycle:5", "--t", "0,,1/2"),
     ("verify", "--suite", "lonely-path", "--max-n", "3", "--samples", "3",
      "--sample-ns", "7,,8", "--seed", "1"),
+    # random.Random seeds by the absolute value, so a negative seed would
+    # silently draw the positive one's samples
+    ("analyze", "--gen", "er:8,0.5,-1"),
+    ("verify", "--suite", "lonely-path", "--max-n", "3", "--samples", "50",
+     "--sample-ns", "7", "--seed", "-3"),
+    ("verify", "--suite", "properties", "--max-n", "2", "--seed", "-1"),
+    ("search", "--claim", "simple-bound", "--max-n", "2", "--samples", "2",
+     "--sample-ns", "7", "--seed", "-3"),
 ], ids=" ".join)
 def test_bad_option_is_usage_error(capsys, argv):
     # Options rejected while the argv is parsed (a bad value type, --samples
@@ -437,6 +445,26 @@ def test_bad_option_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("claim, named", [
+    ("chi2-identity[r=2]", "chi2-identity"),
+    ("iota2-bound[r=2]", "iota2-bound"),
+    ("r1-sanity[r=1]", "r1-sanity"),
+    ("lonely-degree-bound[t=3]", "lonely-degree-bound[t=0], lonely-degree-bound[t=1/2]"),
+])
+def test_claim_no_record_carries_is_refused_before_any_graph(capsys, monkeypatch, claim, named):
+    # A fixed-r row's record has the bare name, and --t 0,1/2 names no t = 3
+    # record: the query is refused with the names it could match, before the
+    # search evaluates a graph.
+    def search_claim(*args, **kwargs):
+        raise AssertionError("searched a query no record can match")
+
+    monkeypatch.setattr("stingycolor.suites.search_claim", search_claim)
+    code, out, err = run(capsys, "search", "--claim", claim, "--max-n", "6")
+    assert (code, out) == (2, "")
+    assert err == (f"error: claim {claim!r} names no record under these --r and --t; "
+                   f"{claim.split('[')[0]}'s records are named: {named}\n")
 
 
 @pytest.mark.parametrize("suite", sorted(set(SUITES) - {"lonely-path"}))
@@ -561,7 +589,7 @@ def _fuzz_argv(rng):
         argv += ["--samples", pick(("0", "1", "3"), ("-5", "x")),
                  "--sample-ns", pick(("7", "8,7", "0"), ("-1", "", "x"))]
     if command in ("search", "verify") and rng.random() < 0.8:
-        argv += ["--seed", pick(("1", "-3", "12345"), ("x",))]
+        argv += ["--seed", pick(("1", "12345"), ("x", "-3"))]
     if rng.random() < 0.3:
         argv += ["--r", pick(("1,2,3", "2"), ("0", "-1", "x", "1,,3"))]
     if rng.random() < 0.3:

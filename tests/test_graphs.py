@@ -262,6 +262,13 @@ def test_er_random_validation():
         er_random(5, 0.5, seed=None)
 
 
+def test_er_random_refuses_negative_seed():
+    # random.Random seeds by the absolute value: seed -1 would be seed 1's graph
+    assert er_random(8, 0.5, seed=1) == er_random(8, 0.5, seed=1)
+    with pytest.raises(ValueError, match="nonnegative seed"):
+        er_random(8, 0.5, seed=-1)
+
+
 # --- complement -------------------------------------------------------------
 
 
