@@ -71,10 +71,24 @@ class VerificationParams:
             raise ValueError("max_path_len must be at least 1")
 
 
-class ClaimRecord(dict):
-    """One claim's record on one graph, built once as the JSON object a report
-    writes: name, hyp, concl, verdict and witness, in that order. Its fields
-    read as attributes too."""
+class Record(dict):
+    """A JSON object a report writes, built once: its fields read as
+    attributes too, ``to_dict`` returns the object itself, and
+    ``violations`` lists the records of its ``claims`` whose verdict is
+    VIOLATION."""
+
+    __slots__ = ()
+
+    def to_dict(self) -> dict:
+        return self
+
+    def violations(self) -> list[ClaimRecord]:
+        return [c for c in self["claims"] if c["verdict"] == VERDICT_VIOLATION]
+
+
+class ClaimRecord(Record):
+    """One claim's record on one graph: name, hyp, concl, verdict and
+    witness, in that order."""
 
     __slots__ = ()
     name = property(itemgetter("name"))
@@ -82,9 +96,6 @@ class ClaimRecord(dict):
     concl = property(itemgetter("concl"))
     verdict = property(itemgetter("verdict"))
     witness = property(itemgetter("witness"))
-
-    def to_dict(self) -> dict:
-        return self
 
 
 def _claim(name: str, hyp: bool, concl: bool | None, witness: dict) -> ClaimRecord:
@@ -98,46 +109,27 @@ def _not_evaluated(name: str, reason: str) -> ClaimRecord:
                        witness={"reason": reason})
 
 
-@dataclass
-class BoundsReport:
-    g6: str
-    inv: dict
-    claims: tuple[ClaimRecord, ...]
+class BoundsReport(Record):
+    """``evaluate_bounds``'s report: g6, inv and the claims tuple."""
 
-    def violations(self) -> list[ClaimRecord]:
-        return [c for c in self.claims if c.verdict == VERDICT_VIOLATION]
-
-    def to_dict(self) -> dict:
-        return {
-            "g6": self.g6,
-            "inv": self.inv,
-            "claims": [c.to_dict() for c in self.claims],
-        }
+    __slots__ = ()
+    g6 = property(itemgetter("g6"))
+    inv = property(itemgetter("inv"))
+    claims = property(itemgetter("claims"))
 
 
-@dataclass
-class GeneralizedReport:
-    g6: str
-    r: int
-    chi_r: int | None
-    m_r: int | None
-    iota_r: int | None
-    claims: tuple[ClaimRecord, ...]
-    counterexamples: tuple[dict, ...] = ()
+class GeneralizedReport(Record):
+    """``evaluate_generalized``'s report at one r: g6, r, chi_r, m_r, iota_r,
+    claims and counterexamples, the last two as tuples."""
 
-    def violations(self) -> list[ClaimRecord]:
-        return [c for c in self.claims if c.verdict == VERDICT_VIOLATION]
-
-    def to_dict(self) -> dict:
-        return {
-            "g6": self.g6,
-            "r": self.r,
-            "chi_r": self.chi_r,
-            "m_r": self.m_r,
-            "iota_r": self.iota_r,
-            "claims": [c.to_dict() for c in self.claims],
-            "counterexamples": list(self.counterexamples),
-        }
+    __slots__ = ()
+    g6 = property(itemgetter("g6"))
+    r = property(itemgetter("r"))
+    chi_r = property(itemgetter("chi_r"))
+    m_r = property(itemgetter("m_r"))
+    iota_r = property(itemgetter("iota_r"))
+    claims = property(itemgetter("claims"))
+    counterexamples = property(itemgetter("counterexamples"))
 
 
 CLASSIC, GENERALIZED, LONELY = "classic", "generalized", "lonely"
@@ -326,11 +318,11 @@ def evaluate_bounds(g: Graph, params: VerificationParams = VerificationParams())
             "chi": st and st.chi, "iota": st and st.iota}
     inv_dict = {**base, "min_deg": inv.min_deg, "nu": inv.nu}
     if refused:
-        return BoundsReport(g6, inv_dict, tuple(
+        return BoundsReport(g6=g6, inv=inv_dict, claims=tuple(
             _not_evaluated(name, refused) for _, name in CLASSIC_ROWS))
     q = SimpleNamespace(**inv_dict)
-    return BoundsReport(g6, inv_dict, tuple([row.record(name, g, q, base, params.guards)
-                                             for row, name in CLASSIC_ROWS]))
+    return BoundsReport(g6=g6, inv=inv_dict, claims=tuple(
+        [row.record(name, g, q, base, params.guards) for row, name in CLASSIC_ROWS]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -350,10 +342,8 @@ def evaluate_generalized(g: Graph, r: int,
     try:
         bs = bounded_stats(g, r, params.guards)
     except GuardExceededError as exc:
-        return GeneralizedReport(
-            g6, r, None, None, None,
-            tuple(_not_evaluated(name, str(exc)) for _, name in rows),
-        )
+        return GeneralizedReport(g6=g6, r=r, chi_r=None, m_r=None, iota_r=None, claims=tuple(
+            _not_evaluated(name, str(exc)) for _, name in rows), counterexamples=())
     chi_r, m_r, iota_r = bs.chi_r, bs.m_r, bs.iota_r
     base = {"r": r, "n": g.n, "omega": inv.omega, "max_deg": inv.max_deg,
             "chi_r": chi_r, "m_r": m_r, "iota_r": iota_r}
@@ -375,8 +365,8 @@ def evaluate_generalized(g: Graph, r: int,
                 "m_witness": bs.m_witness.as_lists(),
                 "iota_witness": bs.iota_witness.as_lists(),
             })
-    return GeneralizedReport(g6, r, chi_r, m_r, iota_r, tuple(claims),
-                             tuple(counterexamples))
+    return GeneralizedReport(g6=g6, r=r, chi_r=chi_r, m_r=m_r, iota_r=iota_r,
+                             claims=tuple(claims), counterexamples=tuple(counterexamples))
 
 
 class UnknownClaimError(ValueError):
@@ -526,30 +516,20 @@ def _lonely_claims(g: Graph, params: VerificationParams) -> list[ClaimRecord]:
     return out
 
 
-def full_report(g: Graph, params: VerificationParams = VerificationParams()) -> dict:
-    """The analyze/sweep JSON object for one graph: invariants plus every
-    claim record (bounds, generalized per r, lonely-edge lemmas)."""
-    base = evaluate_bounds(g, params)
-    claims = list(base.claims)
-    inv = dict(base.inv)
-    bounded: dict[str, dict] = {}
+def full_report(g: Graph, params: VerificationParams = VerificationParams()) -> BoundsReport:
+    """The analyze/sweep JSON object for one graph: the ``evaluate_bounds``
+    report, extended by ``inv["bounded"]``, the generalized records per r,
+    the lonely-edge records and, when there are any, the counterexamples."""
+    report = evaluate_bounds(g, params)
+    claims = report["claims"] = list(report.claims)
+    bounded = report.inv["bounded"] = {}
     counterexamples: list[dict] = []
     for r in params.r_list:
         rep = evaluate_generalized(g, r, params)
         claims.extend(rep.claims)
         bounded[str(r)] = {"chi_r": rep.chi_r, "m_r": rep.m_r, "iota_r": rep.iota_r}
         counterexamples.extend(rep.counterexamples)
-    inv["bounded"] = bounded
     claims.extend(_lonely_claims(g, params))
-    report = {
-        "g6": base.g6,
-        "inv": inv,
-        "claims": claims,
-    }
     if counterexamples:
         report["counterexamples"] = counterexamples
     return report
-
-
-def report_violations(report: dict) -> list[dict]:
-    return [c for c in report["claims"] if c["verdict"] == VERDICT_VIOLATION]

@@ -27,8 +27,7 @@ from fractions import Fraction
 from .graphs import (EXHAUSTIVE_MAX_N, Graph, GraphFormatError, complete, cycle, empty,
                      er_random, parse_graph6, path, petersen)
 from .coloring import Guards, GuardExceededError
-from .bounds import (VerificationParams, base_name, claim_records_for, full_report,
-                     report_violations)
+from .bounds import VerificationParams, base_name, claim_records_for, full_report
 from . import suites as suites_mod
 
 EXIT_OK = 0
@@ -165,15 +164,16 @@ def _check_samples(args):
         raise UsageError(f"--seed must be nonnegative, got {args.seed}")
 
 
-def _check_unread_sample_options(args, reads_seed: bool = False):
-    """Without --samples nothing reads --sample-ns, and only a run that
-    ``reads_seed`` for itself reads --seed; neither may be dropped unread."""
+def _check_unread_sample_options(args, seed_error: str | None):
+    """Without --samples nothing reads --sample-ns, and --seed is refused
+    with ``seed_error`` unless the run reads it for itself (``seed_error``
+    None); neither may be dropped unread."""
     if args.samples:
         return
     if args.sample_ns:
         raise UsageError("--sample-ns is read only with --samples")
-    if args.seed is not None and not reads_seed:
-        raise UsageError("--seed without --samples is read only by the properties suite")
+    if args.seed is not None and seed_error:
+        raise UsageError(seed_error)
 
 
 def cmd_analyze(args, params: VerificationParams) -> int:
@@ -188,7 +188,7 @@ def cmd_analyze(args, params: VerificationParams) -> int:
         _write_output(_reports_to_csv([report]), args.out)
     else:
         _write_output(_dump_json(report) + "\n", args.out)
-    return EXIT_VIOLATION if report_violations(report) else EXIT_OK
+    return EXIT_VIOLATION if report.violations() else EXIT_OK
 
 
 def cmd_sweep(args, params: VerificationParams) -> int:
@@ -219,7 +219,7 @@ def cmd_sweep(args, params: VerificationParams) -> int:
         _write_output(_reports_to_csv(reports), args.out)
     else:
         _write_output("".join(_dump_json(rep) + "\n" for rep in reports), args.out)
-    violations = sum(len(report_violations(rep)) for rep in reports)
+    violations = sum(len(rep.violations()) for rep in reports)
     print(f"swept {len(reports)} graphs, {violations} violations", file=sys.stderr)
     if structural:
         return EXIT_ERROR
@@ -230,7 +230,7 @@ def cmd_search(args, params: VerificationParams) -> int:
     min_n = args.min_n if args.min_n is not None else 1
     _check_exhaustive_range("search", min_n, args.max_n)
     _check_samples(args)
-    _check_unread_sample_options(args)
+    _check_unread_sample_options(args, "--seed is read only with --samples")
     if args.samples and not args.sample_ns:
         raise UsageError("--samples needs --sample-ns, e.g. --sample-ns 7,8")
     # An empty range is the samples-only mode; with no samples it checks nothing.
@@ -275,7 +275,8 @@ def cmd_verify(args, params: VerificationParams) -> int:
     _check_samples(args)
     if args.samples and suite != "lonely-path":
         raise UsageError(f"suite {suite} takes no --samples; only lonely-path samples")
-    _check_unread_sample_options(args, reads_seed=suite == "properties")
+    _check_unread_sample_options(args, None if suite == "properties" else
+                                 "--seed without --samples is read only by the properties suite")
     if args.predicates is not None:
         if suite != "properties":
             raise UsageError("--predicates is read only by the properties suite")

@@ -83,6 +83,13 @@ def exhaustive_graphs(min_n: int, max_n: int) -> Iterator[Graph]:
         yield from all_graphs(n)
 
 
+def _check_seed(seed: int):
+    """Refuse a negative seed: random.Random seeds by the absolute value, so
+    seed -1 would draw exactly seed 1's samples."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
 def split_counts(total: int, buckets: int) -> list[int]:
     """Deterministic near-even split; remainders go to the earliest buckets."""
     base, extra = divmod(total, buckets)
@@ -136,6 +143,7 @@ def suite_lonely_path(max_n: int, max_len: int = 3, samples: int = 0,
     """Joined-paths property over all optimal colorings exhaustively up to
     max_n, then over seeded random (graph, optimal coloring) samples."""
     lonely.check_max_len(max_len)
+    _check_seed(seed)
     result = SuiteResult("lonely-path", {
         "max_n": max_n, "max_len": max_len, "samples": samples,
         "sample_ns": list(sample_ns), "seed": seed, "densities": list(DENSITIES),
@@ -244,6 +252,7 @@ def suite_properties(seed: int = 0, predicates: int = 100, max_n_br: int = 5,
     """
     from .graphs import complete, cycle, path
 
+    _check_seed(seed)
     result = SuiteResult("properties", {
         "seed": seed, "predicates": predicates, "max_n_br": max_n_br,
     })
@@ -341,6 +350,7 @@ def search_claim(query: str, params: VerificationParams, min_n: int = 1,
     then seeded random samples. Returns counts plus counterexample artifacts;
     ``not_evaluated`` counts the matched records a guard refused, and
     ``guard_reason`` gives the first refusal's reason."""
+    _check_seed(seed)
     artifacts: list[dict] = []
     refusals: list[str] = []
     graphs_seen = 0

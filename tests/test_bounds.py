@@ -42,7 +42,6 @@ from stingycolor.bounds import (
     _lonely_claims,
     claim_records_for,
     format_t,
-    report_violations,
 )
 from stingycolor.coloring import (
     _best_partition_score,
@@ -397,7 +396,7 @@ def test_full_report_structure(c5):
     assert set(rep) == {"g6", "inv", "claims"}
     assert rep["g6"] == "Dhc"
     assert rep["inv"]["bounded"]["2"] == {"chi_r": 3, "m_r": 2, "iota_r": 1}
-    assert report_violations(rep) == []
+    assert rep.violations() == []
     names = [c["name"] for c in rep["claims"]]
     assert len(names) == len(set(names))
     for expected in ("lonely-path-join", "swap-preserves-frame",
@@ -406,6 +405,30 @@ def test_full_report_structure(c5):
                      "gen-lonely-degree-bound[r=2,t=0]",
                      "lonely-path-join[B_3]"):
         assert expected in names
+
+
+def test_reports_are_their_json_objects_and_share_no_dict():
+    # full_report extends the report evaluate_bounds returns: an earlier
+    # evaluate_bounds report of the same graph object must not change.
+    g = er_random(8, 0.5, seed=3)
+    first = evaluate_bounds(g, PARAMS)
+    report = full_report(g, PARAMS)
+    assert len(first.claims) == 12 and "bounded" not in first.inv
+    assert json.dumps(first) == json.dumps(evaluate_bounds(er_random(8, 0.5, seed=3), PARAMS))
+    assert "bounded" in report.inv and len(report.claims) > 12
+    gen = evaluate_generalized(g, 2, PARAMS)
+    for rep, keys in ((first, ["g6", "inv", "claims"]),
+                      (gen, ["g6", "r", "chi_r", "m_r", "iota_r", "claims", "counterexamples"]),
+                      (gen.claims[0], ["name", "hyp", "concl", "verdict", "witness"])):
+        assert rep.to_dict() is rep and list(rep) == keys
+        for key in keys:
+            assert getattr(rep, key) is rep[key]
+
+
+def test_violations_lists_the_violation_records():
+    bad, good = bounds._claim("a", True, False, {}), bounds._claim("b", True, True, {})
+    assert bounds.BoundsReport(g6="@", inv={}, claims=(bad, good)).violations() == [bad]
+    assert bounds.GeneralizedReport(claims=(good,)).violations() == []
 
 
 def test_recheck_counterexample_false_for_sound_claim(c5):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 
@@ -10,6 +11,9 @@ import pytest
 from stingycolor import complete, cycle, emit_graph6, empty, er_random, path, petersen
 from stingycolor.cli import _parse_gen_spec, main
 from stingycolor.suites import SUITES
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -26,10 +30,41 @@ def test_analyze_c5(capsys):
     assert all(c["verdict"] != "VIOLATION" for c in report["claims"])
 
 
+def _python310_env():
+    """An environment in which ``python3.10`` runs Python 3.10, or None. A
+    pyenv shim runs it only when PYENV_VERSION names an installed 3.10."""
+    if shutil.which("python3.10") is None:
+        return None
+    envs = [dict(os.environ)]
+    if shutil.which("pyenv"):
+        bare = subprocess.run(["pyenv", "versions", "--bare"], capture_output=True,
+                              text=True, timeout=60).stdout.split()
+        envs += [dict(os.environ, PYENV_VERSION=v) for v in bare if v.startswith("3.10.")]
+    for env in envs:
+        probe = subprocess.run(["python3.10", "-c", "import sys; print(sys.version_info[:2])"],
+                               capture_output=True, text=True, env=env, timeout=60)
+        if probe.returncode == 0 and probe.stdout == "(3, 10)\n":
+            return env
+    return None
+
+
+def test_oldest_supported_python_sweeps_alike():
+    # pyproject.toml requires Python >= 3.10: the oldest one must write what
+    # this interpreter writes.
+    env = _python310_env()
+    if env is None:
+        pytest.skip("no runnable python3.10 on PATH")
+    env["PYTHONPATH"] = SRC
+    argv = ["-m", "stingycolor", "sweep", "--exhaustive", "--max-n", "5", "--min-n", "0"]
+    old, new = (subprocess.run([exe, *argv], capture_output=True, env=env, timeout=300)
+                for exe in ("python3.10", sys.executable))
+    assert (old.returncode, old.stdout, old.stderr) == (new.returncode, new.stdout, new.stderr)
+    assert new.returncode == 0 and new.stderr == b"swept 53 graphs, 0 violations\n"
+
+
 def test_python_m_runs_the_cli(capsys):
     # ``python -m stingycolor`` is the same command line as ``main``.
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-m", "stingycolor", "analyze", "--gen", "cycle:5"],
                           capture_output=True, text=True, env=env, timeout=60)
     code, out, _ = run(capsys, "analyze", "--gen", "cycle:5")
@@ -483,6 +518,18 @@ def test_verify_predicates_on_other_suite_is_usage_error(capsys, suite):
                          "--predicates", "3")
     assert (code, out) == (2, "")
     assert err == "error: --predicates is read only by the properties suite\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("search", "--claim", "reed-disjunct", "--max-n", "3", "--seed", "9"),
+     "--seed is read only with --samples"),
+    (("verify", "--suite", "swap", "--max-n", "2", "--seed", "4"),
+     "--seed without --samples is read only by the properties suite"),
+], ids=["search", "verify"])
+def test_seed_without_samples_names_its_reader(capsys, argv, message):
+    # search has no suites, so only verify's refusal names one
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_properties_suite_reads_seed_without_samples(capsys):

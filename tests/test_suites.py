@@ -227,6 +227,23 @@ def test_search_claim_counts_not_evaluated():
     assert (lonely["graphs"], lonely["records"], lonely["not_evaluated"]) == (6, 12, 3)
 
 
+@pytest.mark.parametrize("run", [
+    lambda: suite_lonely_path(3, samples=5, sample_ns=(7,), seed=-3),
+    lambda: search_claim("reed-disjunct", PARAMS, max_n=3, samples=5, sample_ns=(7,), seed=-4),
+    lambda: suite_properties(seed=-1, predicates=3, max_n_br=2),
+], ids=["suite_lonely_path", "search_claim", "suite_properties"])
+def test_negative_seed_is_refused_before_any_graph(monkeypatch, run):
+    # random.Random seeds by the absolute value, so seed -s would silently
+    # draw exactly seed s's samples while the config recorded -s.
+    def no_graph(*args, **kwargs):
+        raise AssertionError("read a graph before refusing the seed")
+
+    monkeypatch.setattr(suites, "exhaustive_graphs", no_graph)
+    monkeypatch.setattr(suites, "er_random", no_graph)
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -"):
+        run()
+
+
 # --- the claim table -----------------------------------------------------------
 
 DRIFT_PARAMS = VerificationParams(r_list=(1, 2, 3, 4), t2_list=(0, 1, 2))
