@@ -49,7 +49,6 @@ from .coloring import (
 )
 from .lonely import (
     DoublyCriticalResult,
-    LonelyDigraph,
     SwapError,
     doubly_critical_edges,
     is_lonely,
@@ -65,7 +64,6 @@ from .bounds import (
     evaluate_generalized,
     full_report,
     recheck_counterexample,
-    verify_matching_corollary,
 )
 
 __version__ = "0.1.0"

@@ -195,22 +195,12 @@ def _matching_bound(name: str, g: Graph, q, guards: Guards) -> ClaimRecord:
 
 
 def _matching_identity(name: str, g: Graph, q, guards: Guards) -> ClaimRecord:
-    """The cross-check identity iota_2 = n - 2*nu(complement)."""
-    try:
-        bs2 = bounded_stats(g, 2, guards)
-    except GuardExceededError as exc:
-        return _not_evaluated(name, str(exc))
+    """The cross-check identity iota_2 = n - 2*nu(complement). ``bounded_stats``
+    has the optimal guard that ``stats`` passed before any classic row runs."""
+    iota_2 = bounded_stats(g, 2, guards).iota_r
     nu_comp = matching_number(g.complement())
-    return _claim(name, True, bs2.iota_r == g.n - 2 * nu_comp,
-                  {"iota_2": bs2.iota_r, "n": g.n, "nu_complement": nu_comp})
-
-
-def verify_matching_corollary(g: Graph, guards: Guards = DEFAULT_GUARDS) -> list[ClaimRecord]:
-    """4*nu >= n - alpha + min_deg, plus the cross-check identity
-    iota_2 = n - 2*nu(complement)."""
-    inv = invariants(g)
-    return [_matching_bound("matching-bound", g, inv, guards),
-            _matching_identity("iota2-matching-identity", g, inv, guards)]
+    return _claim(name, True, iota_2 == g.n - 2 * nu_comp,
+                  {"iota_2": iota_2, "n": g.n, "nu_complement": nu_comp})
 
 
 def _gen_patching_claim(name: str, g: Graph, q: SimpleNamespace, guards: Guards) -> ClaimRecord:
@@ -306,23 +296,32 @@ def base_name(claim: str) -> str:
     return claim.split("[", 1)[0]
 
 
+def _guarded(read: Callable, *args):
+    """``read(*args)`` and None, or None and the reason a guard refused it."""
+    try:
+        return read(*args), None
+    except GuardExceededError as exc:
+        return None, str(exc)
+
+
+def _records(rows: Iterable[tuple[Claim, str]], g: Graph, q: SimpleNamespace,
+             witness: dict, refused: str | None, guards: Guards) -> tuple[ClaimRecord, ...]:
+    """The refuse-or-record step of both claim tables: each (row, name) of
+    ``rows`` records not-evaluated with ``refused``, the reason a guard
+    refused the table's quantities, or else its verdict on ``q``."""
+    return tuple([_not_evaluated(name, refused) if refused
+                  else row.record(name, g, q, witness, guards) for row, name in rows])
+
+
 def evaluate_bounds(g: Graph, params: VerificationParams = VerificationParams()) -> BoundsReport:
     """All unparameterized claims on one graph."""
     inv = invariants(g)
-    g6 = emit_graph6(g)
-    try:
-        st, refused = stats(g, params.guards), None
-    except GuardExceededError as exc:
-        st, refused = None, str(exc)
+    st, refused = _guarded(stats, g, params.guards)
     base = {"n": g.n, "omega": inv.omega, "alpha": inv.alpha, "max_deg": inv.max_deg,
             "chi": st and st.chi, "iota": st and st.iota}
     inv_dict = {**base, "min_deg": inv.min_deg, "nu": inv.nu}
-    if refused:
-        return BoundsReport(g6=g6, inv=inv_dict, claims=tuple(
-            _not_evaluated(name, refused) for _, name in CLASSIC_ROWS))
-    q = SimpleNamespace(**inv_dict)
-    return BoundsReport(g6=g6, inv=inv_dict, claims=tuple(
-        [row.record(name, g, q, base, params.guards) for row, name in CLASSIC_ROWS]))
+    return BoundsReport(g6=emit_graph6(g), inv=inv_dict, claims=_records(
+        CLASSIC_ROWS, g, SimpleNamespace(**inv_dict), base, refused, params.guards))
 
 
 @functools.lru_cache(maxsize=None)
@@ -335,38 +334,25 @@ def _generalized_rows(r: int) -> tuple[tuple[Claim, str], ...]:
 
 def evaluate_generalized(g: Graph, r: int,
                          params: VerificationParams = VerificationParams()) -> GeneralizedReport:
-    """All r-parameterized claims on one graph, for a single r."""
+    """All r-parameterized claims on one graph, for a single r. A violated
+    counterexample row also yields an artifact carrying both witnesses."""
     inv = invariants(g)
     g6 = emit_graph6(g)
     rows = _generalized_rows(r)
-    try:
-        bs = bounded_stats(g, r, params.guards)
-    except GuardExceededError as exc:
-        return GeneralizedReport(g6=g6, r=r, chi_r=None, m_r=None, iota_r=None, claims=tuple(
-            _not_evaluated(name, str(exc)) for _, name in rows), counterexamples=())
-    chi_r, m_r, iota_r = bs.chi_r, bs.m_r, bs.iota_r
+    bs, refused = _guarded(bounded_stats, g, r, params.guards)
     base = {"r": r, "n": g.n, "omega": inv.omega, "max_deg": inv.max_deg,
-            "chi_r": chi_r, "m_r": m_r, "iota_r": iota_r}
-    q = SimpleNamespace(gap=chi_r - m_r, bs=bs, **base)
-    claims = []
-    counterexamples = []
-    for row, name in rows:
-        rec = row.record(name, g, q, base, params.guards)
-        claims.append(rec)
-        if row.counterexample and rec.verdict == VERDICT_VIOLATION:
-            counterexamples.append({
-                "claim": name,
-                "g6": g6,
-                "r": r,
-                "chi_r": chi_r,
-                "m_r": m_r,
-                "omega": inv.omega,
-                "max_deg": inv.max_deg,
-                "m_witness": bs.m_witness.as_lists(),
-                "iota_witness": bs.iota_witness.as_lists(),
-            })
-    return GeneralizedReport(g6=g6, r=r, chi_r=chi_r, m_r=m_r, iota_r=iota_r,
-                             claims=tuple(claims), counterexamples=tuple(counterexamples))
+            "chi_r": bs and bs.chi_r, "m_r": bs and bs.m_r, "iota_r": bs and bs.iota_r}
+    q = SimpleNamespace(gap=bs and bs.chi_r - bs.m_r, bs=bs, **base)
+    claims = _records(rows, g, q, base, refused, params.guards)
+    counterexamples = tuple([
+        {"claim": rec.name, "g6": g6, "r": r, "chi_r": bs.chi_r, "m_r": bs.m_r,
+         "omega": inv.omega, "max_deg": inv.max_deg,
+         "m_witness": bs.m_witness.as_lists(), "iota_witness": bs.iota_witness.as_lists()}
+        for (row, _), rec in zip(rows, claims)
+        if row.counterexample and rec.verdict == VERDICT_VIOLATION])
+    return GeneralizedReport(g6=g6, r=r, chi_r=base["chi_r"], m_r=base["m_r"],
+                             iota_r=base["iota_r"], claims=claims,
+                             counterexamples=counterexamples)
 
 
 class UnknownClaimError(ValueError):

@@ -176,6 +176,13 @@ def _check_unread_sample_options(args, seed_error: str | None):
         raise UsageError(seed_error)
 
 
+# Each option that not every verify suite reads: its VerificationParams field
+# and its readers. Another suite refuses a value other than the default.
+_SUITE_READERS = (("--r", "r_list", ("generalized-lonely-path", "replete")),
+                  ("--t", "t2_list", ("replete",)),
+                  ("--max-path-len", "max_path_len", ("lonely-path", "generalized-lonely-path")))
+
+
 def cmd_analyze(args, params: VerificationParams) -> int:
     try:
         g = parse_graph6(args.g6) if args.g6 is not None else _parse_gen_spec(args.gen)
@@ -282,6 +289,10 @@ def cmd_verify(args, params: VerificationParams) -> int:
             raise UsageError("--predicates is read only by the properties suite")
         if args.predicates < 0:
             raise UsageError(f"--predicates must be nonnegative, got {args.predicates}")
+    for flag, field, readers in _SUITE_READERS:
+        if suite not in readers and getattr(params, field) != getattr(VerificationParams, field):
+            raise UsageError(f"{flag} is read only by the {' and '.join(readers)} suite"
+                             + "s" * (len(readers) > 1))
     result = suites_mod.SUITES[suite](args.max_n, params, args)
     if not (result.checked or result.vacuous):
         raise UsageError(f"suite {suite} found nothing to check (0 checked, 0 vacuous) "

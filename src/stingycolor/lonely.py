@@ -22,7 +22,7 @@ coloring stream; ``optimal_views`` builds those streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .graphs import Graph, bits, independence_number, max_clique_mask
 from .coloring import (
@@ -61,25 +61,6 @@ def is_lonely(g: Graph, c: Coloring, v: int, w: int) -> bool:
     """True iff v and w sit in different classes and w is v's unique neighbor
     in w's class. Assumes ``c`` is proper on ``g``."""
     return _lonely_in(g, c.class_index_of(), c.masks, v, w)
-
-
-@dataclass(frozen=True)
-class LonelyDigraph:
-    """All lonely edges of one (graph, coloring) pair, as out-neighbor bitsets."""
-
-    n: int
-    out: tuple[int, ...]
-
-    def has_edge(self, v: int, w: int) -> bool:
-        return bool(self.out[v] >> w & 1)
-
-    def out_degree(self, v: int) -> int:
-        return self.out[v].bit_count()
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for v in range(self.n):
-            for w in bits(self.out[v]):
-                yield (v, w)
 
 
 class ColoredGraph:
@@ -125,21 +106,22 @@ class ColoredGraph:
         self._ld = None
 
     @property
-    def ld(self) -> LonelyDigraph:
-        """The lonely digraph: each vertex with exactly one neighbour in a
-        class (in ``reach`` but not in ``twice``) has an arc to that
-        neighbour."""
+    def ld(self) -> tuple[int, ...]:
+        """The lonely digraph as out-rows, in the form of ``Graph.adj``: each
+        vertex with exactly one neighbour in a class (in ``reach`` but not in
+        ``twice``) has an arc to that neighbour."""
         if self._ld is None:
             adj = self.g.adj
             out = [0] * self.g.n
             for mask, near, more in zip(self.masks, self.reach, self.twice):
                 for v in bits(near & ~more):
                     out[v] |= adj[v] & mask
-            self._ld = LonelyDigraph(self.g.n, tuple(out))
+            self._ld = tuple(out)
         return self._ld
 
 
-def lonely_digraph(g: Graph, c: Coloring) -> LonelyDigraph:
+def lonely_digraph(g: Graph, c: Coloring) -> tuple[int, ...]:
+    """The lonely digraph's out-rows: bit w of row v is set iff (v, w) is lonely."""
     return ColoredGraph(g, c).ld
 
 
@@ -194,7 +176,7 @@ def _root_paths(cg: ColoredGraph, start: int,
     path. Walked on a stack: each path extends its parent's masks by one
     vertex, and its successors, outside every class the path has used, are
     pushed in decreasing order so that they come off in increasing order."""
-    adj, out, masks, by_vertex = cg.g.adj, cg.ld.out, cg.masks, cg.by_vertex
+    adj, out, masks, by_vertex = cg.g.adj, cg.ld, cg.masks, cg.by_vertex
     paths = []
     stack = [((start,), 1 << start, masks[by_vertex[start]], adj[start])]
     while stack:
@@ -306,7 +288,7 @@ def touches_failures(cg: ColoredGraph, r: int | None = None) -> tuple[int, list[
 def replete_failures(cg: ColoredGraph, r: int | None, need: int) -> tuple[int, list[dict]]:
     """Every class (with ``r``: every singleton class) holds a vertex with at
     least ``need`` lonely out-edges."""
-    out = cg.ld.out
+    out = cg.ld
     checks = 0
     bad = []
     for cls in cg.masks:
@@ -335,7 +317,7 @@ def swap_failures(cg: ColoredGraph) -> tuple[int, list[dict]]:
     0, and likewise for B; the other classes keep their sizes, so the sorted
     frame is unchanged iff the sizes of A and B after the exchange are those
     before it, as a multiset."""
-    out = cg.ld.out
+    out = cg.ld
     adj, masks, by_vertex = cg.g.adj, cg.masks, cg.by_vertex
     checks = 0
     bad = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .graphs import (
@@ -23,7 +24,6 @@ from .graphs import (
 from .coloring import (
     Guards,
     DEFAULT_GUARDS,
-    GuardExceededError,
     b_r,
     check_complete_condition,
     check_frame3_sufficiency,
@@ -47,7 +47,7 @@ from .bounds import (  # UnknownClaimError: what claim_records_for raises, kept 
     full_report,
     stream_claims,
     stream_record,
-    verify_matching_corollary,
+    _matching_identity,
 )
 
 DENSITIES = (0.2, 0.5, 0.8)
@@ -96,14 +96,24 @@ def split_counts(total: int, buckets: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(buckets)]
 
 
-def sample_specs(total: int, ns: tuple[int, ...],
-                 densities: tuple[float, ...] = DENSITIES) -> list[tuple[int, float, int]]:
+def sample_specs(total: int, ns: tuple[int, ...]) -> list[tuple[int, float, int]]:
     """(n, p, count) triples covering ``total`` samples across the grid."""
-    combos = [(n, p) for n in ns for p in densities]
+    combos = [(n, p) for n in ns for p in DENSITIES]
     if not combos:
         raise ValueError("samples need at least one vertex count and one density")
     counts = split_counts(total, len(combos))
     return [(n, p, c) for (n, p), c in zip(combos, counts)]
+
+
+def sampled_graphs(samples: int, ns: tuple[int, ...], rng: random.Random) -> Iterator[Graph]:
+    """``samples`` seeded G(n, p) graphs over the ``sample_specs`` grid, each
+    drawn with a seed from ``rng`` only when it is asked for, so a caller may
+    draw from ``rng`` between graphs."""
+    if not samples:
+        return
+    for n, p, count in sample_specs(samples, ns):
+        for _ in range(count):
+            yield er_random(n, p, seed=rng.getrandbits(32))
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +162,9 @@ def suite_lonely_path(max_n: int, max_len: int = 3, samples: int = 0,
     def views() -> Iterator[lonely.ColoredGraph]:
         for g in exhaustive_graphs(0, max_n):
             yield from lonely.optimal_views(g, None, guards)
-        if not samples:
-            return
         rng = random.Random(seed)
-        for n, p, count in sample_specs(samples, sample_ns):
-            for _ in range(count):
-                g = er_random(n, p, seed=rng.getrandbits(32))
-                yield lonely.ColoredGraph(g, one_optimal_coloring(g, rng=rng))
+        for g in sampled_graphs(samples, sample_ns, rng):
+            yield lonely.ColoredGraph(g, one_optimal_coloring(g, rng=rng))
 
     def join(cg: lonely.ColoredGraph) -> tuple[int, list[dict]]:
         checks, failures = lonely.join_failures(cg, max_len)
@@ -205,26 +211,22 @@ def suite_replete(max_n: int, t2s: tuple[int, ...] = (0, 1),
     return result
 
 
-IDENTITIES = ("iota2-matching-identity", "chi2-identity")
-
-
 def suite_identities(max_n: int, guards: Guards = DEFAULT_GUARDS) -> SuiteResult:
     """The identity rows of ``bounds.CLAIMS``, iota_2 = n - 2 nu(complement)
     and chi_2 - M_2 = iota_2, exhaustively. A violation payload is the
-    record's witness plus ``g6`` and ``claim``; a refused record raises
-    ``GuardExceededError`` with its reason. ``chi2-identity`` holds by
-    construction (M_2 = n - chi_2 and iota_2 = 2 chi_2 - n), so it cannot
-    fail here; ``test_chi_2_read_from_complement_matching`` and
+    record's witness plus ``g6`` and ``claim``; the first row's read of
+    ``bounded_stats`` raises ``GuardExceededError`` on a graph past the
+    guard. ``chi2-identity`` holds by construction (M_2 = n - chi_2 and
+    iota_2 = 2 chi_2 - n), so it cannot fail here;
+    ``test_chi_2_read_from_complement_matching`` and
     ``test_bounded_matches_oracle`` check chi_2 and M_2 independently."""
     result = SuiteResult("identities", {"max_n": max_n})
     params = VerificationParams(guards=guards)
     for g in exhaustive_graphs(0, max_n):
-        for rec in (*verify_matching_corollary(g, guards),
-                    *evaluate_generalized(g, 2, params).claims):
-            if rec.name not in IDENTITIES:
+        matching = _matching_identity("iota2-matching-identity", g, None, guards)
+        for rec in (matching, *evaluate_generalized(g, 2, params).claims):
+            if rec.name not in ("iota2-matching-identity", "chi2-identity"):
                 continue
-            if rec.verdict == VERDICT_NOT_EVALUATED:
-                raise GuardExceededError(rec.witness["reason"])
             result.checked += 1
             if rec.verdict == VERDICT_VIOLATION:
                 result.violations.append(
@@ -371,13 +373,9 @@ def search_claim(query: str, params: VerificationParams, min_n: int = 1,
                     "witness": rec.witness,
                 })
 
-    for g in exhaustive_graphs(min_n, max_n):
+    for g in chain(exhaustive_graphs(min_n, max_n),
+                   sampled_graphs(samples, sample_ns, random.Random(seed))):
         visit(g)
-    if samples:
-        rng = random.Random(seed)
-        for n, p, count in sample_specs(samples, sample_ns):
-            for _ in range(count):
-                visit(er_random(n, p, seed=rng.getrandbits(32)))
     return {
         "claim": query,
         "graphs": graphs_seen,

@@ -31,7 +31,6 @@ from stingycolor import (
     petersen,
     recheck_counterexample,
     stats,
-    verify_matching_corollary,
 )
 from stingycolor import bounds
 from stingycolor.bounds import (
@@ -158,12 +157,16 @@ def test_c6_generalized_r3():
 
 
 def test_matching_corollary_examples(c5, k4):
-    bound, identity = verify_matching_corollary(c5)
+    def matching_rows(g):
+        by = claims_by_name(evaluate_bounds(g))
+        return by["matching-bound"], by["iota2-matching-identity"]
+
+    bound, identity = matching_rows(c5)
     assert bound.verdict == VERDICT_CHECKED  # 8 >= 5 - 2 + 2
     assert identity.verdict == VERDICT_CHECKED  # iota_2 = 1 = 5 - 2*2
-    bound, identity = verify_matching_corollary(k4)
+    bound, identity = matching_rows(k4)
     assert bound.verdict == VERDICT_CHECKED  # 8 >= 4 - 1 + 3
-    bound, identity = verify_matching_corollary(empty(4))
+    bound, identity = matching_rows(empty(4))
     assert bound.verdict == VERDICT_CHECKED  # 0 >= 4 - 4 + 0, boundary
     assert identity.verdict == VERDICT_CHECKED  # iota_2 = 0 = 4 - 2*2
 

@@ -520,6 +520,52 @@ def test_verify_predicates_on_other_suite_is_usage_error(capsys, suite):
     assert err == "error: --predicates is read only by the properties suite\n"
 
 
+# The verify suites that read each option not every suite reads, a value
+# other than its default, and the config key through which a reader shows it.
+OPTION_READERS = {
+    "--r": ("generalized-lonely-path", "replete"),
+    "--t": ("replete",),
+    "--max-path-len": ("lonely-path", "generalized-lonely-path"),
+}
+OPTION_VALUE = {"--r": ("2", "rs", [2]), "--t": ("1", "t2s", [2]),
+                "--max-path-len": ("2", "max_len", 2)}
+UNREAD_OPTION_ERROR = {
+    "--r": "error: --r is read only by the generalized-lonely-path and replete suites\n",
+    "--t": "error: --t is read only by the replete suite\n",
+    "--max-path-len": "error: --max-path-len is read only by the lonely-path and "
+                      "generalized-lonely-path suites\n",
+}
+
+
+@pytest.mark.parametrize("suite, option", [
+    pytest.param(suite, option, id=f"{suite} {option}")
+    for option, readers in OPTION_READERS.items()
+    for suite in sorted(SUITES) if suite not in readers])
+def test_verify_unread_option_is_usage_error(capsys, suite, option):
+    # A suite that never reads the option would drop it unread.
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", "2",
+                         option, OPTION_VALUE[option][0])
+    assert (code, out, err) == (2, "", UNREAD_OPTION_ERROR[option])
+
+
+@pytest.mark.parametrize("suite, option", [
+    pytest.param(suite, option, id=f"{suite} {option}")
+    for option, readers in OPTION_READERS.items() for suite in readers])
+def test_verify_reader_takes_option(capsys, suite, option):
+    value, key, read = OPTION_VALUE[option]
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--max-n", "3", option, value)
+    assert code == 0
+    assert json.loads(out)["config"][key] == read
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_accepts_default_values_unread(capsys, suite):
+    # Only a value other than the default is refused.
+    code, _, err = run(capsys, "verify", "--suite", suite, "--max-n", "2",
+                       "--r", "1,2,3", "--t", "0,1/2", "--max-path-len", "3")
+    assert "error" not in err and code in (0, 1)
+
+
 @pytest.mark.parametrize("argv, message", [
     (("search", "--claim", "reed-disjunct", "--max-n", "3", "--seed", "9"),
      "--seed is read only with --samples"),

@@ -42,7 +42,6 @@ from stingycolor.coloring import (
 from stingycolor.graphs import bits, graph_from_mask, per_graph
 from stingycolor.lonely import (
     ColoredGraph,
-    LonelyDigraph,
     is_lonely,
     optimal_views,
 )
@@ -326,9 +325,9 @@ def test_mask_views_match_coloring_views():
                 assert cg.c is c and cg.masks == c.masks
                 index = c.class_index_of()
                 assert cg.by_vertex == [index[v] for v in range(g.n)]
-                assert cg.ld == LonelyDigraph(g.n, tuple(
+                assert cg.ld == tuple(
                     sum(1 << w for w in range(g.n) if is_lonely(g, c, v, w))
-                    for v in range(g.n)))
+                    for v in range(g.n))
                 assert cg.reach == [
                     sum(1 << v for v in range(g.n) if g.adj[v] & m) for m in c.masks]
                 assert list(c.singleton_vertices()) == sorted(c.singleton_vertices())

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from dataclasses import replace
 
 import pytest
@@ -20,6 +22,7 @@ from stingycolor.suites import (
     exhaustive_graphs,
     load_graph6_lines,
     sample_specs,
+    sampled_graphs,
     search_claim,
     split_counts,
     suite_gen_lonely_path,
@@ -47,13 +50,42 @@ def test_sample_specs_cover_total():
         (7, 0.2), (7, 0.5), (7, 0.8), (8, 0.2), (8, 0.5), (8, 0.8)]
 
 
+# sha256 of the newline-joined graph6 strings of 90 samples over n = 7, 8, 9
+# drawn with random.Random(11): the order of the draw loop that sampled_graphs
+# replaced. VERIFY_LONELY_PATH_SHA256 in test_cli.py pins the suite side.
+SAMPLED_GRAPHS_SHA256 = "179501780c5d522a33f9c08ec83a43374a9ad3cd29be403051d1fa7bac4a54e4"
+
+
+def test_sampled_graphs_pins_draw_order():
+    g6s = [emit_graph6(g) for g in sampled_graphs(90, (7, 8, 9), random.Random(11))]
+    assert len(g6s) == 90
+    assert hashlib.sha256("\n".join(g6s).encode()).hexdigest() == SAMPLED_GRAPHS_SHA256
+
+
+def test_sampled_graphs_draws_through_module_er_random(monkeypatch):
+    # Each sample is one call of suites.er_random, looked up when drawn, so
+    # a rebinding of the module name (a per-sample timer) sees every sample;
+    # no samples draw nothing, even without vertex counts.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return er_random(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "er_random", counted)
+    rng = random.Random(3)
+    assert list(sampled_graphs(0, (), rng)) == [] and calls == []
+    assert rng.random() == random.Random(3).random()
+    assert len(list(sampled_graphs(7, (6,), rng))) == 7
+    assert len(calls) == 7
+
+
 @pytest.mark.parametrize("sample", [
     lambda: sample_specs(5, ()),
-    lambda: sample_specs(5, (7,), densities=()),
     lambda: suite_lonely_path(2, samples=5, sample_ns=()),
     lambda: search_claim("simple-bound", VerificationParams(), max_n=2, samples=5,
                          sample_ns=()),
-], ids=["sample_specs", "no-density", "suite_lonely_path", "search_claim"])
+], ids=["sample_specs", "suite_lonely_path", "search_claim"])
 def test_samples_need_a_grid(sample):
     with pytest.raises(ValueError, match="at least one vertex count and one density"):
         sample()
