@@ -145,7 +145,9 @@ class Claim:
     generalized row) from the graph's quantities ``q``. A row without
     ``compute`` is decided by ``_claim`` from ``hyp`` (absent: always holds)
     and ``concl``; a row with it builds its record as
-    ``compute(name, g, q, guards)``."""
+    ``compute(name, g, q, guards)``. ``reads`` names the ``VerificationParams``
+    fields its records read, besides the guards; a generalized row reads
+    ``r_list`` by its family."""
 
     name: str
     family: str
@@ -154,6 +156,7 @@ class Claim:
     compute: Callable | None = None
     rs: tuple[int, ...] = ()  # generalized: only these r, and the bare name
     counterexample: bool = False  # generalized: a violation yields an artifact
+    reads: tuple[str, ...] = ()
 
     def record(self, name: str, g: Graph, q: SimpleNamespace, witness: dict,
                guards: Guards) -> ClaimRecord:
@@ -275,21 +278,21 @@ CLAIMS = (
     # Holds by construction (M_2 is read as n - chi_2, iota_2 is 2 chi_2 - n); the
     # tests check chi_2 and M_2 independently (test_chi_2_read_from_complement_matching).
     Claim("chi2-identity", GENERALIZED, rs=(2,), concl=lambda q: q.gap == q.iota_r),
-    Claim("lonely-path-join", LONELY),
+    Claim("lonely-path-join", LONELY, reads=("r_list", "max_path_len")),
     Claim("class-meets-all-classes", LONELY),
-    Claim("lonely-degree-bound", LONELY),
+    Claim("lonely-degree-bound", LONELY, reads=("t2_list",)),
     # Holds by construction: (w, v) lonely makes adj[w] & (A ^ 1 << v) zero, likewise
     # for B, and a 1-for-1 exchange keeps both class sizes, so it can fail only through
     # a wrong lonely digraph; the tests check swap_failures against the vertex-pair
     # oracle (test_swap_failures_match_vertex_pair_reference).
     Claim("swap-preserves-frame", LONELY),
     Claim("doubly-critical-iff-two-singletons", LONELY),
-    Claim("singleton-meets-small-classes", LONELY),
-    Claim("gen-lonely-degree-bound", LONELY),
+    Claim("singleton-meets-small-classes", LONELY, reads=("r_list",)),
+    Claim("gen-lonely-degree-bound", LONELY, reads=("r_list", "t2_list")),
 )
 # Each classic row with its record name, as ``_generalized_rows`` gives them.
 CLASSIC_ROWS = tuple((row, row.name) for row in CLAIMS if row.family == CLASSIC)
-_ROW_BY_NAME = {row.name: row for row in CLAIMS}
+ROW_BY_NAME = {row.name: row for row in CLAIMS}
 
 
 def base_name(claim: str) -> str:
@@ -357,7 +360,7 @@ def evaluate_generalized(g: Graph, r: int,
 
 class UnknownClaimError(ValueError):
     def __init__(self, claim: str):
-        valid = ", ".join(sorted(_ROW_BY_NAME))
+        valid = ", ".join(sorted(ROW_BY_NAME))
         super().__init__(f"unknown claim {claim!r}; valid claims: {valid}")
 
 
@@ -367,7 +370,7 @@ def claim_records_for(g: Graph, query: str, params: VerificationParams) -> list[
     and ``lonely-claims``, which a refused lonely stream leaves in their
     place."""
     base = base_name(query)
-    row = _ROW_BY_NAME.get(base)
+    row = ROW_BY_NAME.get(base)
     if row is None:
         raise UnknownClaimError(query)
     if row.family == CLASSIC:
@@ -464,10 +467,8 @@ def stream_claims(g: Graph, r: int | None, views: Sequence[lonely.ColoredGraph],
 
 def _lonely_claims(g: Graph, params: VerificationParams) -> list[ClaimRecord]:
     """The lonely-edge lemma records. Each optimal-coloring stream (uncapped,
-    then capped at each r) is built once and feeds every claim on it. Each
-    capped stream is built from the uncapped list (see
-    ``lonely.optimal_views``): at r >= alpha it is that list, and below, its
-    views that fit the cap when chi_r = chi. Each distinct coloring, keyed by its class
+    then capped at each r) is built once, by ``lonely.optimal_streams``, and
+    feeds every claim on it. Each distinct coloring, keyed by its class
     masks, gets one join check, shared by the streams it appears in."""
     guards = params.guards
     joins: dict[tuple[int, ...], tuple[int, list[dict]]] = {}
@@ -479,9 +480,10 @@ def _lonely_claims(g: Graph, params: VerificationParams) -> list[ClaimRecord]:
         return found
 
     try:
-        optimal = lonely.optimal_views(g, None, guards)
+        streams = lonely.optimal_streams(g, params.r_list, guards)
     except GuardExceededError as exc:
         return [_not_evaluated(LONELY_REFUSED, str(exc))]
+    optimal = streams[None]
     out = [stream_record("lonely-path-join", optimal, join, extra=_ALL_OPTIMAL)]
     out.extend(stream_claims(g, None, optimal, params.t2_list, guards))
     out.append(stream_record("swap-preserves-frame", optimal, lonely.swap_failures))
@@ -490,15 +492,14 @@ def _lonely_claims(g: Graph, params: VerificationParams) -> list[ClaimRecord]:
         "doubly-critical-iff-two-singletons", True, dc.consistent,
         {"edges": [list(e) for e in dc.edges], "iota": dc.iota}))
     for r in params.r_list:
-        bounded = lonely.optimal_views(g, r, guards, optimal)
-        out.extend(stream_claims(g, r, bounded, params.t2_list, guards))
+        out.extend(stream_claims(g, r, streams[r], params.t2_list, guards))
         if r >= 2:
             # The optimal r-bounded colorings are the B_r-optimal ones, in the
             # same order, so B_r's path claim reads the same stream. B_r
             # passes both property checks without enumerating for r >= 2.
             prop = b_r(r)
             lonely.check_path_join_property(g, prop, guards)
-            out.append(stream_record(f"lonely-path-join[{prop.name}]", bounded, join))
+            out.append(stream_record(f"lonely-path-join[{prop.name}]", streams[r], join))
     return out
 
 

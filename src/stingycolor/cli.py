@@ -27,7 +27,8 @@ from fractions import Fraction
 from .graphs import (EXHAUSTIVE_MAX_N, Graph, GraphFormatError, complete, cycle, empty,
                      er_random, parse_graph6, path, petersen)
 from .coloring import Guards, GuardExceededError
-from .bounds import VerificationParams, base_name, claim_records_for, full_report
+from .bounds import (GENERALIZED, ROW_BY_NAME, VerificationParams, base_name,
+                     claim_records_for, full_report)
 from . import suites as suites_mod
 
 EXIT_OK = 0
@@ -177,7 +178,8 @@ def _check_unread_sample_options(args, seed_error: str | None):
 
 
 # Each option that not every verify suite reads: its VerificationParams field
-# and its readers. Another suite refuses a value other than the default.
+# and its readers. Another suite, or a claim whose row does not read the
+# field, refuses a value other than the default.
 _SUITE_READERS = (("--r", "r_list", ("generalized-lonely-path", "replete")),
                   ("--t", "t2_list", ("replete",)),
                   ("--max-path-len", "max_path_len", ("lonely-path", "generalized-lonely-path")))
@@ -251,6 +253,11 @@ def cmd_search(args, params: VerificationParams) -> int:
             named = [rec.name for rec in claim_records_for(empty(0), base, params)]
             raise UsageError(f"claim {args.claim!r} names no record under these --r and --t; "
                              f"{base}'s records are named: {', '.join(named) or 'none'}")
+        row = ROW_BY_NAME[base_name(args.claim)]
+        reads = row.reads + ("r_list",) * (row.family == GENERALIZED)
+        for flag, field, _ in _SUITE_READERS:
+            if field not in reads and getattr(params, field) != getattr(VerificationParams, field):
+                raise UsageError(f"claim {args.claim!r} does not read {flag}")
         result = suites_mod.search_claim(
             args.claim, params,
             min_n=min_n,
@@ -293,6 +300,10 @@ def cmd_verify(args, params: VerificationParams) -> int:
         if suite not in readers and getattr(params, field) != getattr(VerificationParams, field):
             raise UsageError(f"{flag} is read only by the {' and '.join(readers)} suite"
                              + "s" * (len(readers) > 1))
+    if (suite == "generalized-lonely-path" and min(params.r_list) < 2
+            and params.r_list != VerificationParams.r_list):
+        raise UsageError("generalized-lonely-path reads only --r values of at least 2 "
+                         "(B_1 is not singleton-friendly)")
     result = suites_mod.SUITES[suite](args.max_n, params, args)
     if not (result.checked or result.vacuous):
         raise UsageError(f"suite {suite} found nothing to check (0 checked, 0 vacuous) "

@@ -16,15 +16,15 @@ avoids pa iff all its prefixes do. pb is joined to pa iff
 ``pb_mask & ~N(pa) == 0``. Both tests run on bitsets of indices into b's
 list, an OR of a few of them per pa.
 ``bounds`` names each claim, states its hypothesis and runs its check over a
-coloring stream; ``optimal_views`` builds those streams.
+coloring stream; ``optimal_streams`` builds those streams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
-from .graphs import Graph, bits, independence_number, max_clique_mask
+from .graphs import Graph, bits, max_clique_mask
 from .coloring import (
     Coloring,
     ColoringProperty,
@@ -32,7 +32,6 @@ from .coloring import (
     Guards,
     DEFAULT_GUARDS,
     _check_partition,
-    check_optimal_guard,
     colorable,
     enumerate_optimal_colorings,
     is_frame_property,
@@ -125,28 +124,22 @@ def lonely_digraph(g: Graph, c: Coloring) -> tuple[int, ...]:
     return ColoredGraph(g, c).ld
 
 
-def optimal_views(g: Graph, cap: int | None, guards: Guards,
-                  uncapped: Sequence[ColoredGraph] = ()) -> Sequence[ColoredGraph]:
-    """The optimal (with ``cap``: optimal cap-bounded) colorings of ``g`` as
-    views, in enumeration order. A list, so several claims can read one
-    stream, and building it checks the guard before any claim computes its
-    hypothesis. ``uncapped``, when given, is the uncapped list this returned
-    for ``g``. At cap >= alpha no independent set exceeds the cap, so the
-    capped stream is the uncapped one, the same masks in the same order (as
-    in ``bounded_stats``), and ``uncapped`` itself is returned. Below that,
-    the capped enumeration is the uncapped one cut where a class passes the
-    cap: if an optimal coloring's largest (last) class fits, chi_cap = chi
+def optimal_streams(g: Graph, caps: Iterable[int],
+                    guards: Guards) -> dict[int | None, list[ColoredGraph]]:
+    """Every coloring stream a graph's lonely claims read, as lists of views
+    in enumeration order, so several claims read one stream: key None holds
+    the optimal colorings, each cap the optimal cap-bounded ones. The guard
+    is checked before any view is built. The capped enumeration is the
+    uncapped one cut where a class passes the cap: if an optimal coloring's
+    largest (last) class fits (the null graph's has no class), chi_cap = chi
     and the capped stream is the uncapped views that fit, in order."""
-    check_optimal_guard(g, guards)
-    if cap is None or cap >= independence_number(g):
-        if uncapped:
-            return uncapped
-        cap = None
-    elif uncapped:
-        fits = [cg for cg in uncapped if cg.masks[-1].bit_count() <= cap]
-        if fits:
-            return fits
-    return [ColoredGraph(g, c) for c in enumerate_optimal_colorings(g, cap, guards)]
+    optimal = [ColoredGraph(g, c) for c in enumerate_optimal_colorings(g, None, guards)]
+    streams = {None: optimal}
+    for cap in caps:
+        fits = [cg for cg in optimal if not cg.masks or cg.masks[-1].bit_count() <= cap]
+        streams[cap] = fits or [ColoredGraph(g, c)
+                                for c in enumerate_optimal_colorings(g, cap, guards)]
+    return streams
 
 
 def _swapped_masks(masks, by_vertex, v: int, w: int) -> list[int]:

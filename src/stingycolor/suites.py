@@ -30,7 +30,6 @@ from .coloring import (
     Coloring,
     ColoringProperty,
     enumerate_colorings,
-    enumerate_p_optimal,
     is_frame_property,
     is_singleton_friendly,
     one_optimal_coloring,
@@ -161,7 +160,7 @@ def suite_lonely_path(max_n: int, max_len: int = 3, samples: int = 0,
 
     def views() -> Iterator[lonely.ColoredGraph]:
         for g in exhaustive_graphs(0, max_n):
-            yield from lonely.optimal_views(g, None, guards)
+            yield from lonely.optimal_streams(g, (), guards)[None]
         rng = random.Random(seed)
         for g in sampled_graphs(samples, sample_ns, rng):
             yield lonely.ColoredGraph(g, one_optimal_coloring(g, rng=rng))
@@ -180,17 +179,17 @@ def suite_lonely_path(max_n: int, max_len: int = 3, samples: int = 0,
 def suite_gen_lonely_path(max_n: int, rs: tuple[int, ...] = (2, 3),
                           max_len: int = 3,
                           guards: Guards = DEFAULT_GUARDS) -> SuiteResult:
-    """Joined-paths property for size-capped colorings (properties B_r),
-    over the P-optimal colorings of each B_r."""
+    """Joined-paths property for size-capped colorings (properties B_r), over
+    the B_r-optimal colorings: the capped streams that ``full_report`` reads."""
     lonely.check_max_len(max_len)
     result = SuiteResult("generalized-lonely-path",
                          {"max_n": max_n, "rs": list(rs), "max_len": max_len})
     for g in exhaustive_graphs(0, max_n):
+        streams = lonely.optimal_streams(g, rs, guards)
         for r in rs:
             prop = b_r(r)
             lonely.check_path_join_property(g, prop, guards)
-            views = (lonely.ColoredGraph(g, c) for c in enumerate_p_optimal(g, prop, guards))
-            rec = stream_record(f"lonely-path-join[{prop.name}]", views,
+            rec = stream_record(f"lonely-path-join[{prop.name}]", streams[r],
                                 lambda cg: lonely.join_failures(cg, max_len))
             _absorb(result, rec, g6=emit_graph6(g), r=r)
     return result
@@ -203,10 +202,9 @@ def suite_replete(max_n: int, t2s: tuple[int, ...] = (0, 1),
     classic and r-bounded."""
     result = SuiteResult("replete", {"max_n": max_n, "t2s": list(t2s), "rs": list(rs)})
     for g in exhaustive_graphs(0, max_n):
-        optimal = lonely.optimal_views(g, None, guards)
+        streams = lonely.optimal_streams(g, rs, guards)
         for r in (None, *rs):
-            stream = lonely.optimal_views(g, r, guards, optimal)
-            for rec in stream_claims(g, r, stream, t2s, guards):
+            for rec in stream_claims(g, r, streams[r], t2s, guards):
                 _absorb(result, rec, g6=emit_graph6(g), claim=rec.name)
     return result
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,7 +10,8 @@ import sys
 import pytest
 
 from stingycolor import complete, cycle, emit_graph6, empty, er_random, path, petersen
-from stingycolor.cli import _parse_gen_spec, main
+from stingycolor.bounds import CLAIMS, VerificationParams
+from stingycolor.cli import _SUITE_READERS, _parse_gen_spec, main
 from stingycolor.suites import SUITES
 
 
@@ -241,12 +243,13 @@ def test_verify_properties_checks_b_r_up_to_max_n(capsys):
     assert result["checked"] == 1018
 
 
-def test_verify_gen_lonely_path_reads_p_optimal_stream(capsys, monkeypatch):
-    # generalized-lonely-path enumerates the B_r-optimal colorings through
-    # chi_P, so the guard that refuses it is chi_P's.
+def test_verify_gen_lonely_path_reads_shared_optimal_stream(capsys, monkeypatch):
+    # generalized-lonely-path reads the B_r-optimal colorings as the capped
+    # optimal streams that full_report reads, so the guard that refuses it
+    # is the optimal enumeration's.
     monkeypatch.setenv("STINGYCOLOR_OPTIMAL_GUARD", "4")
     assert run(capsys, "verify", "--suite", "generalized-lonely-path", "--max-n", "5") == (
-        2, "", "error: chi_P guarded at n <= 4 (graph has 5)\n")
+        2, "", "error: optimal coloring enumeration guarded at n <= 4 (graph has 5)\n")
 
 
 def test_sweep_corpus_with_bad_line(capsys, tmp_path):
@@ -556,6 +559,68 @@ def test_verify_reader_takes_option(capsys, suite, option):
     code, out, _ = run(capsys, "verify", "--suite", suite, "--max-n", "3", option, value)
     assert code == 0
     assert json.loads(out)["config"][key] == read
+
+
+# The options each searched claim reads; a claim reads none of the others.
+CLAIM_READS = {
+    "simple-bound": (),
+    "class-meets-all-classes": (),
+    "gen-reed-conjecture": ("--r",),
+    "lonely-path-join": ("--r", "--max-path-len"),
+    "lonely-degree-bound": ("--t",),
+    "singleton-meets-small-classes": ("--r",),
+    "gen-lonely-degree-bound": ("--r", "--t"),
+}
+
+
+@pytest.mark.parametrize("claim, option", [
+    pytest.param(claim, option, id=f"{claim} {option}")
+    for claim, reads in CLAIM_READS.items()
+    for option in OPTION_READERS if option not in reads])
+def test_search_unread_option_is_usage_error(capsys, claim, option):
+    # A claim whose records never read the option would drop it unread.
+    assert run(capsys, "search", "--claim", claim, "--max-n", "3",
+               option, OPTION_VALUE[option][0]) == (
+        2, "", f"error: claim {claim!r} does not read {option}\n")
+
+
+@pytest.mark.parametrize("claim, option", [
+    pytest.param(claim, option, id=f"{claim} {option}")
+    for claim, reads in CLAIM_READS.items() for option in reads])
+def test_search_reader_takes_option(capsys, claim, option):
+    code, out, err = run(capsys, "search", "--claim", claim, "--max-n", "3",
+                         option, OPTION_VALUE[option][0])
+    assert (code, out) == (0, "") and err.startswith("searched 7 graphs")
+
+
+@pytest.mark.parametrize("claim", sorted(CLAIM_READS))
+def test_search_accepts_default_values_unread(capsys, claim):
+    code, _, err = run(capsys, "search", "--claim", claim, "--max-n", "3",
+                       "--r", "1,2,3", "--t", "0,1/2", "--max-path-len", "3")
+    assert code == 0 and err.startswith("searched 7 graphs")
+
+
+def test_readers_tables_name_suites_and_params_fields():
+    # A misspelt suite or field would silently refuse or accept an option.
+    fields = {f.name for f in dataclasses.fields(VerificationParams)}
+    for _, field, readers in _SUITE_READERS:
+        assert field in fields and set(readers) <= set(SUITES), field
+    for row in CLAIMS:
+        assert set(row.reads) <= fields, row.name
+
+
+@pytest.mark.parametrize("r", ["1,2", "1"])
+def test_verify_gen_lonely_path_refuses_r_1(capsys, r):
+    # B_1 is not singleton-friendly, so the suite has no r = 1 check to run.
+    assert run(capsys, "verify", "--suite", "generalized-lonely-path", "--max-n", "3",
+               "--r", r) == (2, "", "error: generalized-lonely-path reads only --r values "
+                                    "of at least 2 (B_1 is not singleton-friendly)\n")
+
+
+def test_verify_gen_lonely_path_takes_r_from_2(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "generalized-lonely-path", "--max-n", "3",
+                       "--r", "2,3")
+    assert code == 0 and json.loads(out)["config"]["rs"] == [2, 3]
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))

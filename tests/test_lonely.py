@@ -37,7 +37,7 @@ from stingycolor.lonely import (
     PropertyNotApplicableError,
     check_path_join_property,
     join_failures,
-    optimal_views,
+    optimal_streams,
 )
 
 from oracles import enumerate_lonely_path_pairs
@@ -233,12 +233,12 @@ def test_path_length_below_1_is_refused(max_len):
 
 def _path_join(g, views=None):
     if views is None:
-        views = optimal_views(g, None, DEFAULT_GUARDS)
+        views = optimal_streams(g, (), DEFAULT_GUARDS)[None]
     return stream_record("lonely-path-join", views, lambda cg: join_failures(cg, 3))
 
 
 def _stream_claims(g, r=None, t2s=(0,)):
-    views = optimal_views(g, r, DEFAULT_GUARDS)
+    views = optimal_streams(g, () if r is None else (r,), DEFAULT_GUARDS)[r]
     return stream_claims(g, r, views, t2s, DEFAULT_GUARDS)
 
 

@@ -43,7 +43,7 @@ from stingycolor.graphs import bits, graph_from_mask, per_graph
 from stingycolor.lonely import (
     ColoredGraph,
     is_lonely,
-    optimal_views,
+    optimal_streams,
 )
 from stingycolor.coloring import DEFAULT_GUARDS, GuardExceededError, Guards, _enum_partitions
 from stingycolor.graphs import independence_number
@@ -246,35 +246,28 @@ def test_enum_partitions_matches_recursive_reference():
                     oracles.enum_partitions_oracle(g.adj, g.n, k, cap)), (g.adj, k, cap)
 
 
-def test_optimal_views_at_cap_1_and_from_alpha_match_enumeration():
-    # A cap >= alpha stream is read as the uncapped list; it and every capped
-    # stream below, cap = 1 included, must be the enumerator's stream, mask
-    # for mask and in order, whether or not the uncapped list is handed in.
+def test_optimal_streams_at_cap_1_and_from_alpha_match_enumeration():
+    # Every stream, the uncapped one and each capped one from cap 1 up past
+    # alpha, must be the enumerator's stream, mask for mask and in order.
     for g in _stream_graphs():
-        alpha = independence_number(g)
-        uncapped = optimal_views(g, None, DEFAULT_GUARDS)
-        assert optimal_views(g, None, DEFAULT_GUARDS, uncapped) is uncapped
+        caps = range(1, independence_number(g) + 2)
+        streams = optimal_streams(g, caps, DEFAULT_GUARDS)
+        uncapped = streams[None]
         before = list(uncapped)
+        assert [cg.masks for cg in uncapped] == [
+            c.masks for c in enumerate_optimal_colorings(g)], g.adj
         shared = {cg.masks: cg for cg in uncapped}
-        for cap in range(1, alpha + 2):
+        for cap in caps:
             want = [c.masks for c in enumerate_optimal_colorings(g, cap)]
-            for given in (uncapped, ()):
-                got = optimal_views(g, cap, DEFAULT_GUARDS, given)
-                assert [cg.masks for cg in got] == want, (g.adj, cap)
-            if cap >= alpha:
-                assert optimal_views(g, cap, DEFAULT_GUARDS, uncapped) is uncapped
-            # A capped coloring in the uncapped list is read through its view,
-            # and the list handed in is left as it was.
-            got = optimal_views(g, cap, DEFAULT_GUARDS, uncapped)
-            assert all(cg is shared.get(cg.masks, cg) for cg in got)
-            assert uncapped == before
-    big = cycle(9)
-    big_uncapped = optimal_views(big, None, Guards(optimal=9))
-    for cap in (None, 1, 4, 5):
-        for given in ((), big_uncapped):
-            with pytest.raises(GuardExceededError,
-                               match=r"enumeration guarded at n <= 8 \(graph has 9\)"):
-                optimal_views(big, cap, Guards(optimal=8), given)
+            assert [cg.masks for cg in streams[cap]] == want, (g.adj, cap)
+            # A capped coloring in the uncapped list is read through its view.
+            assert all(cg is shared.get(cg.masks, cg) for cg in streams[cap])
+        # Building the capped streams leaves the uncapped list as it was.
+        assert uncapped == before
+    for caps in ((), (1, 4, 5)):
+        with pytest.raises(GuardExceededError,
+                           match=r"enumeration guarded at n <= 8 \(graph has 9\)"):
+            optimal_streams(cycle(9), caps, Guards(optimal=8))
 
 
 def _streamed_colorings(g, rng):

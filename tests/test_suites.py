@@ -125,6 +125,37 @@ def test_suite_replete():
     assert result.vacuous > 0  # most small graphs fail the hypotheses
 
 
+def test_suite_replete_repeated_cap_counts_twice():
+    # Callers read the streams by cap in their own order, so a repeated cap
+    # in a direct call yields its records twice.
+    once, r2 = suite_replete(4, rs=()), suite_replete(4, rs=(2,))
+    twice = suite_replete(4, rs=(2, 2))
+    assert twice.checked - once.checked == 2 * (r2.checked - once.checked) > 0
+    assert twice.vacuous - once.vacuous == 2 * (r2.vacuous - once.vacuous)
+
+
+TOUCHES_AND_DEGREE = ("class-meets-all-classes", "lonely-degree-bound",
+                      "singleton-meets-small-classes", "gen-lonely-degree-bound")
+
+
+def test_lonely_suites_are_slices_of_full_report():
+    # generalized-lonely-path and replete read the streams full_report reads,
+    # so on every class with n <= 5 each suite counts exactly the checks and
+    # vacuous cases of its records in the reports.
+    params = VerificationParams(r_list=(2, 3), t2_list=(0, 1))
+    records = [rec for g in exhaustive_graphs(0, 5) for rec in full_report(g, params).claims]
+    joins = [rec for rec in records if rec.name.startswith("lonely-path-join[B_")]
+    stream = [rec for rec in records if base_name(rec.name) in TOUCHES_AND_DEGREE]
+    classes = 53  # 1 + 1 + 2 + 4 + 11 + 34 on n = 0..5
+    assert len(joins) == 2 * classes and len(stream) == (3 + 2 * 3) * classes
+    gen = suite_gen_lonely_path(5, rs=params.r_list, max_len=params.max_path_len)
+    assert gen.checked == sum(rec.witness["checks"] for rec in joins) > 0
+    replete = suite_replete(5, t2s=params.t2_list, rs=params.r_list)
+    assert replete.checked == sum(rec.witness["checks"] for rec in stream) > 0
+    assert replete.vacuous == sum(rec.verdict == bounds.VERDICT_VACUOUS for rec in stream) > 0
+    assert gen.passed and replete.passed
+
+
 @pytest.mark.parametrize("suite, check, tags", [
     (lambda: suite_swap(3), "swap_failures", ["g6"]),
     (lambda: suite_lonely_path(3), "join_failures", ["g6"]),
