@@ -146,8 +146,8 @@ class Claim:
     ``compute`` is decided by ``_claim`` from ``hyp`` (absent: always holds)
     and ``concl``; a row with it builds its record as
     ``compute(name, g, q, guards)``. ``reads`` names the ``VerificationParams``
-    fields its records read, besides the guards; a generalized row reads
-    ``r_list`` by its family."""
+    fields its records read that its records on the null graph cannot show
+    (the r and t values show in the names), besides the guards."""
 
     name: str
     family: str
@@ -278,17 +278,17 @@ CLAIMS = (
     # Holds by construction (M_2 is read as n - chi_2, iota_2 is 2 chi_2 - n); the
     # tests check chi_2 and M_2 independently (test_chi_2_read_from_complement_matching).
     Claim("chi2-identity", GENERALIZED, rs=(2,), concl=lambda q: q.gap == q.iota_r),
-    Claim("lonely-path-join", LONELY, reads=("r_list", "max_path_len")),
+    Claim("lonely-path-join", LONELY, reads=("max_path_len",)),
     Claim("class-meets-all-classes", LONELY),
-    Claim("lonely-degree-bound", LONELY, reads=("t2_list",)),
+    Claim("lonely-degree-bound", LONELY),
     # Holds by construction: (w, v) lonely makes adj[w] & (A ^ 1 << v) zero, likewise
     # for B, and a 1-for-1 exchange keeps both class sizes, so it can fail only through
     # a wrong lonely digraph; the tests check swap_failures against the vertex-pair
     # oracle (test_swap_failures_match_vertex_pair_reference).
     Claim("swap-preserves-frame", LONELY),
     Claim("doubly-critical-iff-two-singletons", LONELY),
-    Claim("singleton-meets-small-classes", LONELY, reads=("r_list",)),
-    Claim("gen-lonely-degree-bound", LONELY, reads=("r_list", "t2_list")),
+    Claim("singleton-meets-small-classes", LONELY),
+    Claim("gen-lonely-degree-bound", LONELY),
 )
 # Each classic row with its record name, as ``_generalized_rows`` gives them.
 CLASSIC_ROWS = tuple((row, row.name) for row in CLAIMS if row.family == CLASSIC)

@@ -22,13 +22,14 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .graphs import (EXHAUSTIVE_MAX_N, Graph, GraphFormatError, complete, cycle, empty,
                      er_random, parse_graph6, path, petersen)
 from .coloring import Guards, GuardExceededError
-from .bounds import (GENERALIZED, ROW_BY_NAME, VerificationParams, base_name,
-                     claim_records_for, full_report)
+from .bounds import (ROW_BY_NAME, VerificationParams, base_name, claim_records_for,
+                     format_t, full_report)
 from . import suites as suites_mod
 
 EXIT_OK = 0
@@ -89,25 +90,27 @@ def _parse_t_list(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+# Each generator family: its builder, its argument types and its expected form.
+_GEN_FAMILIES = {name: (build, (int,), f"{name} takes one size, e.g. {name}:5") for name, build
+                 in (("complete", complete), ("cycle", cycle), ("path", path), ("empty", empty))}
+_GEN_FAMILIES["petersen"] = (petersen, (), "petersen takes no arguments")
+_GEN_FAMILIES["er"] = _GEN_FAMILIES["er_random"] = (er_random, (int, float, int),
+                                                    "er takes n,p,seed, e.g. er:8,0.5,42")
+
+
 def _parse_gen_spec(spec: str) -> Graph:
     family, colon, rest = spec.partition(":")
     args = rest.split(",") if colon else []
     if "" in args:
         raise ValueError(f"empty argument in generator spec {spec!r}")
-    sized = {"complete": complete, "cycle": cycle, "path": path, "empty": empty}
-    if family in sized:
-        if len(args) != 1:
-            raise ValueError(f"{family} takes one size, e.g. {family}:5")
-        return sized[family](int(args[0]))
-    if family == "petersen":
-        if args:
-            raise ValueError("petersen takes no arguments")
-        return petersen()
-    if family in ("er", "er_random"):
-        if len(args) != 3:
-            raise ValueError("er takes n,p,seed, e.g. er:8,0.5,42")
-        return er_random(int(args[0]), float(args[1]), int(args[2]))
-    raise ValueError(f"unknown generator family {family!r}")
+    if family not in _GEN_FAMILIES:
+        raise ValueError(f"unknown generator family {family!r}")
+    build, kinds, form = _GEN_FAMILIES[family]
+    try:
+        values = [kind(arg) for kind, arg in zip(kinds, args, strict=True)]
+    except ValueError:
+        raise ValueError(form) from None
+    return build(*values)
 
 
 def _dump_json(obj) -> str:
@@ -177,12 +180,26 @@ def _check_unread_sample_options(args, seed_error: str | None):
         raise UsageError(seed_error)
 
 
-# Each option that not every verify suite reads: its VerificationParams field
-# and its readers. Another suite, or a claim whose row does not read the
-# field, refuses a value other than the default.
-_SUITE_READERS = (("--r", "r_list", ("generalized-lonely-path", "replete")),
-                  ("--t", "t2_list", ("replete",)),
-                  ("--max-path-len", "max_path_len", ("lonely-path", "generalized-lonely-path")))
+# What each verify suite reads of the options not every suite reads, in the order
+# a refusal names its readers: the least value it reads (B_1 is not singleton-friendly).
+_SUITE_READS = {"lonely-path": {"max_path_len": 1},
+                "generalized-lonely-path": {"r_list": 2, "max_path_len": 1},
+                "replete": {"r_list": 1, "t2_list": 0}}
+_FLAGS = {"r_list": "--r", "t2_list": "--t", "max_path_len": "--max-path-len"}
+
+
+def _first_unread(params: VerificationParams, reads):
+    """The first non-default value of --r, --t or --max-path-len that a run does
+    not read, as (field, value, whether the run reads some value of the field),
+    one of a field it reads no value of first. ``reads(field, values)`` is the
+    subset of ``values``, the given and the default ones, that the run reads."""
+    unread = []
+    for field in _FLAGS:
+        given, default = ((v,) if field == "max_path_len" else v
+                          for v in (getattr(params, field), getattr(VerificationParams, field)))
+        read = given if given == default else reads(field, {*given, *default})
+        unread += [(field, v, bool(read)) for v in given if v not in read]
+    return min(unread, key=lambda u: u[2], default=None)
 
 
 def cmd_analyze(args, params: VerificationParams) -> int:
@@ -253,11 +270,23 @@ def cmd_search(args, params: VerificationParams) -> int:
             named = [rec.name for rec in claim_records_for(empty(0), base, params)]
             raise UsageError(f"claim {args.claim!r} names no record under these --r and --t; "
                              f"{base}'s records are named: {', '.join(named) or 'none'}")
-        row = ROW_BY_NAME[base_name(args.claim)]
-        reads = row.reads + ("r_list",) * (row.family == GENERALIZED)
-        for flag, field, _ in _SUITE_READERS:
-            if field not in reads and getattr(params, field) != getattr(VerificationParams, field):
-                raise UsageError(f"claim {args.claim!r} does not read {flag}")
+        # A value of --r or --t is read iff leaving it out drops one of the records the
+        # query matches on the null graph; --max-path-len, which no record there shows,
+        # is read as the claim's row declares.
+        def count(field, kept) -> int:
+            return len(claim_records_for(empty(0), args.claim,
+                                         replace(params, **{field: tuple(kept)})))
+
+        def reads(field, values):
+            if field == "max_path_len":
+                return values if field in ROW_BY_NAME[base_name(args.claim)].reads else set()
+            return {v for v in values if count(field, values - {v}) < count(field, values)}
+        unread = _first_unread(params, reads)
+        if unread:
+            field, value, some = unread
+            shown = format_t(value) if field == "t2_list" else value
+            raise UsageError(f"claim {args.claim!r} does not read {_FLAGS[field]}"
+                             + f" value {shown}" * some)
         result = suites_mod.search_claim(
             args.claim, params,
             min_n=min_n,
@@ -296,14 +325,16 @@ def cmd_verify(args, params: VerificationParams) -> int:
             raise UsageError("--predicates is read only by the properties suite")
         if args.predicates < 0:
             raise UsageError(f"--predicates must be nonnegative, got {args.predicates}")
-    for flag, field, readers in _SUITE_READERS:
-        if suite not in readers and getattr(params, field) != getattr(VerificationParams, field):
-            raise UsageError(f"{flag} is read only by the {' and '.join(readers)} suite"
-                             + "s" * (len(readers) > 1))
-    if (suite == "generalized-lonely-path" and min(params.r_list) < 2
-            and params.r_list != VerificationParams.r_list):
-        raise UsageError("generalized-lonely-path reads only --r values of at least 2 "
-                         "(B_1 is not singleton-friendly)")
+    reads = _SUITE_READS.get(suite, {})
+    unread = _first_unread(params, lambda field, values: {
+        v for v in values if field in reads and v >= reads[field]})
+    if unread:
+        field, _, some = unread
+        readers = [name for name, fields in _SUITE_READS.items() if field in fields]
+        raise UsageError(f"{suite} reads only {_FLAGS[field]} values of at least "
+                         f"{reads[field]} (B_1 is not singleton-friendly)" if some else
+                         f"{_FLAGS[field]} is read only by the {' and '.join(readers)} suite"
+                         + "s" * (len(readers) > 1))
     result = suites_mod.SUITES[suite](args.max_n, params, args)
     if not (result.checked or result.vacuous):
         raise UsageError(f"suite {suite} found nothing to check (0 checked, 0 vacuous) "

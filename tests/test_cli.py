@@ -9,9 +9,10 @@ import sys
 
 import pytest
 
-from stingycolor import complete, cycle, emit_graph6, empty, er_random, path, petersen
-from stingycolor.bounds import CLAIMS, VerificationParams
-from stingycolor.cli import _SUITE_READERS, _parse_gen_spec, main
+from stingycolor import (all_graphs, complete, cycle, emit_graph6, empty, er_random, path,
+                         petersen)
+from stingycolor.bounds import CLAIMS, VerificationParams, claim_records_for
+from stingycolor.cli import _FLAGS, _SUITE_READS, _parse_gen_spec, main
 from stingycolor.suites import SUITES
 
 
@@ -600,13 +601,83 @@ def test_search_accepts_default_values_unread(capsys, claim):
     assert code == 0 and err.startswith("searched 7 graphs")
 
 
+@pytest.mark.parametrize("claim, option, value, unread", [
+    ("lonely-path-join", "--r", "1", "1"),
+    ("lonely-path-join", "--r", "1,2", "1"),
+    ("chi2-identity", "--r", "2,3", "3"),
+    ("r1-sanity", "--r", "1,2", "2"),
+    ("gen-reed-conjecture[r=2]", "--r", "2,3", "3"),
+    ("lonely-degree-bound[t=0]", "--t", "0,1", "1"),
+    ("gen-lonely-degree-bound[r=2,t=0]", "--t", "0,1,3/2", "1"),
+])
+def test_search_unread_value_is_usage_error(capsys, claim, option, value, unread):
+    # The claim reads other values of the option, but no record it matches
+    # carries this one, which the search would drop unread.
+    assert run(capsys, "search", "--claim", claim, "--max-n", "3", option, value) == (
+        2, "", f"error: claim {claim!r} does not read {option} value {unread}\n")
+
+
+@pytest.mark.parametrize("claim, r, records", [
+    ("lonely-path-join", "2", 14),
+    ("singleton-meets-small-classes", "1", 7),
+    ("chi2-identity", "2", 7),
+])
+def test_search_takes_values_its_records_carry(capsys, claim, r, records):
+    assert run(capsys, "search", "--claim", claim, "--max-n", "3", "--r", r) == (
+        0, "", f"searched 7 graphs ({records} claim records), 0 counterexamples\n")
+
+
+# Lists other than the default for --r and for --t (as doubled slacks), and
+# exact names that match one r or t value, for the read-value rule below.
+R_LISTS = {"1": (1,), "1,2": (1, 2), "2,3": (2, 3)}
+T_LISTS = {"0": (0,), "0,1": (0, 2)}
+EXACT_NAMES = ("gen-reed-conjecture[r=2]", "lonely-degree-bound[t=0]",
+               "gen-lonely-degree-bound[r=2,t=0]")
+
+
+def _some_value_unread(claim, params):
+    """Whether a non-default --r or --t value in ``params`` is unread: leaving
+    it out does not lower the number of the claim's records on every class
+    with n <= 3."""
+    classes = [g for n in range(4) for g in all_graphs(n)]
+    full = [len(claim_records_for(g, claim, params)) for g in classes]
+    for field in ("r_list", "t2_list"):
+        values = getattr(params, field)
+        if values == getattr(VerificationParams, field):
+            continue
+        for v in values:
+            fewer = dataclasses.replace(params, **{field: tuple(x for x in values if x != v)})
+            if not all(len(claim_records_for(g, claim, fewer)) < count
+                       for g, count in zip(classes, full)):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("claim", sorted({row.name for row in CLAIMS}) + list(EXACT_NAMES))
+def test_search_refuses_exactly_the_unread_values(capsys, claim):
+    # search derives what a claim reads from the records it matches on the
+    # null graph; these lists agree with the records on every small class.
+    for r, t in [(r, None) for r in R_LISTS] + [(None, t) for t in T_LISTS] + [
+            (r, t) for r in R_LISTS for t in T_LISTS]:
+        params = VerificationParams(r_list=R_LISTS.get(r, VerificationParams.r_list),
+                                    t2_list=T_LISTS.get(t, VerificationParams.t2_list))
+        argv = ["search", "--claim", claim, "--max-n", "2"]
+        argv += ["--r", r] * (r is not None) + ["--t", t] * (t is not None)
+        code, out, err = run(capsys, *argv)
+        if _some_value_unread(claim, params):
+            assert (code, out, err.count("\n")) == (2, "", 1) and err.startswith("error: "), argv
+        else:
+            assert (code, out) == (0, "") and err.startswith("searched "), argv
+
+
 def test_readers_tables_name_suites_and_params_fields():
     # A misspelt suite or field would silently refuse or accept an option.
     fields = {f.name for f in dataclasses.fields(VerificationParams)}
-    for _, field, readers in _SUITE_READERS:
-        assert field in fields and set(readers) <= set(SUITES), field
+    assert set(_SUITE_READS) <= set(SUITES) and set(_FLAGS) <= fields
+    for suite, reads in _SUITE_READS.items():
+        assert set(reads) <= set(_FLAGS), suite
     for row in CLAIMS:
-        assert set(row.reads) <= fields, row.name
+        assert set(row.reads) <= set(_FLAGS), row.name
 
 
 @pytest.mark.parametrize("r", ["1,2", "1"])
@@ -661,6 +732,19 @@ def test_properties_suite_reads_seed_without_samples(capsys):
 ])
 def test_gen_spec_builds_its_family(spec, graph):
     assert _parse_gen_spec(spec) == graph
+
+
+@pytest.mark.parametrize("spec, form", [
+    ("er:8,0.5,1.5", "er takes n,p,seed, e.g. er:8,0.5,42"),
+    ("er:8,x,1", "er takes n,p,seed, e.g. er:8,0.5,42"),
+    ("er_random:8.5,0.5,1", "er takes n,p,seed, e.g. er:8,0.5,42"),
+    ("cycle:x", "cycle takes one size, e.g. cycle:5"),
+    ("complete:2.0", "complete takes one size, e.g. complete:5"),
+    ("empty:x", "empty takes one size, e.g. empty:5"),
+])
+def test_gen_spec_bad_argument_names_the_form(capsys, spec, form):
+    # an argument of the wrong type gets the family's form, as a wrong count does
+    assert run(capsys, "analyze", "--gen", spec) == (2, "", f"error: {form}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -731,7 +815,9 @@ def _fuzz_argv(rng):
             argv += ["--format", pick(("jsonl", "csv"), ("xml",))]
     elif command == "search":
         argv += ["--claim", pick(("simple-bound", "gen-reed-conjecture[r=2]",
-                                  "lonely-path-join", "iota2-bound", "matching-bound"),
+                                  "lonely-path-join", "iota2-bound", "matching-bound",
+                                  "chi2-identity", "r1-sanity", "lonely-degree-bound[t=0]",
+                                  "gen-lonely-degree-bound[r=2,t=0]", "lonely-path-join[B_2]"),
                                  ("gen-reed-conjecture[r=9]", "nope", ""))]
         argv += ["--max-n", pick(*small_n)]
         if rng.random() < 0.4:
@@ -749,9 +835,9 @@ def _fuzz_argv(rng):
     if command in ("search", "verify") and rng.random() < 0.8:
         argv += ["--seed", pick(("1", "12345"), ("x", "-3"))]
     if rng.random() < 0.3:
-        argv += ["--r", pick(("1,2,3", "2"), ("0", "-1", "x", "1,,3"))]
+        argv += ["--r", pick(("1,2,3", "2", "1", "1,2", "2,3"), ("0", "-1", "x", "1,,3"))]
     if rng.random() < 0.3:
-        argv += ["--t", pick(("0,1/2", "1"), ("1/3", "-1", "x", "1/0"))]
+        argv += ["--t", pick(("0,1/2", "1", "0", "0,1"), ("1/3", "-1", "x", "1/0"))]
     if rng.random() < 0.2:
         argv += ["--max-path-len", pick(("1", "3"), ("-1", "0", "x"))]
     return argv

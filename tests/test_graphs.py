@@ -8,6 +8,7 @@ from stingycolor import (
     Graph,
     GraphFormatError,
     all_graphs,
+    chromatic_number,
     clique_number,
     complete,
     cycle,
@@ -449,3 +450,35 @@ def test_census_matches_graph_atlas(census7):
     for n in range(8):
         census = census7 if n == 7 else all_graphs(n)
         assert sorted(atlas[n]) == [oracles.graph_to_mask(g) for g in census]
+
+
+# --- metamorphic relations -------------------------------------------------
+# Each relation ties the kernels to themselves on a transformed graph, so it
+# needs no second implementation.
+
+
+def test_complement_relations_on_census_up_to_7(census7):
+    # omega(G complement) = alpha(G); n <= chi(G) chi(G complement) and
+    # chi(G) + chi(G complement) <= n + 1 (Nordhaus-Gaddum).
+    for g in [g for n in range(7) for g in all_graphs(n)] + list(census7):
+        comp = g.complement()
+        chi, chi_comp = chromatic_number(g), chromatic_number(comp)
+        assert invariants(comp).omega == invariants(g).alpha, emit_graph6(g)
+        assert g.n <= chi * chi_comp and chi + chi_comp <= g.n + 1, emit_graph6(g)
+
+
+def _disjoint_union(g, h):
+    return Graph(g.n + h.n, g.adj + tuple(row << g.n for row in h.adj))
+
+
+def test_disjoint_union_takes_max_or_sum():
+    # On G + H, chi, omega and max degree are the larger side's; alpha and nu add.
+    rng = random.Random(6060)
+    for _ in range(60):
+        g, h = (er_random(rng.randrange(4, 10), rng.choice((0.2, 0.5, 0.8)), rng.randrange(10**6))
+                for _ in range(2))
+        union, ig, ih = _disjoint_union(g, h), invariants(g), invariants(h)
+        iu = invariants(union)
+        assert chromatic_number(union) == max(chromatic_number(g), chromatic_number(h))
+        assert (iu.omega, iu.max_deg) == (max(ig.omega, ih.omega), max(ig.max_deg, ih.max_deg))
+        assert (iu.alpha, iu.nu) == (ig.alpha + ih.alpha, ig.nu + ih.nu)
